@@ -26,8 +26,7 @@ from __future__ import annotations
 
 import base64
 import struct
-import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from datetime import date
 from enum import Enum
 
@@ -154,7 +153,6 @@ class SignedRRset:
     key_id: str
     inception: date
     expiration: date
-    record_type: str = "TXT"
 
     def canonical_bytes(self) -> bytes:
         return canonical_form(self.owner_name, self.values, self.inception, self.expiration)
@@ -192,16 +190,30 @@ def sign_rrset(
     )
 
 
+# Verified-answer memo: owner name -> (signature, canonical bytes, public key)
+# of the last record set that passed the RSA check for that owner. One slot
+# per owner, so it grows only with the names this process has verified. Every
+# stored triple passed RSA, so a hit answers exactly as RSA would; sharing the
+# memo across callers or losing an update costs at most a repeat check.
+_verified: dict[str, tuple[bytes, bytes, rsa.RSAPublicKey]] = {}
+
+
 def verify_rrset(
     public_key: rsa.RSAPublicKey, rrset: SignedRRset, now: date
 ) -> VerifyStatus:
     """Check the signature and its validity window.
 
     A broken signature wins over a window violation, so tampering is reported
-    as tampering even on an expired set.
+    as tampering even on an expired set. The RSA check is skipped only when
+    signature, canonical bytes and key all equal the owner's memo slot; the
+    window is checked on every call.
     """
     try:
-        public_key.verify(rrset.signature, rrset.canonical_bytes(), _PAD, _HASH)
+        canonical = rrset.canonical_bytes()
+        checked = (rrset.signature, canonical, public_key)
+        if _verified.get(rrset.owner_name) != checked:
+            public_key.verify(rrset.signature, canonical, _PAD, _HASH)
+            _verified[rrset.owner_name] = checked
     except (_BadSignature, ValueError):
         return VerifyStatus.INVALID_SIGNATURE
     if now < rrset.inception:
@@ -231,120 +243,107 @@ class DnsResponse:
 class ZoneStore:
     """All record sets of one zone, plus the attacker's write access.
 
-    Reads are safe from any thread; mutations (owner publishes and attacker
-    manipulations alike) serialise on an internal lock.
+    Single-threaded: callers use a store from one thread at a time, and the
+    store takes no lock.
     """
 
     def __init__(self):
         self._names: set[str] = set()
         self._txt: dict[str, SignedRRset] = {}
         self._keys: dict[str, bytes] = {}
-        self._lock = threading.RLock()
 
     # -- owner-side operations
 
     def register_name(self, name: str) -> None:
-        with self._lock:
-            self._names.add(normalize_domain(name))
+        self._names.add(normalize_domain(name))
 
     def publish(self, rrset: SignedRRset) -> None:
-        with self._lock:
-            self._names.add(rrset.owner_name)
-            self._txt[rrset.owner_name] = rrset
+        self._names.add(rrset.owner_name)
+        self._txt[rrset.owner_name] = rrset
 
     def add_key(self, key_id: str, public_der: bytes) -> None:
-        with self._lock:
-            self._keys[key_id] = public_der
+        self._keys[key_id] = public_der
 
     def rrset_for(self, name: str) -> SignedRRset | None:
         return self._txt.get(normalize_domain(name))
 
-    def names(self) -> frozenset:
-        return frozenset(self._names)
-
-    def key_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self._keys))
+    def __contains__(self, name: str) -> bool:
+        """Whether the name exists in the zone, with or without TXT data."""
+        return normalize_domain(name) in self._names
 
     # -- attacker operations: record manipulation without the signing key
 
     def attacker_add_txt_value(self, name: str, value: str) -> None:
         """Inject a TXT value; creates an unsigned set for unknown names."""
         name = normalize_domain(name)
-        with self._lock:
-            current = self._txt.get(name)
-            if current is None:
-                self._names.add(name)
-                self._txt[name] = SignedRRset(
-                    owner_name=name,
-                    values=(value,),
-                    signature=b"",
-                    key_id="-",
-                    inception=_NO_DATE,
-                    expiration=_NO_DATE,
-                )
-            else:
-                self._txt[name] = replace(current, values=current.values + (value,))
+        current = self._txt.get(name)
+        if current is None:
+            self._names.add(name)
+            self._txt[name] = SignedRRset(
+                owner_name=name,
+                values=(value,),
+                signature=b"",
+                key_id="-",
+                inception=_NO_DATE,
+                expiration=_NO_DATE,
+            )
+        else:
+            self._txt[name] = replace(current, values=current.values + (value,))
 
     def attacker_modify_txt_value(self, name: str, index: int, value: str) -> None:
         name = normalize_domain(name)
-        with self._lock:
-            current = self._txt[name]
-            values = list(current.values)
-            values[index] = value
-            self._txt[name] = replace(current, values=tuple(values))
+        current = self._txt[name]
+        values = list(current.values)
+        values[index] = value
+        self._txt[name] = replace(current, values=tuple(values))
 
     def attacker_delete_txt_value(self, name: str, index: int) -> None:
         name = normalize_domain(name)
-        with self._lock:
-            current = self._txt[name]
-            values = list(current.values)
-            del values[index]
-            self._txt[name] = replace(current, values=tuple(values))
+        current = self._txt[name]
+        values = list(current.values)
+        del values[index]
+        self._txt[name] = replace(current, values=tuple(values))
 
     def attacker_tamper_signature(self, name: str, byte_index: int = 0) -> None:
         name = normalize_domain(name)
-        with self._lock:
-            current = self._txt[name]
-            sig = bytearray(current.signature)
-            sig[byte_index] ^= 0x01
-            self._txt[name] = replace(current, signature=bytes(sig))
+        current = self._txt[name]
+        sig = bytearray(current.signature)
+        sig[byte_index] ^= 0x01
+        self._txt[name] = replace(current, signature=bytes(sig))
 
     def attacker_drop_rrset(self, name: str) -> None:
         """Suppress the TXT set; the name itself stays resolvable."""
         name = normalize_domain(name)
-        with self._lock:
-            self._txt.pop(name, None)
+        self._txt.pop(name, None)
 
     def attacker_replace_rrset(self, name: str, rrset: SignedRRset) -> None:
         """Substitute a captured record set, e.g. replay an old signed one."""
         name = normalize_domain(name)
-        with self._lock:
-            self._names.add(name)
-            self._txt[name] = replace(rrset, owner_name=name)
+        self._names.add(name)
+        self._txt[name] = replace(rrset, owner_name=name)
 
     # -- persistence
 
     def to_text(self) -> str:
         lines = []
-        with self._lock:
-            for name in sorted(self._txt):
-                rrset = self._txt[name]
-                for value in rrset.values:
-                    if '"' in value:
-                        raise ZoneFileError(f"{name}: TXT value contains a quote")
-                    lines.append(f'{name} TXT "{value}"')
-                if rrset.signature:
-                    sig64 = base64.b64encode(rrset.signature).decode("ascii")
-                    lines.append(
-                        f"{name} SIG {rrset.key_id} "
-                        f"{format_policy_date(rrset.inception)} "
-                        f"{format_policy_date(rrset.expiration)} {sig64}"
-                    )
-            for name in sorted(self._names - set(self._txt)):
-                lines.append(f"{name} NAME -")
-            for key_id in sorted(self._keys):
-                der64 = base64.b64encode(self._keys[key_id]).decode("ascii")
-                lines.append(f"KEY {key_id} {der64}")
+        for name in sorted(self._txt):
+            rrset = self._txt[name]
+            for value in rrset.values:
+                if '"' in value:
+                    raise ZoneFileError(f"{name}: TXT value contains a quote")
+                lines.append(f'{name} TXT "{value}"')
+            if rrset.signature:
+                sig64 = base64.b64encode(rrset.signature).decode("ascii")
+                lines.append(
+                    f"{name} SIG {rrset.key_id} "
+                    f"{format_policy_date(rrset.inception)} "
+                    f"{format_policy_date(rrset.expiration)} {sig64}"
+                )
+        for name in sorted(self._names - set(self._txt)):
+            lines.append(f"{name} NAME -")
+        for key_id in sorted(self._keys):
+            der64 = base64.b64encode(self._keys[key_id]).decode("ascii")
+            lines.append(f"KEY {key_id} {der64}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -391,6 +390,8 @@ class ZoneStore:
             rest = line.split(None, 2)[2]
             if not (rest.startswith('"') and rest.endswith('"') and len(rest) >= 2):
                 raise ZoneFileError("TXT value must be double-quoted")
+            if '"' in rest[1:-1]:
+                raise ZoneFileError("TXT value contains an inner quote")
             txt_values.setdefault(name, []).append(rest[1:-1])
             self._names.add(name)
         elif kind == "SIG":
@@ -432,7 +433,7 @@ def resolve(zone: ZoneStore | None, name: str) -> DnsResponse:
     rrset = zone.rrset_for(name)
     if rrset is not None:
         return DnsResponse(name, Disposition.ANSWERED, rrset)
-    if name in zone.names():
+    if name in zone:
         return DnsResponse(name, Disposition.NO_RECORD)
     return DnsResponse(name, Disposition.NO_SUCH_DOMAIN)
 
@@ -442,9 +443,14 @@ class TrustAnchor:
     apex: str
     key_id: str
     public_key_der: bytes
+    _key: rsa.RSAPublicKey = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # Parsed once here, so a bad key fails at construction.
+        object.__setattr__(self, "_key", public_key_from_der(self.public_key_der))
 
     def public_key(self) -> rsa.RSAPublicKey:
-        return public_key_from_der(self.public_key_der)
+        return self._key
 
 
 class TrustAnchorSet:
@@ -487,10 +493,10 @@ class TrustAnchorSet:
                 )
             try:
                 der = base64.b64decode(fields[2], validate=True)
-                public_key_from_der(der)
+                anchor = TrustAnchor(normalize_domain(fields[0]), fields[1], der)
             except Exception as exc:
                 raise ZoneFileError(f"line {lineno}: bad public key: {exc}") from exc
-            anchors.add(TrustAnchor(normalize_domain(fields[0]), fields[1], der))
+            anchors.add(anchor)
         return anchors
 
     def save(self, path: str) -> None:

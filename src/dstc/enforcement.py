@@ -27,7 +27,6 @@ from .policy import (
     PolicyStatus,
     parse_policy,
     policy_status,
-    STRICT_CONFIG,
 )
 from .store import PolicyStore, StoreAction
 
@@ -283,8 +282,6 @@ def decide(
         return _failure(store, domain, Reason.POLICY_EXPIRED, now, record.report)
     if status is PolicyStatus.NOT_YET_VALID:
         return _failure(store, domain, Reason.POLICY_NOT_YET_VALID, now, record.report)
-    if record.tls_level != STRICT_CONFIG:
-        return _failure(store, domain, Reason.MALFORMED, now)
 
     if record.revoke:
         store.update(domain, record, now)

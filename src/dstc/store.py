@@ -223,7 +223,7 @@ class PolicyStore:
                         parse_policy_date(fields[3], "valid_to"),
                     )
                 else:
-                    raise StoreFileError(f"unrecognised line {line!r}")
+                    raise StoreFileError(f"line {lineno}: unrecognised line {line!r}")
             except StoreFileError:
                 raise
             except ValueError as exc:

@@ -1,7 +1,8 @@
 from dataclasses import replace
-from datetime import date
+from datetime import date, timedelta
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dstc.dnssec import (
     Disposition,
@@ -281,3 +282,178 @@ def test_trust_anchor_file_rejects_bad_lines():
         TrustAnchorSet.from_text("example.com zsk-1\n")
     with pytest.raises(ZoneFileError):
         TrustAnchorSet.from_text("example.com zsk-1 bm90LWEta2V5\n")
+
+
+@pytest.mark.parametrize("text, lineno", [
+    ('a.test TXT "x"y"\n', 1),
+    ('\n# comment\n\na.test TXT "ok"\nb.test TXT ""inner"\n', 5),
+])
+def test_zone_file_rejects_inner_quote(text, lineno):
+    with pytest.raises(ZoneFileError, match=f"line {lineno}: .*inner quote"):
+        ZoneStore.from_text(text)
+
+
+def test_trust_anchor_parses_its_key_once(zone_keys):
+    anchor = TrustAnchor("example.com", "zsk-1", zone_keys.public_der())
+    assert anchor.public_key() is anchor.public_key()
+    assert anchor.public_key() == zone_keys.public_key
+    # the parsed key takes no part in equality or hashing
+    twin = TrustAnchor("example.com", "zsk-1", zone_keys.public_der())
+    assert anchor == twin and hash(anchor) == hash(twin)
+
+
+def test_trust_anchor_rejects_bad_key_at_construction():
+    with pytest.raises(ValueError):
+        TrustAnchor("example.com", "zsk-1", b"not-a-key")
+
+
+def test_resolve_miss_on_large_zone(zone_keys):
+    zone = ZoneStore()
+    for i in range(100_000):
+        zone.register_name(f"d{i}.test")
+    zone.publish(sign_rrset(zone_keys, "d7.test", ["x"], INCEPTION, EXPIRATION))
+
+    assert resolve(zone, "d7.test").disposition is Disposition.ANSWERED
+    assert resolve(zone, "D99999.test.").disposition is Disposition.NO_RECORD
+    assert resolve(zone, "d100000.test").disposition is Disposition.NO_SUCH_DOMAIN
+    assert "d0.test" in zone and "ghost.test" not in zone
+
+
+# -- verified-answer memo: a repeat verify may skip RSA, never a check --------
+
+
+class CountingKey:
+    """Delegates to a real public key and counts the RSA checks it runs."""
+
+    def __init__(self, key):
+        self.key = key
+        self.calls = 0
+
+    def verify(self, *args):
+        self.calls += 1
+        return self.key.verify(*args)
+
+
+def test_memo_skips_rsa_only_for_an_unchanged_answer(zone_keys, now):
+    key = CountingKey(zone_keys.public_key)
+    rrset = sign_rrset(zone_keys, "memo-count.test", VALUES, INCEPTION, EXPIRATION)
+    assert verify_rrset(key, rrset, now) is VerifyStatus.VALID
+    assert verify_rrset(key, rrset, now) is VerifyStatus.VALID
+    assert key.calls == 1
+
+    tampered = replace(rrset, values=("changed",))
+    assert verify_rrset(key, tampered, now) is VerifyStatus.INVALID_SIGNATURE
+    assert key.calls == 2
+    # a failed check leaves the slot holding the genuine answer
+    assert verify_rrset(key, rrset, now) is VerifyStatus.VALID
+    assert key.calls == 2
+
+
+def test_memo_hit_rejects_every_signature_byte_flip(zone_keys, rrset, now):
+    assert verify_rrset(zone_keys.public_key, rrset, now) is VerifyStatus.VALID
+    for index in range(len(rrset.signature)):
+        sig = bytearray(rrset.signature)
+        sig[index] ^= 0x01
+        tampered = replace(rrset, signature=bytes(sig))
+        assert (
+            verify_rrset(zone_keys.public_key, tampered, now)
+            is VerifyStatus.INVALID_SIGNATURE
+        ), f"byte {index}"
+    assert verify_rrset(zone_keys.public_key, rrset, now) is VerifyStatus.VALID
+
+
+def test_memo_hit_rejects_changed_value_owner_or_date(zone_keys, rrset, now):
+    assert verify_rrset(zone_keys.public_key, rrset, now) is VerifyStatus.VALID
+    day = timedelta(days=1)
+    for tampered in (
+        replace(rrset, values=rrset.values[:1]),
+        replace(rrset, values=rrset.values + ("injected",)),
+        replace(rrset, values=("x" + rrset.values[0],) + rrset.values[1:]),
+        replace(rrset, owner_name="victim.test"),
+        replace(rrset, inception=INCEPTION - day),
+        replace(rrset, expiration=EXPIRATION + day),
+    ):
+        assert (
+            verify_rrset(zone_keys.public_key, tampered, now)
+            is VerifyStatus.INVALID_SIGNATURE
+        ), tampered
+
+
+def test_memo_hit_rejects_another_key(zone_keys, other_keys, rrset, now):
+    assert verify_rrset(zone_keys.public_key, rrset, now) is VerifyStatus.VALID
+    assert (
+        verify_rrset(other_keys.public_key, rrset, now)
+        is VerifyStatus.INVALID_SIGNATURE
+    )
+    # an equal key parsed separately is the same key
+    reparsed = TrustAnchor("tls12.test", "zsk-1", zone_keys.public_der()).public_key()
+    assert verify_rrset(reparsed, rrset, now) is VerifyStatus.VALID
+
+
+def test_memo_hit_still_checks_the_window(zone_keys, rrset, now):
+    assert verify_rrset(zone_keys.public_key, rrset, now) is VerifyStatus.VALID
+    assert (
+        verify_rrset(zone_keys.public_key, rrset, EXPIRATION + timedelta(days=1))
+        is VerifyStatus.SIGNATURE_EXPIRED
+    )
+    assert (
+        verify_rrset(zone_keys.public_key, rrset, INCEPTION - timedelta(days=1))
+        is VerifyStatus.SIGNATURE_NOT_YET_VALID
+    )
+    # a broken signature still wins over a window violation
+    sig = bytes([rrset.signature[0] ^ 0x01]) + rrset.signature[1:]
+    assert (
+        verify_rrset(
+            zone_keys.public_key,
+            replace(rrset, signature=sig),
+            EXPIRATION + timedelta(days=1),
+        )
+        is VerifyStatus.INVALID_SIGNATURE
+    )
+
+
+_NOW = date(2018, 7, 1)
+_tampers = st.one_of(
+    st.tuples(st.just("signature"), st.integers(0, 255), st.integers(1, 255)),
+    st.tuples(st.just("value"), st.integers(0, 3), st.integers(1, 127)),
+    st.tuples(st.just("owner"), st.sampled_from(["other.test", "prop.test.x"]), st.none()),
+    st.tuples(st.just("inception"), st.integers(-30, 30).filter(bool), st.none()),
+    st.tuples(st.just("expiration"), st.integers(-30, 30).filter(bool), st.none()),
+    st.tuples(st.just("key"), st.none(), st.none()),
+)
+
+
+def _tamper(rrset, other_key, kind, where, mask):
+    key = None
+    if kind == "signature":
+        sig = bytearray(rrset.signature)
+        sig[where] ^= mask
+        rrset = replace(rrset, signature=bytes(sig))
+    elif kind == "value":
+        raw = bytearray(rrset.values[0].encode())
+        raw[where] ^= mask
+        rrset = replace(rrset, values=(raw.decode(),))
+    elif kind == "owner":
+        rrset = replace(rrset, owner_name=where)
+    elif kind == "inception":
+        rrset = replace(rrset, inception=rrset.inception + timedelta(days=where))
+    elif kind == "expiration":
+        rrset = replace(rrset, expiration=rrset.expiration + timedelta(days=where))
+    else:
+        key = other_key
+    return rrset, key
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(st.none(), _tampers), min_size=1, max_size=12))
+def test_memo_never_validates_a_tampered_answer(zone_keys, other_keys, steps):
+    # None is the genuine answer; everything else is one tampered variant
+    genuine = sign_rrset(zone_keys, "prop.test", ["abcd"], INCEPTION, EXPIRATION)
+    for step in steps:
+        if step is None:
+            status = verify_rrset(zone_keys.public_key, genuine, _NOW)
+            assert status is VerifyStatus.VALID
+            continue
+        tampered, key = _tamper(genuine, other_keys.public_key, *step)
+        status = verify_rrset(key or zone_keys.public_key, tampered, _NOW)
+        assert status is VerifyStatus.INVALID_SIGNATURE, step

@@ -213,6 +213,11 @@ def test_load_rejects_garbage():
         PolicyStore.from_text("POLICY half a line\n")
 
 
+def test_load_error_names_the_unrecognised_line():
+    with pytest.raises(StoreFileError, match=r"line 4: unrecognised line 'BOGUS x'"):
+        PolicyStore.from_text("\n# cache\n\nBOGUS x\n")
+
+
 def test_serials_are_monotone(now):
     store = PolicyStore()
     store.update("a.test", record(), now)
