@@ -17,8 +17,7 @@ from dstc.scenarios import BUILTIN_SUITES, run_builtin_suite
 def main() -> int:
     keys = ZoneKeyPair.generate("zsk-1")
     all_passed = True
-    for name in ("table2", "poodle", "fragment", "forgery"):
-        assert name in BUILTIN_SUITES
+    for name in BUILTIN_SUITES:
         start = time.perf_counter()
         report = run_builtin_suite(name, keys=keys)
         elapsed = time.perf_counter() - start

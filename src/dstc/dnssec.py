@@ -61,6 +61,18 @@ def normalize_domain(name: str) -> str:
     return name.strip().rstrip(".").lower()
 
 
+def is_field(text: str) -> bool:
+    """Whether ``text`` reads back as one field of a whitespace-split line,
+    not taken for a comment: non-empty, no whitespace, no leading ``#``."""
+    return text.split() == [text] and not text.startswith("#")
+
+
+def _check_field(kind: str, text: str) -> str:
+    if not is_field(text):
+        raise ZoneFileError(f"{kind} {text!r} cannot be written as one field")
+    return text
+
+
 def canonical_form(
     owner_name: str,
     values: list[str] | tuple[str, ...],
@@ -96,7 +108,6 @@ class ZoneKeyPair:
     key_id: str
     public_key: rsa.RSAPublicKey
     private_key: rsa.RSAPrivateKey | None = None
-    algorithm: str = "RSASHA256"
 
     @classmethod
     def generate(cls, key_id: str, bits: int = MIN_KEY_BITS) -> "ZoneKeyPair":
@@ -106,7 +117,7 @@ class ZoneKeyPair:
         return cls(key_id=key_id, public_key=private.public_key(), private_key=private)
 
     def public_only(self) -> "ZoneKeyPair":
-        return ZoneKeyPair(self.key_id, self.public_key, None, self.algorithm)
+        return ZoneKeyPair(self.key_id, self.public_key)
 
     def public_der(self) -> bytes:
         return self.public_key.public_bytes(
@@ -327,23 +338,26 @@ class ZoneStore:
     def to_text(self) -> str:
         lines = []
         for name in sorted(self._txt):
+            _check_field("name", name)
             rrset = self._txt[name]
             for value in rrset.values:
-                if '"' in value:
-                    raise ZoneFileError(f"{name}: TXT value contains a quote")
+                if '"' in value or len(f'"{value}"'.splitlines()) > 1:
+                    raise ZoneFileError(
+                        f"{name}: TXT value {value!r} contains a quote or a line break"
+                    )
                 lines.append(f'{name} TXT "{value}"')
             if rrset.signature:
                 sig64 = base64.b64encode(rrset.signature).decode("ascii")
                 lines.append(
-                    f"{name} SIG {rrset.key_id} "
+                    f"{name} SIG {_check_field('key id', rrset.key_id)} "
                     f"{format_policy_date(rrset.inception)} "
                     f"{format_policy_date(rrset.expiration)} {sig64}"
                 )
         for name in sorted(self._names - set(self._txt)):
-            lines.append(f"{name} NAME -")
+            lines.append(f"{_check_field('name', name)} NAME -")
         for key_id in sorted(self._keys):
             der64 = base64.b64encode(self._keys[key_id]).decode("ascii")
-            lines.append(f"KEY {key_id} {der64}")
+            lines.append(f"KEY {_check_field('key id', key_id)} {der64}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -412,8 +426,9 @@ class ZoneStore:
             raise ZoneFileError(f"unknown record kind {kind!r}")
 
     def save(self, path: str) -> None:
+        text = self.to_text()  # before open(): a refused render keeps the old file
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_text())
+            fh.write(text)
 
     @classmethod
     def load(cls, path: str) -> "ZoneStore":
@@ -476,7 +491,9 @@ class TrustAnchorSet:
         for apex in sorted(self._anchors):
             anchor = self._anchors[apex]
             der64 = base64.b64encode(anchor.public_key_der).decode("ascii")
-            lines.append(f"{apex} {anchor.key_id} {der64}")
+            lines.append(
+                f"{_check_field('apex', apex)} {_check_field('key id', anchor.key_id)} {der64}"
+            )
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -500,8 +517,9 @@ class TrustAnchorSet:
         return anchors
 
     def save(self, path: str) -> None:
+        text = self.to_text()  # before open(): a refused render keeps the old file
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_text())
+            fh.write(text)
 
     @classmethod
     def load(cls, path: str) -> "TrustAnchorSet":

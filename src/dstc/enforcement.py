@@ -250,18 +250,18 @@ def decide(
     """
     domain = normalize_domain(domain)
     if response.disposition is not Disposition.ANSWERED:
-        return _absence(store, domain, response.disposition, now)
+        return _fallback(store, domain, Reason.NO_RECORD, now)
 
     rrset = response.rrset
     anchor = anchors.lookup(domain)
     if anchor is None or anchor.key_id != rrset.key_id:
-        return _failure(store, domain, Reason.INVALID_SIGNATURE, now)
+        return _fallback(store, domain, Reason.INVALID_SIGNATURE, now)
     status = verify_rrset(anchor.public_key(), rrset, now)
     if status is VerifyStatus.INVALID_SIGNATURE:
-        return _failure(store, domain, Reason.INVALID_SIGNATURE, now)
+        return _fallback(store, domain, Reason.INVALID_SIGNATURE, now)
     if status is not VerifyStatus.VALID:
         # Both window violations surface as an expired-signature decision.
-        return _failure(store, domain, Reason.SIGNATURE_EXPIRED, now)
+        return _fallback(store, domain, Reason.SIGNATURE_EXPIRED, now)
 
     records = []
     for value in rrset.values:
@@ -270,18 +270,18 @@ def decide(
         except NotDstc:
             continue
         except MalformedPolicy:
-            return _failure(store, domain, Reason.MALFORMED, now)
+            return _fallback(store, domain, Reason.MALFORMED, now)
     if not records:
-        return _absence(store, domain, response.disposition, now)
+        return _fallback(store, domain, Reason.NO_RECORD, now)
     if len(records) > 1:
-        return _failure(store, domain, Reason.AMBIGUOUS_RECORDS, now)
+        return _fallback(store, domain, Reason.AMBIGUOUS_RECORDS, now)
 
     record = records[0]
     status = policy_status(record, now)
     if status is PolicyStatus.EXPIRED:
-        return _failure(store, domain, Reason.POLICY_EXPIRED, now, record.report)
+        return _fallback(store, domain, Reason.POLICY_EXPIRED, now, record.report)
     if status is PolicyStatus.NOT_YET_VALID:
-        return _failure(store, domain, Reason.POLICY_NOT_YET_VALID, now, record.report)
+        return _fallback(store, domain, Reason.POLICY_NOT_YET_VALID, now, record.report)
 
     if record.revoke:
         store.update(domain, record, now)
@@ -300,30 +300,18 @@ def decide(
     return PolicyDecision(Mode.DEFAULT, Reason.REVOKED, record.report)
 
 
-def _absence(store, domain, disposition, now) -> PolicyDecision:
-    action = store.observe_absence(domain, disposition, now)
-    if action is StoreAction.DROP_ALARM:
+def _fallback(store, domain, reason, now, report=None) -> PolicyDecision:
+    """No usable record: a live entry of the domain's own raises the alarm,
+    else an opted-in ancestor keeps strict, else default with ``reason``."""
+    if store.observe_absence(domain, now) is StoreAction.DROP_ALARM:
         entry = store.get_exact(domain, now)
-        report = entry.record.report if entry else None
-        return PolicyDecision(Mode.STRICT, Reason.DROP_ALARM, report)
-    governing = store.lookup(domain, now)
-    if governing is not None:
-        # A cached ancestor record opted this subdomain into strict mode.
-        return PolicyDecision(Mode.STRICT, Reason.OK, governing.record.report)
-    return PolicyDecision(Mode.DEFAULT, Reason.NO_RECORD)
-
-
-def _failure(store, domain, reason, now, report=None) -> PolicyDecision:
-    action = store.observe_absence(domain, "verification-failure", now)
-    if action is StoreAction.DROP_ALARM:
-        entry = store.get_exact(domain, now)
-        stored_report = entry.record.report if entry else report
-        return PolicyDecision(Mode.STRICT, Reason.DROP_ALARM, stored_report)
-    governing = store.lookup(domain, now)
-    if governing is not None:
-        # The domain's own record is unusable but a cached ancestor mandates
-        # strict mode; treat the unusable answer as interference.
         return PolicyDecision(
-            Mode.STRICT, Reason.DROP_ALARM, governing.record.report
+            Mode.STRICT, Reason.DROP_ALARM, entry.record.report if entry else report
         )
+    governing = store.lookup(domain, now)
+    if governing is not None:
+        # Absence is expected under the ancestor; an unusable answer of the
+        # domain's own is treated as interference.
+        strict_reason = Reason.OK if reason is Reason.NO_RECORD else Reason.DROP_ALARM
+        return PolicyDecision(Mode.STRICT, strict_reason, governing.record.report)
     return PolicyDecision(Mode.DEFAULT, reason, report)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date
+from functools import partial
 
 from . import enforcement
 from .dnssec import (
@@ -223,16 +224,21 @@ def run_scenario_suite(
             profiles[scenario.server],
             scenario.attack,
         )
-        rows.append(
-            ScenarioRow(
-                name=scenario.name,
-                expected=scenario.expect.describe(),
-                actual=_outcome_token(outcome),
-                passed=scenario.expect.matches(outcome),
-                transcript=outcome.transcript,
-            )
-        )
+        rows.append(_row(scenario.name, scenario.expect, outcome))
     return SuiteReport(suite_name, tuple(rows))
+
+
+def _row(name: str, expect: Expectation, outcome: HandshakeOutcome,
+         decision: PolicyDecision | None = None, mode: Mode | None = None) -> ScenarioRow:
+    """Report one handshake; with a decision, it must also have taken ``mode``."""
+    return ScenarioRow(
+        name=name,
+        expected=expect.describe(),
+        actual=_outcome_token(outcome),
+        passed=expect.matches(outcome) and (decision is None or decision.mode is mode),
+        transcript=outcome.transcript,
+        decision=None if decision is None else f"{decision.mode.value}/{decision.reason.value}",
+    )
 
 
 def _outcome_token(outcome: HandshakeOutcome) -> str:
@@ -247,6 +253,7 @@ def _outcome_token(outcome: HandshakeOutcome) -> str:
 # -- built-in fixtures ------------------------------------------------------
 
 FIXTURE_NOW = date(2018, 7, 1)
+SIGNATURE_DAYS = (date(2018, 5, 1), date(2019, 5, 1))
 
 STRONG_SUITES = (
     "ECDHE-RSA-AES128-GCM-SHA256",
@@ -274,181 +281,104 @@ class SignedFixture:
     zone: ZoneStore
     anchors: TrustAnchorSet
     store: PolicyStore
-    keys: ZoneKeyPair
     now: date
 
     def decide_for(self, domain: str) -> PolicyDecision:
         return decide(resolve(self.zone, domain), self.anchors, self.store, domain, self.now)
 
-    def config_for(self, domain: str) -> enforcement.EffectiveTlsConfig:
-        return apply(self.decide_for(domain), DEFAULT_CLIENT)
-
 
 def build_fixture(
-    registered: dict[str, PolicyRecord],
-    keys: ZoneKeyPair | None = None,
-    now: date = FIXTURE_NOW,
-    signature_days: tuple[date, date] = (date(2018, 5, 1), date(2019, 5, 1)),
+    registered: dict[str, PolicyRecord], keys: ZoneKeyPair | None = None
 ) -> SignedFixture:
     """Sign the given records into a zone under one trust-anchored key."""
     keys = keys or ZoneKeyPair.generate("zsk-1")
     zone = ZoneStore()
     anchors = TrustAnchorSet()
-    inception, expiration = signature_days
     for domain, record in registered.items():
-        zone.publish(
-            sign_rrset(keys, domain, [serialize_policy(record)], inception, expiration)
-        )
+        zone.publish(sign_rrset(keys, domain, [serialize_policy(record)], *SIGNATURE_DAYS))
         anchors.add(TrustAnchor(domain, keys.key_id, keys.public_der()))
     zone.add_key(keys.key_id, keys.public_der())
-    return SignedFixture(zone, anchors, PolicyStore(), keys, now)
+    return SignedFixture(zone, anchors, PolicyStore(), FIXTURE_NOW)
 
 
-TABLE2_PROFILES = {
-    "tls12.test": ServerProfile(
-        "tls12.test", frozenset({TlsVersion.TLS12}), STRONG_SUITES
+def _established(version: TlsVersion) -> Expectation:
+    return Expectation(frozenset({HandshakeResult.ESTABLISHED}), version)
+
+
+_CLIENT_ABORTS = Expectation(frozenset({HandshakeResult.ABORTED_BY_CLIENT}))
+_ALL_SUITES = STRONG_SUITES + LEGACY_SUITES
+_BANK = ServerProfile(
+    "bank.test",
+    frozenset({TlsVersion.SSL30, TlsVersion.TLS10, TlsVersion.TLS11, TlsVersion.TLS12}),
+    _ALL_SUITES,
+)
+_SHOP = ServerProfile(
+    "shop.test",
+    frozenset({TlsVersion.TLS10, TlsVersion.TLS11, TlsVersion.TLS12}),
+    _ALL_SUITES,
+    fragmentation_bug=True,
+)
+_DROP2 = AttackerStrategy.parse("drop:2")
+_FRAGMENT = AttackerStrategy.parse("fragment")
+
+# Suite name -> (registered domains, rows). A row is (name, domain, server,
+# attack, expectation, mode): the client's handshake for the domain against
+# the server, through the attack, must meet the expectation, and its decision
+# must take the mode (strict for a registered domain, default otherwise).
+DOWNGRADE_SUITES = {
+    # Feasibility matrix: the registered strong server succeeds strictly, the
+    # registered legacy server is refused by the strict client, and the
+    # unregistered legacy server still works under the default policy.
+    "table2": (
+        ("tls12.test", "tls10.test"),
+        (
+            ("tls12-registered-strong", "tls12.test",
+             ServerProfile("tls12.test", frozenset({TlsVersion.TLS12}), STRONG_SUITES),
+             NO_ATTACK, _established(TlsVersion.TLS12), Mode.STRICT),
+            ("tls10-registered-legacy", "tls10.test",
+             ServerProfile("tls10.test", frozenset({TlsVersion.TLS10}), LEGACY_SUITES),
+             NO_ATTACK, _CLIENT_ABORTS, Mode.STRICT),
+            ("tls11-unregistered-legacy", "tls11.test",
+             ServerProfile("tls11.test", frozenset({TlsVersion.TLS11}), LEGACY_SUITES),
+             NO_ATTACK, _established(TlsVersion.TLS11), Mode.DEFAULT),
+        ),
     ),
-    "tls10.test": ServerProfile(
-        "tls10.test", frozenset({TlsVersion.TLS10}), LEGACY_SUITES
+    # Hello-dropping downgrade: default clients walk down, strict ones abort.
+    "poodle": (
+        ("bank.test",),
+        (
+            ("poodle-default-downgraded", "news.test", _BANK, _DROP2,
+             _established(TlsVersion.TLS10), Mode.DEFAULT),
+            ("poodle-strict-aborted", "bank.test", _BANK, _DROP2,
+             _CLIENT_ABORTS, Mode.STRICT),
+        ),
     ),
-    "tls11.test": ServerProfile(
-        "tls11.test", frozenset({TlsVersion.TLS11}), LEGACY_SUITES
+    # Fragmented-hello downgrade against a server with the version bug.
+    "fragment": (
+        ("shop.test",),
+        (
+            ("fragment-default-downgraded", "blog.test", _SHOP, _FRAGMENT,
+             _established(TlsVersion.TLS10), Mode.DEFAULT),
+            ("fragment-strict-aborted", "shop.test", _SHOP, _FRAGMENT,
+             _CLIENT_ABORTS, Mode.STRICT),
+        ),
     ),
 }
 
 
-def run_table2(keys: ZoneKeyPair | None = None) -> SuiteReport:
-    """Feasibility matrix: who completes a handshake under policy enforcement.
-
-    Registered strong server succeeds strictly, registered legacy server is
-    refused by the strict client, unregistered legacy server still works
-    under the default policy.
-    """
+def run_downgrade_suite(name: str, keys: ZoneKeyPair | None = None) -> SuiteReport:
+    """Sign the suite's registered domains, then decide, apply and handshake per row."""
+    registered, table = DOWNGRADE_SUITES[name]
     fixture = build_fixture(
-        {
-            "tls12.test": fixture_policy(report="admin@tls12.test"),
-            "tls10.test": fixture_policy(report="admin@tls10.test"),
-        },
+        {domain: fixture_policy(report=f"admin@{domain}") for domain in registered},
         keys=keys,
     )
-    expectations = [
-        (
-            "tls12-registered-strong",
-            "tls12.test",
-            Expectation(frozenset({HandshakeResult.ESTABLISHED}), TlsVersion.TLS12),
-            Mode.STRICT,
-        ),
-        (
-            "tls10-registered-legacy",
-            "tls10.test",
-            Expectation(frozenset({HandshakeResult.ABORTED_BY_CLIENT})),
-            Mode.STRICT,
-        ),
-        (
-            "tls11-unregistered-legacy",
-            "tls11.test",
-            Expectation(frozenset({HandshakeResult.ESTABLISHED}), TlsVersion.TLS11),
-            Mode.DEFAULT,
-        ),
-    ]
     rows = []
-    for name, domain, expect, expected_mode in expectations:
+    for row_name, domain, server, attack, expect, mode in table:
         decision = fixture.decide_for(domain)
-        outcome = run_handshake(
-            apply(decision, DEFAULT_CLIENT), TABLE2_PROFILES[domain], NO_ATTACK
-        )
-        rows.append(
-            ScenarioRow(
-                name=name,
-                expected=expect.describe(),
-                actual=_outcome_token(outcome),
-                passed=expect.matches(outcome) and decision.mode is expected_mode,
-                transcript=outcome.transcript,
-                decision=f"{decision.mode.value}/{decision.reason.value}",
-            )
-        )
-    return SuiteReport("table2", tuple(rows))
-
-
-def run_poodle(keys: ZoneKeyPair | None = None) -> SuiteReport:
-    """Hello-dropping downgrade: default clients walk down, strict ones abort."""
-    fixture = build_fixture({"bank.test": fixture_policy(report="admin@bank.test")}, keys=keys)
-    server = ServerProfile(
-        "bank.test",
-        frozenset({TlsVersion.SSL30, TlsVersion.TLS10, TlsVersion.TLS11, TlsVersion.TLS12}),
-        STRONG_SUITES + LEGACY_SUITES,
-    )
-    attack = AttackerStrategy.parse("drop:2")
-
-    # Unregistered neighbour: the client has no prior knowledge and stays on
-    # the default policy, so the dropped hellos walk it down the versions.
-    default_decision = fixture.decide_for("news.test")
-    default_outcome = run_handshake(apply(default_decision, DEFAULT_CLIENT), server, attack)
-    strict_decision = fixture.decide_for("bank.test")
-    strict_outcome = run_handshake(apply(strict_decision, DEFAULT_CLIENT), server, attack)
-
-    rows = (
-        ScenarioRow(
-            name="poodle-default-downgraded",
-            expected="Established@TLS1.0",
-            actual=_outcome_token(default_outcome),
-            passed=(
-                default_outcome.result is HandshakeResult.ESTABLISHED
-                and default_outcome.negotiated_version is TlsVersion.TLS10
-            ),
-            transcript=default_outcome.transcript,
-            decision=f"{default_decision.mode.value}/{default_decision.reason.value}",
-        ),
-        ScenarioRow(
-            name="poodle-strict-aborted",
-            expected=HandshakeResult.ABORTED_BY_CLIENT.value,
-            actual=_outcome_token(strict_outcome),
-            passed=strict_outcome.result is HandshakeResult.ABORTED_BY_CLIENT,
-            transcript=strict_outcome.transcript,
-            decision=f"{strict_decision.mode.value}/{strict_decision.reason.value}",
-        ),
-    )
-    return SuiteReport("poodle", rows)
-
-
-def run_fragment(keys: ZoneKeyPair | None = None) -> SuiteReport:
-    """Fragmented-hello downgrade against a server with the version bug."""
-    fixture = build_fixture({"shop.test": fixture_policy(report="admin@shop.test")}, keys=keys)
-    server = ServerProfile(
-        "shop.test",
-        frozenset({TlsVersion.TLS10, TlsVersion.TLS11, TlsVersion.TLS12}),
-        STRONG_SUITES + LEGACY_SUITES,
-        fragmentation_bug=True,
-    )
-    attack = AttackerStrategy.parse("fragment")
-
-    default_decision = fixture.decide_for("blog.test")
-    default_outcome = run_handshake(apply(default_decision, DEFAULT_CLIENT), server, attack)
-    strict_decision = fixture.decide_for("shop.test")
-    strict_outcome = run_handshake(apply(strict_decision, DEFAULT_CLIENT), server, attack)
-
-    rows = (
-        ScenarioRow(
-            name="fragment-default-downgraded",
-            expected="Established@TLS1.0",
-            actual=_outcome_token(default_outcome),
-            passed=(
-                default_outcome.result is HandshakeResult.ESTABLISHED
-                and default_outcome.negotiated_version is TlsVersion.TLS10
-            ),
-            transcript=default_outcome.transcript,
-            decision=f"{default_decision.mode.value}/{default_decision.reason.value}",
-        ),
-        ScenarioRow(
-            name="fragment-strict-aborted",
-            expected=HandshakeResult.ABORTED_BY_CLIENT.value,
-            actual=_outcome_token(strict_outcome),
-            passed=strict_outcome.result is HandshakeResult.ABORTED_BY_CLIENT,
-            transcript=strict_outcome.transcript,
-            decision=f"{strict_decision.mode.value}/{strict_decision.reason.value}",
-        ),
-    )
-    return SuiteReport("fragment", rows)
+        outcome = run_handshake(apply(decision, DEFAULT_CLIENT), server, attack)
+        rows.append(_row(row_name, expect, outcome, decision, mode))
+    return SuiteReport(name, tuple(rows))
 
 
 def run_forgery(keys: ZoneKeyPair | None = None) -> SuiteReport:
@@ -458,24 +388,14 @@ def run_forgery(keys: ZoneKeyPair | None = None) -> SuiteReport:
     rows = []
 
     def row(name, expected, actual, transcript):
-        rows.append(
-            ScenarioRow(
-                name=name,
-                expected=expected,
-                actual=actual,
-                passed=(actual == expected),
-                transcript=tuple(transcript),
-            )
-        )
+        rows.append(ScenarioRow(name, expected, actual, actual == expected, tuple(transcript)))
 
     # add: inject a policy for a domain that never registered one.
     fixture = build_fixture({}, keys=keys)
-    fixture.anchors.add(TrustAnchor("victim.test", keys.key_id, keys.public_der()))
     fixture.zone.attacker_add_txt_value(
         "victim.test", serialize_policy(fixture_policy(report="mallory@evil.test"))
     )
-    rrset = fixture.zone.rrset_for("victim.test")
-    status = verify_rrset(keys.public_key, rrset, now)
+    status = verify_rrset(keys.public_key, fixture.zone.rrset_for("victim.test"), now)
     row(
         "add-unregistered-policy",
         VerifyStatus.INVALID_SIGNATURE.value,
@@ -504,8 +424,7 @@ def run_forgery(keys: ZoneKeyPair | None = None) -> SuiteReport:
             keys,
             "multi.test",
             [serialize_policy(fixture_policy()), "v=spf1 -all"],
-            date(2018, 5, 1),
-            date(2019, 5, 1),
+            *SIGNATURE_DAYS,
         )
     )
     zone.attacker_delete_txt_value("multi.test", 1)
@@ -567,9 +486,7 @@ def run_forgery(keys: ZoneKeyPair | None = None) -> SuiteReport:
 
 
 BUILTIN_SUITES = {
-    "table2": run_table2,
-    "poodle": run_poodle,
-    "fragment": run_fragment,
+    **{name: partial(run_downgrade_suite, name) for name in DOWNGRADE_SUITES},
     "forgery": run_forgery,
 }
 

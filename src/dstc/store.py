@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 
-from .dnssec import normalize_domain
+from .dnssec import is_field, normalize_domain
 from .policy import (
     PolicyRecord,
     PolicyStatus,
@@ -116,7 +116,7 @@ class PolicyStore:
                 return StoreAction.UNCHANGED
             return StoreAction.REJECTED_STALE
 
-    def observe_absence(self, domain: str, disposition, now: date) -> StoreAction:
+    def observe_absence(self, domain: str, now: date) -> StoreAction:
         """React to a query that produced no usable policy record.
 
         A live cached entry means someone is suppressing the record: raise
@@ -184,6 +184,9 @@ class PolicyStore:
 
     def to_text(self) -> str:
         with self._lock:
+            for domain in (*self._entries, *self._tombstones):
+                if not is_field(domain):
+                    raise StoreFileError(f"domain {domain!r} cannot be written as one field")
             lines = [
                 f"POLICY {e.domain} {format_policy_date(e.stored_at)} "
                 f"{serialize_policy(e.record)}"
@@ -231,8 +234,9 @@ class PolicyStore:
         return store
 
     def save(self, path: str) -> None:
+        text = self.to_text()  # before open(): a refused render keeps the old file
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_text())
+            fh.write(text)
 
     @classmethod
     def load(cls, path: str) -> "PolicyStore":

@@ -139,6 +139,20 @@ def test_sign_refuses_malformed_policy(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("extra", ['say "hi"', "two\nlines"])
+def test_sign_refused_render_keeps_zone_file(tmp_path, extra):
+    zone = tmp_path / "z.zone"
+    sign = [
+        "sign", "--zone", str(zone), "--domain", "tls12.test",
+        "--policy-txt", serialize_policy(POLICY), "--key", str(tmp_path / "k.pem"),
+        "--generate-key", "--inception", "01-05-2018", "--expiration", "01-05-2019",
+    ]
+    assert main(sign) == 0
+    before = zone.read_bytes()
+    assert main(sign + ["--extra-txt", extra]) == 2
+    assert zone.read_bytes() == before
+
+
 def test_verify_strict_ok_exit_zero(world, capsys):
     code = main([
         "verify", "--zone", world["zone"], "--anchors", world["anchors"],

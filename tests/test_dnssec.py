@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from datetime import date, timedelta
 
@@ -243,6 +244,37 @@ def test_zone_file_unsigned_rrset_round_trip(zone_keys):
 def test_zone_file_rejects_corrupt_lines(line):
     with pytest.raises(ZoneFileError):
         ZoneStore.from_text(line + "\n")
+
+
+@pytest.mark.parametrize("mutate, entry", [
+    (lambda zone: zone.attacker_add_txt_value("a.test", 'say "hi"'), "a.test"),
+    (lambda zone: zone.attacker_add_txt_value("a.test", "x\ny"), "a.test"),
+    (lambda zone: zone.attacker_add_txt_value("a.test", "x\ry"), "a.test"),
+    (lambda zone: zone.attacker_add_txt_value("a.test", "x\u2028y"), "a.test"),
+    (lambda zone: zone.attacker_add_txt_value("a b.test", "x"), "a b.test"),
+    (lambda zone: zone.register_name("a b.test"), "a b.test"),
+    (lambda zone: zone.register_name("#a.test"), "#a.test"),
+    (lambda zone: zone.add_key("zsk 1", b"der"), "zsk 1"),
+], ids=["quote", "newline", "carriage-return", "line-separator", "txt-name-space",
+        "name-space", "name-comment", "key-id-space"])
+def test_zone_writer_refuses_what_the_reader_cannot_read(mutate, entry):
+    zone = ZoneStore()
+    mutate(zone)
+    with pytest.raises(ZoneFileError, match=re.escape(entry)):
+        zone.to_text()
+
+
+@pytest.mark.parametrize("apex, key_id, entry", [
+    ("a b.test", "zsk-1", "a b.test"),
+    ("#a.test", "zsk-1", "#a.test"),
+    ("a.test", "zsk 1", "zsk 1"),
+    ("a.test", "", "key id ''"),
+])
+def test_anchor_writer_refuses_what_the_reader_cannot_read(zone_keys, apex, key_id, entry):
+    anchors = TrustAnchorSet()
+    anchors.add(TrustAnchor(apex, key_id, zone_keys.public_der()))
+    with pytest.raises(ZoneFileError, match=re.escape(entry)):
+        anchors.to_text()
 
 
 def test_zone_file_rejects_sig_without_txt():

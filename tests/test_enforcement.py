@@ -486,3 +486,73 @@ def test_decide_fail_closed_matrix(zone_keys, other_keys):
         decision, _ = run_decide(zone, anchors)
         assert decision.mode is Mode.DEFAULT
         assert decision.reason is expected_reason
+
+
+# -- the no-usable-record fallback, per reason and cache state ---------------
+
+SUB = "www.tls12.test"
+OWN_ENTRY = PolicyRecord(
+    valid_from=date(2018, 5, 1), valid_to=date(2019, 5, 1), report="own@www.tls12.test"
+)
+OPTED_IN_ANCESTOR = PolicyRecord(
+    valid_from=date(2018, 5, 1), valid_to=date(2019, 5, 1),
+    report="admin@tls12.test", include_sub_domain=True,
+)
+EXPIRED_POLICY = PolicyRecord(
+    valid_from=date(2017, 5, 1), valid_to=date(2018, 5, 1), report="old@www.tls12.test"
+)
+
+
+def fallback_zone(zone_keys, reason):
+    """A zone whose answer for SUB fails exactly with ``reason``."""
+    if reason is Reason.NO_RECORD:
+        zone = ZoneStore()
+        zone.register_name(SUB)
+        return zone
+    window, values = SIG_WINDOW, [serialize_policy(OWN_ENTRY)]
+    if reason is Reason.SIGNATURE_EXPIRED:
+        window = (date(2018, 1, 1), date(2018, 2, 1))
+    elif reason is Reason.MALFORMED:
+        values = ["name=DSTC; validFrom=junk"]
+    elif reason is Reason.AMBIGUOUS_RECORDS:
+        values = [serialize_policy(OWN_ENTRY), serialize_policy(EXPIRED_POLICY)]
+    elif reason is Reason.POLICY_EXPIRED:
+        values = [serialize_policy(EXPIRED_POLICY)]
+    zone, _ = build_world(zone_keys, values=values, domain=SUB, sig_window=window)
+    if reason is Reason.INVALID_SIGNATURE:
+        zone.attacker_tamper_signature(SUB)
+    return zone
+
+
+FALLBACK_REASONS = [
+    Reason.NO_RECORD,
+    Reason.INVALID_SIGNATURE,
+    Reason.SIGNATURE_EXPIRED,
+    Reason.MALFORMED,
+    Reason.AMBIGUOUS_RECORDS,
+    Reason.POLICY_EXPIRED,
+]
+
+
+@pytest.mark.parametrize("reason", FALLBACK_REASONS, ids=lambda r: r.value)
+@pytest.mark.parametrize("cache", ["own-entry", "opted-in-ancestor", "empty"])
+def test_decide_fallback_table(zone_keys, now, reason, cache):
+    """No usable record: an own live entry alarms, an opted-in ancestor keeps
+    strict (OK for plain absence, DropAlarm for an unusable answer), and an
+    empty cache falls back to default with the specific reason."""
+    store = PolicyStore()
+    if cache == "own-entry":
+        store.update(SUB, OWN_ENTRY, now)
+        expected = PolicyDecision(Mode.STRICT, Reason.DROP_ALARM, OWN_ENTRY.report)
+    elif cache == "opted-in-ancestor":
+        store.update("tls12.test", OPTED_IN_ANCESTOR, now)
+        ancestor_reason = Reason.OK if reason is Reason.NO_RECORD else Reason.DROP_ALARM
+        expected = PolicyDecision(Mode.STRICT, ancestor_reason, OPTED_IN_ANCESTOR.report)
+    else:
+        report = EXPIRED_POLICY.report if reason is Reason.POLICY_EXPIRED else None
+        expected = PolicyDecision(Mode.DEFAULT, reason, report)
+    anchors = TrustAnchorSet()
+    anchors.add(TrustAnchor(SUB, zone_keys.key_id, zone_keys.public_der()))
+    decision, _ = run_decide(fallback_zone(zone_keys, reason), anchors, domain=SUB,
+                             store=store, now=now)
+    assert decision == expected

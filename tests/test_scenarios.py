@@ -1,8 +1,12 @@
+import runpy
+from pathlib import Path
+
 import pytest
 
 from dstc.enforcement import TlsVersion
 from dstc.handshake import AttackKind
 from dstc.scenarios import (
+    BUILTIN_SUITES,
     ScenarioFileError,
     UnknownScenarioReference,
     parse_scenario_file,
@@ -101,16 +105,22 @@ def test_builtin_poodle(zone_keys):
     report = run_builtin_suite("poodle", keys=zone_keys)
     assert report.all_passed, report.render()
     by_name = {row.name: row for row in report.rows}
-    assert by_name["poodle-default-downgraded"].actual.startswith("Established@TLS1.0")
-    assert by_name["poodle-strict-aborted"].actual == "AbortedByClient"
+    default, strict = by_name["poodle-default-downgraded"], by_name["poodle-strict-aborted"]
+    assert default.actual.startswith("Established@TLS1.0")
+    assert (default.expected, default.decision) == ("Established@TLS1.0", "Default/NoRecord")
+    assert strict.actual == "AbortedByClient"
+    assert (strict.expected, strict.decision) == ("AbortedByClient", "Strict/OK")
 
 
 def test_builtin_fragment(zone_keys):
     report = run_builtin_suite("fragment", keys=zone_keys)
     assert report.all_passed, report.render()
     by_name = {row.name: row for row in report.rows}
-    assert by_name["fragment-default-downgraded"].actual.startswith("Established@TLS1.0")
-    assert by_name["fragment-strict-aborted"].actual == "AbortedByClient"
+    default, strict = by_name["fragment-default-downgraded"], by_name["fragment-strict-aborted"]
+    assert default.actual.startswith("Established@TLS1.0")
+    assert (default.expected, default.decision) == ("Established@TLS1.0", "Default/NoRecord")
+    assert strict.actual == "AbortedByClient"
+    assert (strict.expected, strict.decision) == ("AbortedByClient", "Strict/OK")
 
 
 def test_builtin_forgery(zone_keys):
@@ -136,3 +146,13 @@ def test_suite_report_render(zone_keys):
     text = run_builtin_suite("table2", keys=zone_keys).render()
     assert "[PASS]" in text
     assert "ClientHello" in text  # transcripts included
+
+
+def test_run_attack_sims_script(capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_attack_sims.py"
+    assert runpy.run_path(str(script))["main"]() == 0
+    out = capsys.readouterr().out
+    assert [line.split(":")[0] for line in out.splitlines() if line.startswith("suite ")] == [
+        f"suite {name}" for name in BUILTIN_SUITES
+    ]
+    assert out.rstrip().endswith("all suites passed")

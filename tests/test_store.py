@@ -1,4 +1,5 @@
 import random
+import re
 from datetime import date, timedelta
 
 import pytest
@@ -116,7 +117,7 @@ def test_newer_revocation_refreshes_tombstone(now):
 def test_absence_with_live_entry_raises_alarm(now):
     store = PolicyStore()
     store.update("tls12.test", record(), now)
-    action = store.observe_absence("tls12.test", "NoRecord", now)
+    action = store.observe_absence("tls12.test", now)
     assert action is StoreAction.DROP_ALARM
     # the stored policy stays in force
     assert store.get_exact("tls12.test", now) is not None
@@ -124,14 +125,14 @@ def test_absence_with_live_entry_raises_alarm(now):
 
 def test_absence_with_no_entry_is_unchanged(now):
     store = PolicyStore()
-    assert store.observe_absence("tls12.test", "NoRecord", now) is StoreAction.UNCHANGED
+    assert store.observe_absence("tls12.test", now) is StoreAction.UNCHANGED
 
 
 def test_absence_after_expiry_evicts(now):
     store = PolicyStore()
     store.update("tls12.test", record(), now)
     after = VALID_TO + timedelta(days=1)
-    assert store.observe_absence("tls12.test", "NoRecord", after) is StoreAction.UNCHANGED
+    assert store.observe_absence("tls12.test", after) is StoreAction.UNCHANGED
     assert not store.entries()
     # next contact is a first connection again
     fresh = record(date(2019, 6, 1), valid_to=date(2020, 6, 1))
@@ -194,6 +195,18 @@ def test_persistence_round_trip(now, tmp_path):
     path = tmp_path / "store.txt"
     store.save(str(path))
     assert PolicyStore.load(str(path)).to_text() == text
+
+
+@pytest.mark.parametrize("domain", ["a b.test", "a\nb.test", "a\u2028b.test"])
+@pytest.mark.parametrize("revoked", [False, True], ids=["entry", "tombstone"])
+def test_writer_refuses_what_the_reader_cannot_read(now, domain, revoked):
+    store = PolicyStore()
+    store.update(domain, record(), now)
+    if revoked:
+        store.update(domain, record(date(2018, 6, 1), revoke=True), now)
+        assert store.tombstones() and not store.entries()
+    with pytest.raises(StoreFileError, match=re.escape(repr(domain))):
+        store.to_text()
 
 
 def test_empty_store_round_trip():
