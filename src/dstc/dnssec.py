@@ -164,9 +164,19 @@ class SignedRRset:
     key_id: str
     inception: date
     expiration: date
+    _canonical: bytes | None = field(default=None, init=False, repr=False, compare=False)
 
     def canonical_bytes(self) -> bytes:
-        return canonical_form(self.owner_name, self.values, self.inception, self.expiration)
+        # Built on first call and kept: every field it covers is frozen, and
+        # each attacker change makes a new instance through replace(). A
+        # refused form (empty or non-ASCII owner) is never kept.
+        if self._canonical is None:
+            object.__setattr__(
+                self,
+                "_canonical",
+                canonical_form(self.owner_name, self.values, self.inception, self.expiration),
+            )
+        return self._canonical
 
 
 class VerifyStatus(Enum):

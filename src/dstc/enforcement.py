@@ -85,6 +85,7 @@ _FS_PREFIXES = ("ECDHE", "DHE")
 _AE_TOKENS = ("GCM", "CCM", "CCM8", "CHACHA20")
 
 
+@lru_cache(maxsize=4096)
 def normalize_suite_name(name: str) -> str:
     """Map IANA-style ``TLS_..._WITH_...`` names onto scanner-style names."""
     s = name.strip().upper()
@@ -215,7 +216,14 @@ def apply(decision: PolicyDecision, caps: ClientCapabilities) -> EffectiveTlsCon
     and the FS+AE subset with fallback off; default offers every version down
     to the floor and the full list with fallback on.
     """
-    if decision.mode is Mode.STRICT:
+    return _materialise(decision.mode, caps)
+
+
+# Keyed by value: a client has two configs, one per mode, and equal
+# capabilities share them. A raised NoStrongSuites is never cached.
+@lru_cache(maxsize=64)
+def _materialise(mode: Mode, caps: ClientCapabilities) -> EffectiveTlsConfig:
+    if mode is Mode.STRICT:
         suites = tuple(
             s
             for s in caps.suite_list

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .enforcement import EffectiveTlsConfig, TlsVersion, normalize_suite_name
 
@@ -124,11 +125,17 @@ def negotiate(
 
 
 def _pick_suite(server: ServerProfile, offered_suites) -> str | None:
-    offered = {normalize_suite_name(s) for s in offered_suites}
+    offered = _normalised_offer(tuple(offered_suites))
     return next(
         (s for s in server.suite_preference if normalize_suite_name(s) in offered),
         None,
     )
+
+
+# A client offers the same few suite tuples on every hello (one per config).
+@lru_cache(maxsize=256)
+def _normalised_offer(offered_suites: tuple[str, ...]) -> frozenset[str]:
+    return frozenset(normalize_suite_name(s) for s in offered_suites)
 
 
 class HandshakeResult(Enum):

@@ -114,7 +114,12 @@ class PolicyStatus(Enum):
 
 @dataclass(frozen=True)
 class PolicyRecord:
-    """A parsed strict-TLS policy directive set."""
+    """A parsed strict-TLS policy directive set.
+
+    Construction runs the value checks ``parse_policy`` relies on (name,
+    tlsLevel, report shape, date order), so every record serialises to a
+    value the parser accepts.
+    """
 
     valid_from: date
     valid_to: date
@@ -127,6 +132,10 @@ class PolicyRecord:
     def __post_init__(self):
         if self.name != RECORD_NAME:
             raise NotDstc(f"record name must be {RECORD_NAME}, got {self.name!r}")
+        if self.tls_level != STRICT_CONFIG:
+            raise UnknownTlsLevel(self.tls_level)
+        if not _REPORT_RE.fullmatch(self.report):
+            raise MalformedReport(self.report)
         if self.valid_from > self.valid_to:
             raise MalformedDate(
                 "validFrom", "validFrom is later than validTo"
@@ -174,11 +183,6 @@ def parse_policy(txt_value: str) -> PolicyRecord:
     for directive in DIRECTIVES:
         if directive not in pairs:
             raise MissingDirective(directive)
-
-    if pairs["tlsLevel"] != STRICT_CONFIG:
-        raise UnknownTlsLevel(pairs["tlsLevel"])
-    if not _REPORT_RE.match(pairs["report"]):
-        raise MalformedReport(pairs["report"])
 
     return PolicyRecord(
         name=pairs["name"],

@@ -152,8 +152,6 @@ def parse_scenario_file(text: str) -> tuple[dict[str, ServerProfile], list[Scena
                 scenarios.append(scenario)
             else:
                 raise ScenarioFileError(f"unknown line kind {fields[0]!r}")
-        except ScenarioFileError:
-            raise
         except (ValueError, IndexError) as exc:
             raise ScenarioFileError(f"line {lineno}: {exc}") from exc
     return profiles, scenarios

@@ -14,7 +14,6 @@ Persistence format (UTF-8, line oriented):
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from datetime import date
 from enum import Enum
@@ -62,13 +61,16 @@ class Tombstone:
 
 
 class PolicyStore:
-    """Single-writer, multi-reader policy cache with revocation tombstones."""
+    """Policy cache with revocation tombstones.
+
+    Single-threaded: callers use a store from one thread at a time, and the
+    store takes no lock.
+    """
 
     def __init__(self):
         self._entries: dict[str, StoredPolicy] = {}
         self._tombstones: dict[str, Tombstone] = {}
         self._serial = 0
-        self._lock = threading.RLock()
 
     # -- core update rules
 
@@ -81,40 +83,39 @@ class PolicyStore:
         too; poison records are never stored.
         """
         domain = normalize_domain(domain)
-        with self._lock:
-            tombstone = self._live_tombstone(domain, now)
-            if tombstone is not None:
-                if record.valid_from <= tombstone.valid_from:
-                    return StoreAction.REJECTED_STALE
-                if record.revoke:
-                    self._tombstones[domain] = Tombstone(
-                        domain, record.valid_from, record.valid_to
-                    )
-                    return StoreAction.UNCHANGED
-                del self._tombstones[domain]
-                self._put(domain, record, now)
-                return StoreAction.STORED_NEW
-
-            entry = self._entries.get(domain)
-            if entry is None:
-                if record.revoke:
-                    return StoreAction.UNCHANGED
-                self._put(domain, record, now)
-                return StoreAction.STORED_NEW
-            if record.valid_from > entry.record.valid_from:
-                if record.revoke:
-                    del self._entries[domain]
-                    self._tombstones[domain] = Tombstone(
-                        domain, record.valid_from, record.valid_to
-                    )
-                    return StoreAction.REVOKED_DELETED
-                self._put(domain, record, now)
-                return StoreAction.REPLACED
-            if record.valid_from < entry.record.valid_from:
+        tombstone = self._live_tombstone(domain, now)
+        if tombstone is not None:
+            if record.valid_from <= tombstone.valid_from:
                 return StoreAction.REJECTED_STALE
-            if record == entry.record:
+            if record.revoke:
+                self._tombstones[domain] = Tombstone(
+                    domain, record.valid_from, record.valid_to
+                )
                 return StoreAction.UNCHANGED
+            del self._tombstones[domain]
+            self._put(domain, record, now)
+            return StoreAction.STORED_NEW
+
+        entry = self._entries.get(domain)
+        if entry is None:
+            if record.revoke:
+                return StoreAction.UNCHANGED
+            self._put(domain, record, now)
+            return StoreAction.STORED_NEW
+        if record.valid_from > entry.record.valid_from:
+            if record.revoke:
+                del self._entries[domain]
+                self._tombstones[domain] = Tombstone(
+                    domain, record.valid_from, record.valid_to
+                )
+                return StoreAction.REVOKED_DELETED
+            self._put(domain, record, now)
+            return StoreAction.REPLACED
+        if record.valid_from < entry.record.valid_from:
             return StoreAction.REJECTED_STALE
+        if record == entry.record:
+            return StoreAction.UNCHANGED
+        return StoreAction.REJECTED_STALE
 
     def observe_absence(self, domain: str, now: date) -> StoreAction:
         """React to a query that produced no usable policy record.
@@ -124,42 +125,38 @@ class PolicyStore:
         evicted so the next contact counts as a first connection.
         """
         domain = normalize_domain(domain)
-        with self._lock:
-            self._live_tombstone(domain, now)  # lazy tombstone expiry
-            entry = self._entries.get(domain)
-            if entry is None:
-                return StoreAction.UNCHANGED
-            if policy_status(entry.record, now) is PolicyStatus.EXPIRED:
-                del self._entries[domain]
-                return StoreAction.UNCHANGED
-            return StoreAction.DROP_ALARM
+        self._live_tombstone(domain, now)  # lazy tombstone expiry
+        entry = self._entries.get(domain)
+        if entry is None:
+            return StoreAction.UNCHANGED
+        if policy_status(entry.record, now) is PolicyStatus.EXPIRED:
+            del self._entries[domain]
+            return StoreAction.UNCHANGED
+        return StoreAction.DROP_ALARM
 
     def lookup(self, domain: str, now: date) -> StoredPolicy | None:
         """Governing entry for a domain: itself, else the nearest ancestor
         whose record opted its subdomains in. Expired entries never govern.
         """
         domain = normalize_domain(domain)
-        with self._lock:
-            entry = self._usable(domain, now)
-            if entry is not None:
+        entry = self._usable(domain, now)
+        if entry is not None:
+            return entry
+        labels = domain.split(".")
+        for i in range(1, len(labels)):
+            entry = self._usable(".".join(labels[i:]), now)
+            if entry is not None and entry.record.include_sub_domain:
                 return entry
-            labels = domain.split(".")
-            for i in range(1, len(labels)):
-                entry = self._usable(".".join(labels[i:]), now)
-                if entry is not None and entry.record.include_sub_domain:
-                    return entry
-            return None
+        return None
 
     def get_exact(self, domain: str, now: date) -> StoredPolicy | None:
         return self._usable(normalize_domain(domain), now)
 
     def entries(self) -> tuple[StoredPolicy, ...]:
-        with self._lock:
-            return tuple(self._entries[d] for d in sorted(self._entries))
+        return tuple(self._entries[d] for d in sorted(self._entries))
 
     def tombstones(self) -> tuple[Tombstone, ...]:
-        with self._lock:
-            return tuple(self._tombstones[d] for d in sorted(self._tombstones))
+        return tuple(self._tombstones[d] for d in sorted(self._tombstones))
 
     def _usable(self, domain: str, now: date) -> StoredPolicy | None:
         entry = self._entries.get(domain)
@@ -183,20 +180,19 @@ class PolicyStore:
     # -- persistence
 
     def to_text(self) -> str:
-        with self._lock:
-            for domain in (*self._entries, *self._tombstones):
-                if not is_field(domain):
-                    raise StoreFileError(f"domain {domain!r} cannot be written as one field")
-            lines = [
-                f"POLICY {e.domain} {format_policy_date(e.stored_at)} "
-                f"{serialize_policy(e.record)}"
-                for e in self.entries()
-            ]
-            lines += [
-                f"TOMBSTONE {t.domain} {format_policy_date(t.valid_from)} "
-                f"{format_policy_date(t.valid_to)}"
-                for t in self.tombstones()
-            ]
+        for domain in (*self._entries, *self._tombstones):
+            if not is_field(domain):
+                raise StoreFileError(f"domain {domain!r} cannot be written as one field")
+        lines = [
+            f"POLICY {e.domain} {format_policy_date(e.stored_at)} "
+            f"{serialize_policy(e.record)}"
+            for e in self.entries()
+        ]
+        lines += [
+            f"TOMBSTONE {t.domain} {format_policy_date(t.valid_from)} "
+            f"{format_policy_date(t.valid_to)}"
+            for t in self.tombstones()
+        ]
         return "\n".join(lines) + ("\n" if lines else "")
 
     @classmethod

@@ -94,6 +94,15 @@ def test_gen_rejects_bad_report(capsys):
     assert "report" in capsys.readouterr().err
 
 
+def test_gen_rejects_unknown_tls_level(capsys):
+    code = main([
+        "gen", "--valid-from", "01-05-2018", "--valid-to", "01-05-2019",
+        "--report", "a@b.c", "--tls-level", "weak",
+    ])
+    assert code == 2
+    assert "tlsLevel" in capsys.readouterr().err
+
+
 def test_sign_resolve_verify_flow(tmp_path, capsys):
     zone = str(tmp_path / "z.zone")
     key = str(tmp_path / "k.pem")

@@ -489,3 +489,65 @@ def test_memo_never_validates_a_tampered_answer(zone_keys, other_keys, steps):
         tampered, key = _tamper(genuine, other_keys.public_key, *step)
         status = verify_rrset(key or zone_keys.public_key, tampered, _NOW)
         assert status is VerifyStatus.INVALID_SIGNATURE, step
+
+
+# -- canonical bytes kept on the record set
+
+
+_ATTACKER_CHANGES = [
+    ("add", lambda zone, name: zone.attacker_add_txt_value(name, "injected")),
+    ("modify", lambda zone, name: zone.attacker_modify_txt_value(name, 0, "changed")),
+    ("delete", lambda zone, name: zone.attacker_delete_txt_value(name, 1)),
+    ("signature", lambda zone, name: zone.attacker_tamper_signature(name)),
+    ("transplant", lambda zone, name: zone.attacker_replace_rrset(
+        "victim.test", zone.rrset_for(name))),
+]
+
+
+@pytest.mark.parametrize("change", [c for _, c in _ATTACKER_CHANGES],
+                         ids=[n for n, _ in _ATTACKER_CHANGES])
+def test_attacker_change_after_a_verified_answer_is_invalid(zone_keys, now, change):
+    zone = ZoneStore()
+    zone.publish(sign_rrset(zone_keys, "kept.test", VALUES, INCEPTION, EXPIRATION))
+    genuine = zone.rrset_for("kept.test")
+    genuine.canonical_bytes()
+    assert verify_rrset(zone_keys.public_key, genuine, now) is VerifyStatus.VALID
+    change(zone, "kept.test")
+    tampered = zone.rrset_for("victim.test") or zone.rrset_for("kept.test")
+    assert tampered is not genuine
+    assert (
+        verify_rrset(zone_keys.public_key, tampered, now)
+        is VerifyStatus.INVALID_SIGNATURE
+    )
+
+
+def test_replace_gets_fresh_canonical_bytes(rrset):
+    kept = rrset.canonical_bytes()
+    assert rrset.canonical_bytes() is kept
+    assert kept == canonical_form(rrset.owner_name, rrset.values, INCEPTION, EXPIRATION)
+    day = timedelta(days=1)
+    for changed in (
+        replace(rrset, values=("other",)),
+        replace(rrset, owner_name="victim.test"),
+        replace(rrset, inception=INCEPTION - day),
+        replace(rrset, expiration=EXPIRATION + day),
+    ):
+        assert changed.canonical_bytes() == canonical_form(
+            changed.owner_name, changed.values, changed.inception, changed.expiration
+        )
+        assert changed.canonical_bytes() != kept
+    assert replace(rrset, signature=b"x").canonical_bytes() == kept
+    # the kept bytes are no part of equality, hashing or repr
+    assert replace(rrset) == rrset and hash(replace(rrset)) == hash(rrset)
+    assert "_canonical" not in repr(rrset)
+
+
+def test_refused_canonical_form_is_never_kept(zone_keys, rrset, now):
+    unnamed = replace(rrset, owner_name="")
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            unnamed.canonical_bytes()
+        assert (
+            verify_rrset(zone_keys.public_key, unnamed, now)
+            is VerifyStatus.INVALID_SIGNATURE
+        )

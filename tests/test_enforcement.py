@@ -213,6 +213,22 @@ def test_apply_defensive_no_strong_suites():
         apply(STRICT_DECISION, caps)
 
 
+def test_equal_capabilities_built_separately_get_equal_configs():
+    def build(suites):
+        return ClientCapabilities(TlsVersion.TLS12, TlsVersion.TLS11, tuple(suites))
+
+    first, second = build(DEFAULT_CLIENT_SUITES), build(list(DEFAULT_CLIENT_SUITES))
+    for decision in (STRICT_DECISION, DEFAULT_DECISION):
+        assert apply(decision, first) == apply(decision, second)
+    assert apply(DEFAULT_DECISION, first).versions == (TlsVersion.TLS12, TlsVersion.TLS11)
+    # capabilities that differ in any field get their own config
+    strong_only = build(DEFAULT_CLIENT_SUITES[:2])
+    assert apply(STRICT_DECISION, strong_only).ciphersuites == DEFAULT_CLIENT_SUITES[:2]
+    assert apply(DEFAULT_DECISION, strong_only).ciphersuites == DEFAULT_CLIENT_SUITES[:2]
+    assert apply(DEFAULT_DECISION, DEFAULT_CLIENT).versions[-1] is TlsVersion.TLS10
+    assert apply(STRICT_DECISION, first) != apply(DEFAULT_DECISION, first)
+
+
 def test_decision_invariant():
     with pytest.raises(ValueError):
         PolicyDecision(Mode.STRICT, Reason.INVALID_SIGNATURE)

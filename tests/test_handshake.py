@@ -87,6 +87,19 @@ def test_negotiate_suite_names_compare_normalised():
     assert selection.ok
 
 
+def test_negotiate_accepts_a_list_offer():
+    iana = "TLS_ECDHE_RSA_WITH_AES_128_GCM_SHA256"
+    s = server({TlsVersion.TLS12}, suites=WEAK + (iana,))
+    for offer, suite in (
+        (["ecdhe-rsa-with-aes-128-gcm-sha256"], iana),
+        (list(WEAK[1:]), "AES128-SHA"),
+        (list(STRONG), None),
+    ):
+        selection = negotiate(s, TlsVersion.TLS12, offer)
+        assert selection == negotiate(s, TlsVersion.TLS12, tuple(offer))
+        assert selection.suite == suite
+
+
 # -- run_handshake -----------------------------------------------------------
 
 def test_plain_strict_handshake_with_strong_server():

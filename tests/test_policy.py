@@ -128,6 +128,19 @@ def test_direct_construction_checks_date_order():
         )
 
 
+@pytest.mark.parametrize("kwargs, error", [
+    ({"tls_level": "weak"}, UnknownTlsLevel),
+    ({"report": "not-an-address"}, MalformedReport),
+    ({"report": "a b@c.d"}, MalformedReport),
+    ({"report": "a@b.c\n"}, MalformedReport),
+    ({"report": "a@b.c;revoke=1"}, MalformedReport),
+], ids=["tls-level", "no-at", "space", "trailing-newline", "semicolon"])
+def test_direct_construction_checks_directive_values(kwargs, error):
+    kwargs = {"report": "a@b.c", **kwargs}
+    with pytest.raises(error):
+        PolicyRecord(valid_from=date(2018, 5, 1), valid_to=date(2019, 5, 1), **kwargs)
+
+
 def test_policy_status_three_way():
     record = parse_policy(CANONICAL)
     assert policy_status(record, date(2018, 5, 6)) is PolicyStatus.ACTIVE

@@ -74,6 +74,18 @@ def test_scenario_file_rejects_bad_lines(line):
         parse_scenario_file(line + "\n")
 
 
+@pytest.mark.parametrize("text", [
+    "# header\nPROFILE a VERSIONS TLS1.2\n",
+    "# header\nPROFILE a VERSIONS TLS9 SUITES AES128-SHA\n",
+    "\nSCENARIO a CLIENT loose SERVER s ATTACK none EXPECT established\n",
+    "\nNOISE x\n",
+    "SCENARIO a CLIENT strict SERVER s ATTACK none EXPECT established\n" * 3,
+], ids=["short-profile", "bad-version", "bad-client", "unknown-kind", "duplicate"])
+def test_scenario_file_error_names_its_line(text):
+    with pytest.raises(ScenarioFileError, match="^line 2: "):
+        parse_scenario_file(text)
+
+
 def test_duplicate_scenario_names_rejected():
     text = (
         "PROFILE s VERSIONS TLS1.2 SUITES ECDHE-RSA-AES128-GCM-SHA256\n"

@@ -5,7 +5,7 @@ from datetime import date, timedelta
 import pytest
 from hypothesis import given, strategies as st
 
-from dstc.policy import PolicyRecord
+from dstc.policy import MalformedReport, PolicyRecord, UnknownTlsLevel
 from dstc.store import PolicyStore, StoreAction, StoreFileError
 
 NOW = date(2018, 7, 1)
@@ -207,6 +207,24 @@ def test_writer_refuses_what_the_reader_cannot_read(now, domain, revoked):
         assert store.tombstones() and not store.entries()
     with pytest.raises(StoreFileError, match=re.escape(repr(domain))):
         store.to_text()
+
+
+@pytest.mark.parametrize("field, directive, value, error", [
+    ("report", "report=admin@tls12.com", "a b@c.d", MalformedReport),
+    ("tls_level", "tlsLevel=strict-config", "weak", UnknownTlsLevel),
+], ids=["report", "tls_level"])
+def test_store_holds_only_records_its_file_reads_back(now, field, directive, value, error):
+    # the record the loader would refuse cannot be built, so update never
+    # sees it; both refuse with the same check
+    with pytest.raises(error) as built:
+        record(**{field: value})
+    store = PolicyStore()
+    store.update("a.test", record(), now)
+    text = store.to_text()
+    assert PolicyStore.from_text(text).to_text() == text
+    bad = text.replace(directive, directive.split("=")[0] + "=" + value)
+    with pytest.raises(StoreFileError, match=re.escape(f"line 1: {built.value}")):
+        PolicyStore.from_text(bad)
 
 
 def test_empty_store_round_trip():
