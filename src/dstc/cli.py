@@ -143,6 +143,12 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_ERROR
 
 
+def _load_or_new(cls, path: str | None):
+    """The file at ``path`` loaded as ``cls``, or an empty ``cls()`` when
+    there is no such file."""
+    return cls.load(path) if path and os.path.exists(path) else cls()
+
+
 def _now(args) -> date:
     return args.now if args.now is not None else date.today()
 
@@ -178,7 +184,7 @@ def cmd_sign(args) -> int:
         return USAGE_ERROR
 
     parse_policy(args.policy_txt)  # refuse to sign a malformed policy
-    zone = ZoneStore.load(args.zone) if os.path.exists(args.zone) else ZoneStore()
+    zone = _load_or_new(ZoneStore, args.zone)
     rrset = sign_rrset(
         keys,
         args.domain,
@@ -193,11 +199,7 @@ def cmd_sign(args) -> int:
           f"into {args.zone}")
 
     if args.anchors_out:
-        anchors = (
-            TrustAnchorSet.load(args.anchors_out)
-            if os.path.exists(args.anchors_out)
-            else TrustAnchorSet()
-        )
+        anchors = _load_or_new(TrustAnchorSet, args.anchors_out)
         anchors.add(TrustAnchor(rrset.owner_name, keys.key_id, keys.public_der()))
         anchors.save(args.anchors_out)
         print(f"trust anchor for {rrset.owner_name} recorded in {args.anchors_out}")
@@ -219,12 +221,6 @@ def cmd_resolve(args) -> int:
     return 0
 
 
-def _load_store(path: str | None) -> PolicyStore:
-    if path and os.path.exists(path):
-        return PolicyStore.load(path)
-    return PolicyStore()
-
-
 def _decide_and_print(zone, anchors, store, domain, now):
     decision = decide(resolve(zone, domain), anchors, store, domain, now)
     config = apply(decision, DEFAULT_CLIENT)
@@ -244,7 +240,7 @@ def _decide_and_print(zone, anchors, store, domain, now):
 def cmd_verify(args) -> int:
     zone = ZoneStore.load(args.zone)
     anchors = TrustAnchorSet.load(args.anchors)
-    store = _load_store(args.store)
+    store = _load_or_new(PolicyStore, args.store)
     decision, _ = _decide_and_print(zone, anchors, store, args.domain, _now(args))
     if args.store:
         store.save(args.store)
@@ -254,7 +250,7 @@ def cmd_verify(args) -> int:
 def cmd_connect_sim(args) -> int:
     zone = ZoneStore.load(args.zone)
     anchors = TrustAnchorSet.load(args.anchors)
-    store = _load_store(args.store)
+    store = _load_or_new(PolicyStore, args.store)
     with open(args.profiles, "r", encoding="utf-8") as fh:
         profiles, _ = scenarios_mod.parse_scenario_file(fh.read())
     if args.server not in profiles:

@@ -29,12 +29,14 @@ import struct
 from dataclasses import dataclass, field, replace
 from datetime import date
 from enum import Enum
+from functools import partial
 
-from cryptography.exceptions import InvalidSignature as _BadSignature
+from cryptography.exceptions import InvalidSignature as _BadSignature, UnsupportedAlgorithm
 from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import padding, rsa
 
 from .policy import format_policy_date, parse_policy_date
+from .textfile import TextFile, check_field, parse_lines
 
 MIN_KEY_BITS = 2048
 
@@ -61,16 +63,7 @@ def normalize_domain(name: str) -> str:
     return name.strip().rstrip(".").lower()
 
 
-def is_field(text: str) -> bool:
-    """Whether ``text`` reads back as one field of a whitespace-split line,
-    not taken for a comment: non-empty, no whitespace, no leading ``#``."""
-    return text.split() == [text] and not text.startswith("#")
-
-
-def _check_field(kind: str, text: str) -> str:
-    if not is_field(text):
-        raise ZoneFileError(f"{kind} {text!r} cannot be written as one field")
-    return text
+_check_field = partial(check_field, ZoneFileError)
 
 
 def canonical_form(
@@ -148,7 +141,10 @@ class ZoneKeyPair:
 
 
 def public_key_from_der(der: bytes) -> rsa.RSAPublicKey:
-    key = serialization.load_der_public_key(der)
+    try:
+        key = serialization.load_der_public_key(der)
+    except UnsupportedAlgorithm as exc:
+        raise ZoneFileError(str(exc)) from exc
     if not isinstance(key, rsa.RSAPublicKey):
         raise ZoneFileError("not an RSA public key")
     return key
@@ -261,7 +257,7 @@ class DnsResponse:
             raise ValueError("rrset must be present exactly when Answered")
 
 
-class ZoneStore:
+class ZoneStore(TextFile):
     """All record sets of one zone, plus the attacker's write access.
 
     Single-threaded: callers use a store from one thread at a time, and the
@@ -375,14 +371,7 @@ class ZoneStore:
         zone = cls()
         txt_values: dict[str, list[str]] = {}
         sigs: dict[str, tuple[str, date, date, bytes]] = {}
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                zone._parse_line(line, txt_values, sigs)
-            except (ZoneFileError, ValueError) as exc:
-                raise ZoneFileError(f"line {lineno}: {exc}") from exc
+        parse_lines(text, partial(zone._parse_line, txt_values, sigs), ZoneFileError)
         for name in sigs:
             if name not in txt_values:
                 raise ZoneFileError(f"SIG without TXT values for {name}")
@@ -401,14 +390,17 @@ class ZoneStore:
             zone._names.add(name)
         return zone
 
-    def _parse_line(self, line, txt_values, sigs) -> None:
+    def _parse_line(self, txt_values, sigs, line) -> None:
         fields = line.split()
         if fields[0] == "KEY":
             if len(fields) != 3:
                 raise ZoneFileError("KEY line needs <key_id> <base64>")
-            self._keys[fields[1]] = base64.b64decode(fields[2], validate=True)
+            key_id = _check_field("key id", fields[1])
+            if key_id in self._keys:
+                raise ZoneFileError(f"duplicate KEY {key_id}")
+            self._keys[key_id] = base64.b64decode(fields[2], validate=True)
             return
-        name = normalize_domain(fields[0])
+        name = _check_field("name", normalize_domain(fields[0]))
         kind = fields[1] if len(fields) > 1 else ""
         if kind == "TXT":
             rest = line.split(None, 2)[2]
@@ -424,7 +416,7 @@ class ZoneStore:
             if name in sigs:
                 raise ZoneFileError(f"duplicate SIG for {name}")
             sigs[name] = (
-                fields[2],
+                _check_field("key id", fields[2]),
                 parse_policy_date(fields[3], "inception"),
                 parse_policy_date(fields[4], "expiration"),
                 base64.b64decode(fields[5], validate=True),
@@ -434,16 +426,6 @@ class ZoneStore:
             self._names.add(name)
         else:
             raise ZoneFileError(f"unknown record kind {kind!r}")
-
-    def save(self, path: str) -> None:
-        text = self.to_text()  # before open(): a refused render keeps the old file
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-    @classmethod
-    def load(cls, path: str) -> "ZoneStore":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
 
 
 def resolve(zone: ZoneStore | None, name: str) -> DnsResponse:
@@ -478,7 +460,7 @@ class TrustAnchor:
         return self._key
 
 
-class TrustAnchorSet:
+class TrustAnchorSet(TextFile):
     """Out-of-band authenticated zone keys, keyed by zone apex."""
 
     def __init__(self, anchors: dict[str, TrustAnchor] | None = None):
@@ -509,29 +491,15 @@ class TrustAnchorSet:
     @classmethod
     def from_text(cls, text: str) -> "TrustAnchorSet":
         anchors = cls()
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) != 3:
-                raise ZoneFileError(
-                    f"line {lineno}: expected <apex> <key_id> <base64 key>"
-                )
-            try:
-                der = base64.b64decode(fields[2], validate=True)
-                anchor = TrustAnchor(normalize_domain(fields[0]), fields[1], der)
-            except Exception as exc:
-                raise ZoneFileError(f"line {lineno}: bad public key: {exc}") from exc
-            anchors.add(anchor)
+        parse_lines(text, anchors._parse_line, ZoneFileError)
         return anchors
 
-    def save(self, path: str) -> None:
-        text = self.to_text()  # before open(): a refused render keeps the old file
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-    @classmethod
-    def load(cls, path: str) -> "TrustAnchorSet":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+    def _parse_line(self, line: str) -> None:
+        fields = line.split()
+        if len(fields) != 3:
+            raise ZoneFileError("expected <apex> <key_id> <base64 key>")
+        apex = _check_field("apex", normalize_domain(fields[0]))
+        if apex in self._anchors:
+            raise ZoneFileError(f"duplicate anchor for {apex}")
+        der = base64.b64decode(fields[2], validate=True)
+        self.add(TrustAnchor(apex, _check_field("key id", fields[1]), der))

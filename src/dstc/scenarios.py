@@ -53,6 +53,7 @@ from .handshake import (
 )
 from .policy import PolicyRecord, serialize_policy
 from .store import PolicyStore, StoreAction
+from .textfile import parse_lines
 
 
 class ScenarioFileError(ValueError):
@@ -135,25 +136,24 @@ def parse_scenario_file(text: str) -> tuple[dict[str, ServerProfile], list[Scena
     profiles: dict[str, ServerProfile] = {}
     scenarios: list[Scenario] = []
     names: set[str] = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+
+    def parse_line(line: str) -> None:
         fields = line.split()
-        try:
-            if fields[0] == "PROFILE":
-                profile = _parse_profile(fields)
-                profiles[profile.domain] = profile
-            elif fields[0] == "SCENARIO":
-                scenario = _parse_scenario(fields)
-                if scenario.name in names:
-                    raise ScenarioFileError(f"duplicate scenario {scenario.name!r}")
-                names.add(scenario.name)
-                scenarios.append(scenario)
-            else:
-                raise ScenarioFileError(f"unknown line kind {fields[0]!r}")
-        except (ValueError, IndexError) as exc:
-            raise ScenarioFileError(f"line {lineno}: {exc}") from exc
+        if fields[0] == "PROFILE":
+            profile = _parse_profile(fields)
+            if profile.domain in profiles:
+                raise ScenarioFileError(f"duplicate profile {profile.domain!r}")
+            profiles[profile.domain] = profile
+        elif fields[0] == "SCENARIO":
+            scenario = _parse_scenario(fields)
+            if scenario.name in names:
+                raise ScenarioFileError(f"duplicate scenario {scenario.name!r}")
+            names.add(scenario.name)
+            scenarios.append(scenario)
+        else:
+            raise ScenarioFileError(f"unknown line kind {fields[0]!r}")
+
+    parse_lines(text, parse_line, ScenarioFileError)
     return profiles, scenarios
 
 

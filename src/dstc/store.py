@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from datetime import date
 from enum import Enum
 
-from .dnssec import is_field, normalize_domain
+from .dnssec import normalize_domain
 from .policy import (
     PolicyRecord,
     PolicyStatus,
@@ -28,6 +28,7 @@ from .policy import (
     policy_status,
     serialize_policy,
 )
+from .textfile import TextFile, check_field, parse_lines
 
 
 class StoreAction(Enum):
@@ -60,7 +61,7 @@ class Tombstone:
     valid_to: date
 
 
-class PolicyStore:
+class PolicyStore(TextFile):
     """Policy cache with revocation tombstones.
 
     Single-threaded: callers use a store from one thread at a time, and the
@@ -181,8 +182,7 @@ class PolicyStore:
 
     def to_text(self) -> str:
         for domain in (*self._entries, *self._tombstones):
-            if not is_field(domain):
-                raise StoreFileError(f"domain {domain!r} cannot be written as one field")
+            check_field(StoreFileError, "domain", domain)
         lines = [
             f"POLICY {e.domain} {format_policy_date(e.stored_at)} "
             f"{serialize_policy(e.record)}"
@@ -198,43 +198,21 @@ class PolicyStore:
     @classmethod
     def from_text(cls, text: str) -> "PolicyStore":
         store = cls()
-        seen: set[str] = set()
-        for lineno, raw in enumerate(text.splitlines(), 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split(None, 3)
-            try:
-                if fields[0] == "POLICY" and len(fields) == 4:
-                    domain = normalize_domain(fields[1])
-                    if domain in seen:
-                        raise StoreFileError(f"duplicate domain {domain}")
-                    seen.add(domain)
-                    store._put(domain, parse_policy(fields[3]), parse_policy_date(fields[2], "stored_at"))
-                elif fields[0] == "TOMBSTONE" and len(fields) == 4:
-                    domain = normalize_domain(fields[1])
-                    if domain in seen:
-                        raise StoreFileError(f"duplicate domain {domain}")
-                    seen.add(domain)
-                    store._tombstones[domain] = Tombstone(
-                        domain,
-                        parse_policy_date(fields[2], "valid_from"),
-                        parse_policy_date(fields[3], "valid_to"),
-                    )
-                else:
-                    raise StoreFileError(f"line {lineno}: unrecognised line {line!r}")
-            except StoreFileError:
-                raise
-            except ValueError as exc:
-                raise StoreFileError(f"line {lineno}: {exc}") from exc
+        parse_lines(text, store._parse_line, StoreFileError)
         return store
 
-    def save(self, path: str) -> None:
-        text = self.to_text()  # before open(): a refused render keeps the old file
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-    @classmethod
-    def load(cls, path: str) -> "PolicyStore":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+    def _parse_line(self, line: str) -> None:
+        fields = line.split(None, 3)
+        if fields[0] not in ("POLICY", "TOMBSTONE") or len(fields) != 4:
+            raise StoreFileError(f"unrecognised line {line!r}")
+        domain = check_field(StoreFileError, "domain", normalize_domain(fields[1]))
+        if domain in self._entries or domain in self._tombstones:
+            raise StoreFileError(f"duplicate domain {domain}")
+        if fields[0] == "POLICY":
+            self._put(domain, parse_policy(fields[3]), parse_policy_date(fields[2], "stored_at"))
+        else:
+            self._tombstones[domain] = Tombstone(
+                domain,
+                parse_policy_date(fields[2], "valid_from"),
+                parse_policy_date(fields[3], "valid_to"),
+            )

@@ -23,6 +23,7 @@ from decimal import Decimal, ROUND_HALF_UP
 
 from .enforcement import SuiteLabel, TlsVersion, classify_ciphersuite
 from .handshake import ServerProfile
+from .textfile import parse_lines
 
 
 class EmptyCorpus(ValueError):
@@ -45,24 +46,19 @@ def pct(count: int, denominator: int) -> str:
 
 def parse_corpus(text: str) -> list[ServerProfile]:
     profiles = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+
+    def parse_line(line: str) -> None:
         parts = [p.strip() for p in line.split("|")]
         if len(parts) != 3:
-            raise CorpusFormatError(
-                f"line {lineno}: expected '<domain> | <versions> | <suites>'"
-            )
+            raise CorpusFormatError("expected '<domain> | <versions> | <suites>'")
         domain, versions_part, suites_part = parts
-        try:
-            versions = frozenset(
-                TlsVersion.parse(tok) for tok in versions_part.split(",") if tok.strip()
-            )
-            suites = tuple(s.strip() for s in suites_part.split(",") if s.strip())
-            profiles.append(ServerProfile(domain, versions, suites))
-        except ValueError as exc:
-            raise CorpusFormatError(f"line {lineno}: {exc}") from exc
+        versions = frozenset(
+            TlsVersion.parse(tok) for tok in versions_part.split(",") if tok.strip()
+        )
+        suites = tuple(s.strip() for s in suites_part.split(",") if s.strip())
+        profiles.append(ServerProfile(domain, versions, suites))
+
+    parse_lines(text, parse_line, CorpusFormatError)
     return profiles
 
 

@@ -129,6 +129,15 @@ def test_sign_resolve_verify_flow(tmp_path, capsys):
     assert "versions=TLS1.2" in out
     assert "fallback=off" in out
 
+    # re-signing replaces the apex's anchor in place: the file never holds a
+    # duplicate line, which its reader would refuse
+    assert main([
+        "sign", "--zone", zone, "--domain", "tls12.test", "--policy-txt", policy,
+        "--key", key, "--inception", "01-05-2018",
+        "--expiration", "01-05-2019", "--anchors-out", anchors,
+    ]) == 0
+    assert len(TrustAnchorSet.load(anchors).to_text().splitlines()) == 1
+
 
 def test_sign_requires_existing_or_generated_key(tmp_path, capsys):
     code = main([
@@ -219,9 +228,10 @@ def test_verify_unreadable_zone_exit_two(world, capsys):
     assert code == 2
 
 
-def test_verify_corrupt_zone_exit_two(world, capsys):
+@pytest.mark.parametrize("line", ["nonsense line", "a.test TXT"])
+def test_verify_corrupt_zone_exit_two(world, capsys, line):
     bad = world["tmp"] / "bad.zone"
-    bad.write_text("nonsense line\n")
+    bad.write_text(line + "\n")
     code = main([
         "verify", "--zone", str(bad), "--anchors", world["anchors"],
         "--domain", "tls12.test",

@@ -1,3 +1,4 @@
+import base64
 import re
 from dataclasses import replace
 from datetime import date, timedelta
@@ -240,6 +241,7 @@ def test_zone_file_unsigned_rrset_round_trip(zone_keys):
     "a.test SIG zsk-1 2018-05-01 01-05-2019 AAAA",  # bad date shape
     "KEY zsk-1",                                    # missing key material
     "a.test SIG zsk-1 01-05-2018 01-05-2019 !!!!",  # invalid base64
+    "a.test TXT",                                   # missing value
 ])
 def test_zone_file_rejects_corrupt_lines(line):
     with pytest.raises(ZoneFileError):
@@ -314,6 +316,44 @@ def test_trust_anchor_file_rejects_bad_lines():
         TrustAnchorSet.from_text("example.com zsk-1\n")
     with pytest.raises(ZoneFileError):
         TrustAnchorSet.from_text("example.com zsk-1 bm90LWEta2V5\n")
+    # a well-formed key of an algorithm the library does not know
+    with pytest.raises(ZoneFileError, match="line 1: "):
+        TrustAnchorSet.from_text("example.com zsk-1 MAwwBQYDKgMEAwIAAA==\n")
+
+
+@pytest.mark.parametrize("text, message", [
+    ('. TXT "x"\n', "line 1: name ''"),
+    ("KEY #k AAAA\n", "line 1: key id '#k'"),
+    ('a.test TXT "x"\na.test SIG #k 01-05-2018 01-05-2019 AAAA\n', "line 2: key id '#k'"),
+], ids=["empty-name", "key-id-comment", "sig-key-id-comment"])
+def test_zone_reader_refuses_what_the_writer_cannot_write(text, message):
+    with pytest.raises(ZoneFileError, match=f"^{re.escape(message)} cannot be written as one field$"):
+        ZoneStore.from_text(text)
+
+
+@pytest.mark.parametrize("line, message", [
+    (". zsk-1 {der}", "line 1: apex ''"),
+    ("a.test #k {der}", "line 1: key id '#k'"),
+], ids=["empty-apex", "key-id-comment"])
+def test_anchor_reader_refuses_what_the_writer_cannot_write(zone_keys, line, message):
+    der64 = base64.b64encode(zone_keys.public_der()).decode("ascii")
+    with pytest.raises(ZoneFileError, match=f"^{re.escape(message)} cannot be written as one field$"):
+        TrustAnchorSet.from_text(line.format(der=der64) + "\n")
+
+
+@pytest.mark.parametrize("reader, lines, message", [
+    (ZoneStore, ["KEY zsk-1 {der}", "KEY zsk-1 {der}"], "duplicate KEY zsk-1"),
+    (ZoneStore, ['a.test TXT "x"', "a.test SIG zsk-1 01-05-2018 01-05-2019 AAAA",
+                 "A.test. SIG zsk-1 01-05-2018 01-05-2019 AAAA"], "duplicate SIG for a.test"),
+    (TrustAnchorSet, ["a.test zsk-1 {der}", "A.test. zsk-2 {der}"], "duplicate anchor for a.test"),
+], ids=["zone-key", "zone-sig", "anchor-apex"])
+def test_reader_refuses_a_duplicate_key_on_the_line_that_repeats_it(
+    zone_keys, reader, lines, message
+):
+    der64 = base64.b64encode(zone_keys.public_der()).decode("ascii")
+    text = "# header\n" + "\n".join(lines).format(der=der64) + "\n"
+    with pytest.raises(ZoneFileError, match=f"^line {len(lines) + 1}: {message}$"):
+        reader.from_text(text)
 
 
 @pytest.mark.parametrize("text, lineno", [

@@ -80,7 +80,9 @@ def test_scenario_file_rejects_bad_lines(line):
     "\nSCENARIO a CLIENT loose SERVER s ATTACK none EXPECT established\n",
     "\nNOISE x\n",
     "SCENARIO a CLIENT strict SERVER s ATTACK none EXPECT established\n" * 3,
-], ids=["short-profile", "bad-version", "bad-client", "unknown-kind", "duplicate"])
+    "PROFILE a VERSIONS TLS1.2 SUITES AES128-SHA\n" * 2,
+], ids=["short-profile", "bad-version", "bad-client", "unknown-kind", "duplicate",
+        "duplicate-profile"])
 def test_scenario_file_error_names_its_line(text):
     with pytest.raises(ScenarioFileError, match="^line 2: "):
         parse_scenario_file(text)

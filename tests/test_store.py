@@ -5,7 +5,7 @@ from datetime import date, timedelta
 import pytest
 from hypothesis import given, strategies as st
 
-from dstc.policy import MalformedReport, PolicyRecord, UnknownTlsLevel
+from dstc.policy import MalformedReport, PolicyRecord, UnknownTlsLevel, serialize_policy
 from dstc.store import PolicyStore, StoreAction, StoreFileError
 
 NOW = date(2018, 7, 1)
@@ -235,8 +235,18 @@ def test_load_rejects_duplicate_domains(now):
     store = PolicyStore()
     store.update("tls12.test", record(), now)
     line = store.to_text().strip()
-    with pytest.raises(StoreFileError):
+    with pytest.raises(StoreFileError, match="^line 2: duplicate domain tls12.test$"):
         PolicyStore.from_text(line + "\n" + line + "\n")
+
+
+@pytest.mark.parametrize("line, message", [
+    ("POLICY . 01-07-2018 {policy}", "line 1: domain ''"),
+    ("TOMBSTONE .. 01-05-2018 01-05-2019", "line 1: domain ''"),
+], ids=["entry", "tombstone"])
+def test_reader_refuses_what_the_writer_cannot_write(line, message):
+    text = line.format(policy=serialize_policy(record())) + "\n"
+    with pytest.raises(StoreFileError, match=f"^{re.escape(message)} cannot be written as one field$"):
+        PolicyStore.from_text(text)
 
 
 def test_load_rejects_garbage():
