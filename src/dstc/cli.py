@@ -30,11 +30,13 @@ from .handshake import AttackerStrategy, HandshakeResult, run_handshake
 from .policy import (
     MalformedPolicy,
     PolicyRecord,
+    format_policy_date,
     parse_policy,
     parse_policy_date,
     serialize_policy,
 )
 from .store import PolicyStore, StoreFileError
+from .textfile import read_text
 
 USAGE_ERROR = 2
 REFUSAL = 1
@@ -154,19 +156,15 @@ def _now(args) -> date:
 
 
 def cmd_gen(args) -> int:
-    try:
-        record = PolicyRecord(
-            name=args.name,
-            valid_from=args.valid_from,
-            valid_to=args.valid_to,
-            tls_level=args.tls_level,
-            include_sub_domain=args.include_sub_domain,
-            revoke=args.revoke,
-            report=args.report,
-        )
-    except (MalformedPolicy, ValueError) as exc:
-        print(f"dstc gen: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+    record = PolicyRecord(
+        name=args.name,
+        valid_from=args.valid_from,
+        valid_to=args.valid_to,
+        tls_level=args.tls_level,
+        include_sub_domain=args.include_sub_domain,
+        revoke=args.revoke,
+        report=args.report,
+    )
     print(serialize_policy(record))
     return 0
 
@@ -214,8 +212,8 @@ def cmd_resolve(args) -> int:
             print(f'  TXT "{value}"')
         r = response.rrset
         if r.signature:
-            print(f"  SIG key={r.key_id} inception={r.inception:%d-%m-%Y} "
-                  f"expiration={r.expiration:%d-%m-%Y}")
+            print(f"  SIG key={r.key_id} inception={format_policy_date(r.inception)} "
+                  f"expiration={format_policy_date(r.expiration)}")
         else:
             print("  SIG (none)")
     return 0
@@ -251,8 +249,9 @@ def cmd_connect_sim(args) -> int:
     zone = ZoneStore.load(args.zone)
     anchors = TrustAnchorSet.load(args.anchors)
     store = _load_or_new(PolicyStore, args.store)
-    with open(args.profiles, "r", encoding="utf-8") as fh:
-        profiles, _ = scenarios_mod.parse_scenario_file(fh.read())
+    profiles, _ = scenarios_mod.parse_scenario_file(
+        read_text(args.profiles, scenarios_mod.ScenarioFileError)
+    )
     if args.server not in profiles:
         raise scenarios_mod.ScenarioFileError(
             f"profile {args.server!r} not defined in {args.profiles}"
@@ -280,8 +279,9 @@ def cmd_attack_sim(args) -> int:
               file=sys.stderr)
         return USAGE_ERROR
     if args.scenario_file:
-        with open(args.scenario_file, "r", encoding="utf-8") as fh:
-            profiles, scenario_list = scenarios_mod.parse_scenario_file(fh.read())
+        profiles, scenario_list = scenarios_mod.parse_scenario_file(
+            read_text(args.scenario_file, scenarios_mod.ScenarioFileError)
+        )
         report = scenarios_mod.run_scenario_suite(
             scenario_list, profiles, suite_name=os.path.basename(args.scenario_file)
         )
@@ -292,8 +292,9 @@ def cmd_attack_sim(args) -> int:
 
 
 def cmd_survey(args) -> int:
-    with open(args.corpus, "r", encoding="utf-8") as fh:
-        profiles = survey_mod.parse_corpus(fh.read())
+    profiles = survey_mod.parse_corpus(
+        read_text(args.corpus, survey_mod.CorpusFormatError)
+    )
     report = survey_mod.survey(profiles)
     print(survey_mod.render_report_kv(report) if args.kv
           else survey_mod.render_report_text(report))

@@ -264,6 +264,8 @@ class ZoneStore(TextFile):
     store takes no lock.
     """
 
+    FILE_ERROR = ZoneFileError
+
     def __init__(self):
         self._names: set[str] = set()
         self._txt: dict[str, SignedRRset] = {}
@@ -275,8 +277,11 @@ class ZoneStore(TextFile):
         self._names.add(normalize_domain(name))
 
     def publish(self, rrset: SignedRRset) -> None:
-        self._names.add(rrset.owner_name)
-        self._txt[rrset.owner_name] = rrset
+        name = normalize_domain(rrset.owner_name)
+        if name != rrset.owner_name:
+            rrset = replace(rrset, owner_name=name)
+        self._names.add(name)
+        self._txt[name] = rrset
 
     def add_key(self, key_id: str, public_der: bytes) -> None:
         self._keys[key_id] = public_der
@@ -403,6 +408,8 @@ class ZoneStore(TextFile):
         name = _check_field("name", normalize_domain(fields[0]))
         kind = fields[1] if len(fields) > 1 else ""
         if kind == "TXT":
+            if len(fields) < 3:
+                raise ZoneFileError("TXT line is missing its value")
             rest = line.split(None, 2)[2]
             if not (rest.startswith('"') and rest.endswith('"') and len(rest) >= 2):
                 raise ZoneFileError("TXT value must be double-quoted")
@@ -463,8 +470,10 @@ class TrustAnchor:
 class TrustAnchorSet(TextFile):
     """Out-of-band authenticated zone keys, keyed by zone apex."""
 
-    def __init__(self, anchors: dict[str, TrustAnchor] | None = None):
-        self._anchors: dict[str, TrustAnchor] = dict(anchors or {})
+    FILE_ERROR = ZoneFileError
+
+    def __init__(self):
+        self._anchors: dict[str, TrustAnchor] = {}
 
     def add(self, anchor: TrustAnchor) -> None:
         self._anchors[normalize_domain(anchor.apex)] = anchor

@@ -18,7 +18,6 @@ from .dnssec import (
     DnsResponse,
     TrustAnchorSet,
     VerifyStatus,
-    normalize_domain,
     verify_rrset,
 )
 from .policy import (
@@ -256,7 +255,6 @@ def decide(
     specific reason, except where the cache says the domain must be strict:
     then the failure is surfaced as a drop alarm and strict stays in force.
     """
-    domain = normalize_domain(domain)
     if response.disposition is not Disposition.ANSWERED:
         return _fallback(store, domain, Reason.NO_RECORD, now)
 
@@ -291,21 +289,17 @@ def decide(
     if status is PolicyStatus.NOT_YET_VALID:
         return _fallback(store, domain, Reason.POLICY_NOT_YET_VALID, now, record.report)
 
-    if record.revoke:
-        store.update(domain, record, now)
+    # The store's answer alone picks the outcome. RejectedStale means a valid
+    # but outdated record (policy or revocation) was replayed: a fresher
+    # cached entry keeps governing, and a tombstone means the domain revoked.
+    if store.update(domain, record, now) is StoreAction.REJECTED_STALE:
+        entry = store.get_exact(domain, now)
+        if entry is not None:
+            return PolicyDecision(Mode.STRICT, Reason.DROP_ALARM, entry.record.report)
         return PolicyDecision(Mode.DEFAULT, Reason.REVOKED, record.report)
-
-    action = store.update(domain, record, now)
-    if action in (StoreAction.STORED_NEW, StoreAction.REPLACED, StoreAction.UNCHANGED):
-        return PolicyDecision(Mode.STRICT, Reason.OK, record.report)
-
-    # RejectedStale: a valid but outdated record was replayed. If a fresher
-    # entry is cached it keeps governing; a tombstone means the domain
-    # revoked and the replay is the revoked policy coming back.
-    entry = store.get_exact(domain, now)
-    if entry is not None:
-        return PolicyDecision(Mode.STRICT, Reason.DROP_ALARM, entry.record.report)
-    return PolicyDecision(Mode.DEFAULT, Reason.REVOKED, record.report)
+    if record.revoke:
+        return PolicyDecision(Mode.DEFAULT, Reason.REVOKED, record.report)
+    return PolicyDecision(Mode.STRICT, Reason.OK, record.report)
 
 
 def _fallback(store, domain, reason, now, report=None) -> PolicyDecision:
@@ -313,9 +307,7 @@ def _fallback(store, domain, reason, now, report=None) -> PolicyDecision:
     else an opted-in ancestor keeps strict, else default with ``reason``."""
     if store.observe_absence(domain, now) is StoreAction.DROP_ALARM:
         entry = store.get_exact(domain, now)
-        return PolicyDecision(
-            Mode.STRICT, Reason.DROP_ALARM, entry.record.report if entry else report
-        )
+        return PolicyDecision(Mode.STRICT, Reason.DROP_ALARM, entry.record.report)
     governing = store.lookup(domain, now)
     if governing is not None:
         # Absence is expected under the ancestor; an unusable answer of the

@@ -29,8 +29,9 @@ DIRECTIVES = (
     "report",
 )
 
-_DATE_RE = re.compile(r"^(\d{2})-(\d{2})-(\d{4})$")
-_REPORT_RE = re.compile(r"^[^@\s;=]+@[^@\s;=]+$")
+# Matched with fullmatch; ASCII, so only 0-9 count as digits.
+_DATE_RE = re.compile(r"(\d{2})-(\d{2})-(\d{4})", re.ASCII)
+_REPORT_RE = re.compile(r"[^@\s;=]+@[^@\s;=]+")
 
 
 class PolicyParseError(ValueError):
@@ -92,7 +93,7 @@ class MalformedReport(MalformedPolicy):
 
 def parse_policy_date(text: str, directive: str = "date") -> date:
     """Parse a zero-padded dd-mm-yyyy date; any other shape is rejected."""
-    m = _DATE_RE.match(text)
+    m = _DATE_RE.fullmatch(text)
     if m is None:
         raise MalformedDate(directive, f"expected dd-mm-yyyy, got {text!r}")
     day, month, year = (int(g) for g in m.groups())

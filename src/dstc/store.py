@@ -49,7 +49,6 @@ class StoredPolicy:
     domain: str
     record: PolicyRecord
     stored_at: date
-    source_serial: int  # audit ordering only, never a policy input
 
 
 @dataclass(frozen=True)
@@ -68,10 +67,11 @@ class PolicyStore(TextFile):
     store takes no lock.
     """
 
+    FILE_ERROR = StoreFileError
+
     def __init__(self):
         self._entries: dict[str, StoredPolicy] = {}
         self._tombstones: dict[str, Tombstone] = {}
-        self._serial = 0
 
     # -- core update rules
 
@@ -168,8 +168,7 @@ class PolicyStore(TextFile):
         return entry
 
     def _put(self, domain: str, record: PolicyRecord, now: date) -> None:
-        self._serial += 1
-        self._entries[domain] = StoredPolicy(domain, record, now, self._serial)
+        self._entries[domain] = StoredPolicy(domain, record, now)
 
     def _live_tombstone(self, domain: str, now: date) -> Tombstone | None:
         tombstone = self._tombstones.get(domain)

@@ -9,6 +9,9 @@ ids are single fields, checked by the same rule on read and on write.
 
 from __future__ import annotations
 
+import os
+import secrets
+import shutil
 from typing import Callable
 
 
@@ -42,16 +45,52 @@ def parse_lines(
             raise error(f"line {lineno}: {exc}") from exc
 
 
+def read_text(path: str, error: type[ValueError]) -> str:
+    """The file at ``path`` decoded as UTF-8. Bytes that are not UTF-8 raise
+    ``error("line N: ...")``, N counted as ``parse_lines`` counts it."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # The bytes before the bad one decode; "x" stands in for the line
+        # it starts, so a break right before it still counts.
+        lineno = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise error(
+            f"line {lineno}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})"
+        ) from exc
+
+
 class TextFile:
-    """Persistence for a class that defines ``to_text()`` and the classmethod
-    ``from_text(text)``."""
+    """Persistence for a class that defines ``to_text()``, the classmethod
+    ``from_text(text)`` and ``FILE_ERROR``, the error class of its format."""
+
+    FILE_ERROR: type[ValueError]
 
     def save(self, path: str) -> None:
-        text = self.to_text()  # before open(): a refused render keeps the old file
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        """Replace the file at ``path`` with ``to_text()``, all or nothing.
+
+        The text is rendered first, written to a temporary file next to
+        ``path``, flushed to disk and renamed over ``path``, so a refused
+        render or a failed write leaves the old file as it was and a crash
+        leaves either the old or the new file. The temporary file is removed
+        on any failure, and a replaced file keeps its permission bits.
+        """
+        text = self.to_text()
+        tmp = f"{path}.{secrets.token_hex(4)}.tmp"
+        fh = open(tmp, "x", encoding="utf-8")
+        try:
+            with fh:
+                fh.write(text)
+                fh.flush()
+                os.fsync(fh.fileno())
+            if os.path.exists(path):
+                shutil.copymode(path, tmp)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
     @classmethod
     def load(cls, path: str):
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_text(fh.read())
+        return cls.from_text(read_text(path, cls.FILE_ERROR))

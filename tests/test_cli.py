@@ -239,6 +239,32 @@ def test_verify_corrupt_zone_exit_two(world, capsys, line):
     assert code == 2
 
 
+@pytest.mark.parametrize("fmt", ["zone", "anchors", "store", "profiles", "scenario",
+                                 "corpus"])
+def test_non_utf8_input_file_exit_two(world, capsys, fmt):
+    bad = world["tmp"] / "bad.txt"
+    bad.write_bytes(b"\xff\n")
+    files = {**world, fmt: str(bad)}
+    argv = {
+        "zone": ["resolve", "--zone", files["zone"], "--name", "tls12.test"],
+        "scenario": ["attack-sim", "--scenario-file", str(bad)],
+        "corpus": ["survey", "--corpus", str(bad)],
+    }.get(fmt, [
+        "connect-sim", "--zone", files["zone"], "--anchors", files["anchors"],
+        "--store", files["store"], "--profiles", files["profiles"],
+        "--domain", "tls12.test", "--server", "strong", "--now", "01-07-2018",
+    ])
+    assert main(argv) == 2
+    assert "line 1: byte 0xff is not UTF-8" in capsys.readouterr().err
+
+
+def test_resolve_prints_sig_dates(world, capsys):
+    assert main(["resolve", "--zone", world["zone"], "--name", "tls12.test"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "  SIG key=zsk-1 inception=01-05-2018 expiration=01-05-2019"
+    )
+
+
 def test_connect_sim_established(world, capsys):
     code = main([
         "connect-sim", "--zone", world["zone"], "--anchors", world["anchors"],

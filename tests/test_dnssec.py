@@ -225,6 +225,17 @@ def test_zone_file_round_trip(zone_keys, rrset, now):
     )
 
 
+def test_publish_files_a_record_set_under_its_normalised_owner(zone_keys, rrset, now):
+    zone = ZoneStore()
+    zone.publish(replace(rrset, owner_name="TLS12.Test."))
+    answer = resolve(zone, "tls12.test")
+    assert answer.disposition is Disposition.ANSWERED
+    assert answer.rrset.owner_name == "tls12.test"
+    assert verify_rrset(zone_keys.public_key, answer.rrset, now) is VerifyStatus.VALID
+    text = zone.to_text()
+    assert ZoneStore.from_text(text).to_text() == text
+
+
 def test_zone_file_unsigned_rrset_round_trip(zone_keys):
     zone = ZoneStore()
     zone.attacker_add_txt_value("victim.test", "forged")
@@ -246,6 +257,11 @@ def test_zone_file_unsigned_rrset_round_trip(zone_keys):
 def test_zone_file_rejects_corrupt_lines(line):
     with pytest.raises(ZoneFileError):
         ZoneStore.from_text(line + "\n")
+
+
+def test_zone_file_names_a_missing_txt_value():
+    with pytest.raises(ZoneFileError, match="^line 2: TXT line is missing its value$"):
+        ZoneStore.from_text('a.test TXT "x"\na.test TXT\n')
 
 
 @pytest.mark.parametrize("mutate, entry", [

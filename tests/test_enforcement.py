@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from datetime import date
 
 import pytest
@@ -27,7 +28,7 @@ from dstc.enforcement import (
     normalize_suite_name,
 )
 from dstc.policy import PolicyRecord, serialize_policy
-from dstc.store import PolicyStore
+from dstc.store import PolicyStore, StoreAction
 
 # Hand-labelled real-world ciphersuite names (OpenSSL and IANA spellings).
 # FS: leading dash token ECDHE or DHE. AE: contains GCM, CCM, CCM8, CHACHA20.
@@ -572,3 +573,78 @@ def test_decide_fallback_table(zone_keys, now, reason, cache):
     decision, _ = run_decide(fallback_zone(zone_keys, reason), anchors, domain=SUB,
                              store=store, now=now)
     assert decision == expected
+
+
+# -- a usable answer, per cache state: the store's action picks the outcome
+
+ANSWER = PolicyRecord(
+    valid_from=date(2018, 6, 1), valid_to=date(2019, 5, 1), report="answer@tls12.test"
+)
+OLDER = replace(ANSWER, valid_from=date(2018, 5, 1), report="older@tls12.test")
+NEWER = replace(ANSWER, valid_from=date(2018, 7, 1), report="newer@tls12.test")
+NEWER_REVOCATION = replace(NEWER, revoke=True)
+ANSWER_TOMBSTONE = ((date(2018, 6, 1), date(2019, 5, 1)),)
+NEWER_TOMBSTONE = ((date(2018, 7, 1), date(2019, 5, 1)),)
+
+CACHE_STATES = {
+    "empty": (),
+    "older-entry": (OLDER,),
+    "newer-entry": (NEWER,),
+    "tombstone": (OLDER, NEWER_REVOCATION),  # the domain revoked after ANSWER
+}
+
+# (cache, answer revokes?) -> mode, reason, report, store action, and the
+# cache after: (entries' records, tombstones' (valid_from, valid_to)).
+ANSWER_TABLE = [
+    ("empty", False, Mode.STRICT, Reason.OK, ANSWER.report,
+     StoreAction.STORED_NEW, ((ANSWER,), ())),
+    ("empty", True, Mode.DEFAULT, Reason.REVOKED, ANSWER.report,
+     StoreAction.UNCHANGED, ((), ())),
+    ("older-entry", False, Mode.STRICT, Reason.OK, ANSWER.report,
+     StoreAction.REPLACED, ((ANSWER,), ())),
+    ("older-entry", True, Mode.DEFAULT, Reason.REVOKED, ANSWER.report,
+     StoreAction.REVOKED_DELETED, ((), ANSWER_TOMBSTONE)),
+    ("newer-entry", False, Mode.STRICT, Reason.DROP_ALARM, NEWER.report,
+     StoreAction.REJECTED_STALE, ((NEWER,), ())),
+    # A replayed revocation older than the cached policy is a stale replay
+    # like any other: the cached policy keeps governing, fallback stays off.
+    ("newer-entry", True, Mode.STRICT, Reason.DROP_ALARM, NEWER.report,
+     StoreAction.REJECTED_STALE, ((NEWER,), ())),
+    ("tombstone", False, Mode.DEFAULT, Reason.REVOKED, ANSWER.report,
+     StoreAction.REJECTED_STALE, ((), NEWER_TOMBSTONE)),
+    ("tombstone", True, Mode.DEFAULT, Reason.REVOKED, ANSWER.report,
+     StoreAction.REJECTED_STALE, ((), NEWER_TOMBSTONE)),
+]
+
+
+@pytest.mark.parametrize(
+    "cache, revoke, mode, reason, report, action, after",
+    ANSWER_TABLE,
+    ids=[f"{row[0]}-{'revocation' if row[1] else 'policy'}" for row in ANSWER_TABLE],
+)
+def test_decide_answer_table(zone_keys, now, monkeypatch, cache, revoke, mode, reason,
+                             report, action, after):
+    """A signed, active answer: decide calls store.update once, and its
+    action alone picks the decision."""
+    store = PolicyStore()
+    for record in CACHE_STATES[cache]:
+        store.update("tls12.test", record, now)
+    actions = []
+    update = store.update
+
+    def recording_update(*args):
+        actions.append(update(*args))
+        return actions[-1]
+
+    monkeypatch.setattr(store, "update", recording_update)
+    zone, anchors = build_world(zone_keys, records=[replace(ANSWER, revoke=revoke)])
+
+    decision, _ = run_decide(zone, anchors, store=store, now=now)
+
+    assert decision == PolicyDecision(mode, reason, report)
+    assert actions == [action]
+    assert (
+        tuple(e.record for e in store.entries()),
+        tuple((t.valid_from, t.valid_to) for t in store.tombstones()),
+    ) == after
+    assert apply(decision, DEFAULT_CLIENT).fallback_enabled is (mode is Mode.DEFAULT)

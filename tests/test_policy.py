@@ -153,7 +153,8 @@ def test_policy_status_three_way():
 
 def test_parse_policy_date_strictness():
     assert parse_policy_date("01-05-2018") == date(2018, 5, 1)
-    for bad in ("1-05-2018", "01-5-2018", "01-05-18", "01/05/2018", "29-02-2018", ""):
+    for bad in ("1-05-2018", "01-5-2018", "01-05-18", "01/05/2018", "29-02-2018", "",
+                "\u0660\u0661-\u0660\u0665-\u0662\u0660\u0661\u0668", "01-05-2018\n"):
         with pytest.raises(MalformedDate):
             parse_policy_date(bad)
 

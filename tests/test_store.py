@@ -259,14 +259,6 @@ def test_load_error_names_the_unrecognised_line():
         PolicyStore.from_text("\n# cache\n\nBOGUS x\n")
 
 
-def test_serials_are_monotone(now):
-    store = PolicyStore()
-    store.update("a.test", record(), now)
-    store.update("b.test", record(), now)
-    a, b = store.entries()
-    assert a.source_serial != b.source_serial
-
-
 # -- property and randomised interleaving tests ------------------------------
 
 _days = st.integers(min_value=0, max_value=120)

@@ -8,16 +8,20 @@ each reader are reached.
 """
 
 import base64
+import os
 import re
+from datetime import date
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dstc import textfile
 from dstc.dnssec import TrustAnchorSet, ZoneFileError, ZoneStore
+from dstc.policy import PolicyRecord
 from dstc.scenarios import ScenarioFileError, parse_scenario_file
 from dstc.store import PolicyStore, StoreFileError
 from dstc.survey import CorpusFormatError, parse_corpus
-from dstc.textfile import check_field, is_field, parse_lines
+from dstc.textfile import check_field, is_field, parse_lines, read_text
 
 # -- the loop itself
 
@@ -59,6 +63,100 @@ def test_field_rule(text, ok):
     else:
         with pytest.raises(ZoneFileError, match=re.escape(f"name {text!r} cannot")):
             check_field(ZoneFileError, "name", text)
+
+
+# -- reading: bytes that are not UTF-8 are a line error of the format
+
+_LOADERS = {
+    "zone": (ZoneStore.load, ZoneFileError),
+    "anchors": (TrustAnchorSet.load, ZoneFileError),
+    "cache": (PolicyStore.load, StoreFileError),
+    "scenario": (lambda path: parse_scenario_file(read_text(path, ScenarioFileError)),
+                 ScenarioFileError),
+    "corpus": (lambda path: parse_corpus(read_text(path, CorpusFormatError)),
+               CorpusFormatError),
+}
+
+
+@pytest.mark.parametrize("fmt", list(_LOADERS))
+def test_non_utf8_file_is_a_line_error_of_its_format(tmp_path, fmt):
+    load, error = _LOADERS[fmt]
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\n")
+    with pytest.raises(error, match="^line 1: byte 0xff is not UTF-8") as raised:
+        load(str(path))
+    assert isinstance(raised.value.__cause__, UnicodeDecodeError)
+
+
+@pytest.mark.parametrize("data, lineno", [
+    (b"# ok\n\n\xff", 3),
+    (b"a\r\nb \xc3", 2),        # a cut-off two-byte sequence
+    (b"a\rb\r\xe9", 3),         # line breaks counted as parse_lines counts them
+])
+def test_read_text_names_the_line_of_the_first_bad_byte(tmp_path, data, lineno):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(data)
+    with pytest.raises(CorpusFormatError, match=f"^line {lineno}: "):
+        read_text(str(path), CorpusFormatError)
+
+
+def test_read_text_keeps_utf8_text(tmp_path):
+    path = tmp_path / "ok.txt"
+    path.write_bytes("\u00e9.test\r\nb\n".encode("utf-8"))
+    assert read_text(str(path), ValueError).splitlines() == ["\u00e9.test", "b"]
+
+
+# -- saving: all or nothing
+
+
+def _saved_cache(tmp_path):
+    store = PolicyStore()
+    store.update("a.test", PolicyRecord(date(2018, 5, 1), date(2019, 5, 1), "x@a.test"),
+                 date(2018, 7, 1))
+    path = tmp_path / "cache.txt"
+    store.save(str(path))
+    store.update("b.test", PolicyRecord(date(2018, 5, 1), date(2019, 5, 1), "x@b.test"),
+                 date(2018, 7, 1))
+    return store, path
+
+
+def _fail(*args, **kwargs):
+    raise OSError("injected")
+
+
+def _open_with_failing_write(*args, **kwargs):
+    fh = open(*args, **kwargs)
+    fh.write = _fail
+    return fh
+
+
+@pytest.mark.parametrize("target, attr, fault", [
+    (textfile, "open", _open_with_failing_write),
+    (os, "fsync", _fail),
+    (os, "replace", _fail),
+], ids=["write", "fsync", "replace"])
+def test_failed_save_keeps_the_old_file_and_leaves_no_temp_file(
+    tmp_path, monkeypatch, target, attr, fault
+):
+    store, path = _saved_cache(tmp_path)
+    before = path.read_bytes()
+    monkeypatch.setattr(target, attr, fault, raising=False)
+    with pytest.raises(OSError, match="injected"):
+        store.save(str(path))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path) == ["cache.txt"]
+    store.save(str(path))
+    assert PolicyStore.load(str(path)).to_text() == store.to_text()
+
+
+def test_save_replaces_the_file_and_keeps_its_permission_bits(tmp_path):
+    store, path = _saved_cache(tmp_path)
+    os.chmod(path, 0o640)
+    store.save(str(path))
+    assert path.read_text() == store.to_text()
+    assert os.stat(path).st_mode & 0o777 == 0o640
+    assert os.listdir(tmp_path) == ["cache.txt"]
 
 
 # -- totality and render/parse round trips
