@@ -38,12 +38,6 @@ class BenchReport:
     iterations: int
     rows: tuple[BenchRow, ...]
 
-    def row(self, name: str) -> BenchRow:
-        for r in self.rows:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
 
 def _measure(name: str, fn, iterations: int) -> BenchRow:
     wall: list[float] = []

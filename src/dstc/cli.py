@@ -70,8 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", required=True, help="owner contact, local@domain")
     p.add_argument("--include-sub-domain", type=_flag01, default=False, metavar="0|1")
     p.add_argument("--revoke", type=_flag01, default=False, metavar="0|1")
-    p.add_argument("--name", default="DSTC")
-    p.add_argument("--tls-level", default="strict-config")
 
     p = sub.add_parser("sign", help="sign a TXT record set into a zone file")
     p.add_argument("--zone", required=True, help="zone file to create or update")
@@ -157,10 +155,8 @@ def _now(args) -> date:
 
 def cmd_gen(args) -> int:
     record = PolicyRecord(
-        name=args.name,
         valid_from=args.valid_from,
         valid_to=args.valid_to,
-        tls_level=args.tls_level,
         include_sub_domain=args.include_sub_domain,
         revoke=args.revoke,
         report=args.report,

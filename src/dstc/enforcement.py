@@ -127,6 +127,8 @@ class ClientCapabilities:
     suite_list: tuple[str, ...]
 
     def __post_init__(self):
+        # apply's config cache keys on the capabilities, so they must hash.
+        object.__setattr__(self, "suite_list", tuple(self.suite_list))
         if self.version_floor > self.latest_version:
             raise ValueError("version floor above latest version")
         if not any(
@@ -236,7 +238,7 @@ def _materialise(mode: Mode, caps: ClientCapabilities) -> EffectiveTlsConfig:
         for v in sorted(TlsVersion, reverse=True)
         if caps.version_floor <= v <= caps.latest_version
     )
-    return EffectiveTlsConfig(versions, tuple(caps.suite_list), True)
+    return EffectiveTlsConfig(versions, caps.suite_list, True)
 
 
 def decide(

@@ -1,10 +1,14 @@
-"""Client-side cache of verified policies, one entry per domain.
+"""Client-side cache of verified policies, one slot per domain.
 
 The cache is what turns one honest first connection into lasting protection:
 a stored policy outranks any later record with an older issuance date, a
 revocation leaves a tombstone behind so the revoked policy cannot be replayed
 back in, and the absence of a record for a domain with a live cached policy
 is flagged as a dropping attack instead of silently downgrading.
+
+A domain's slot holds either its policy or its tombstone, and one expiry rule
+covers both: once the slot's validTo has passed, the next read drops it and
+the domain counts as never seen.
 
 Persistence format (UTF-8, line oriented):
 
@@ -21,11 +25,9 @@ from enum import Enum
 from .dnssec import normalize_domain
 from .policy import (
     PolicyRecord,
-    PolicyStatus,
     format_policy_date,
     parse_policy,
     parse_policy_date,
-    policy_status,
     serialize_policy,
 )
 from .textfile import TextFile, check_field, parse_lines
@@ -50,6 +52,14 @@ class StoredPolicy:
     record: PolicyRecord
     stored_at: date
 
+    @property
+    def valid_from(self) -> date:
+        return self.record.valid_from
+
+    @property
+    def valid_to(self) -> date:
+        return self.record.valid_to
+
 
 @dataclass(frozen=True)
 class Tombstone:
@@ -61,7 +71,7 @@ class Tombstone:
 
 
 class PolicyStore(TextFile):
-    """Policy cache with revocation tombstones.
+    """Policy cache with revocation tombstones, one slot per domain.
 
     Single-threaded: callers use a store from one thread at a time, and the
     store takes no lock.
@@ -70,117 +80,77 @@ class PolicyStore(TextFile):
     FILE_ERROR = StoreFileError
 
     def __init__(self):
-        self._entries: dict[str, StoredPolicy] = {}
-        self._tombstones: dict[str, Tombstone] = {}
+        self._slots: dict[str, StoredPolicy | Tombstone] = {}
+
+    def _slot(self, domain: str, now: date) -> StoredPolicy | Tombstone | None:
+        """The domain's slot, dropped first if its validTo has passed."""
+        slot = self._slots.get(domain)
+        if slot is not None and now > slot.valid_to:
+            del self._slots[domain]
+            return None
+        return slot
 
     # -- core update rules
 
     def update(self, domain: str, record: PolicyRecord, now: date) -> StoreAction:
         """Apply a record that already passed signature checks and is active.
 
-        Freshness is decided purely on validFrom: newer replaces (or, with
-        the revoke flag, deletes), older or conflicting-equal is rejected as
-        a replay, identical is a no-op. Revocations of nothing are no-ops
-        too; poison records are never stored.
+        Freshness is decided purely on validFrom against the live slot: an
+        identical policy is a no-op, anything not newer is rejected as a
+        replay, a newer policy is stored and a newer revocation leaves a
+        tombstone. A revocation of nothing is a no-op; poison records are
+        never stored.
         """
         domain = normalize_domain(domain)
-        tombstone = self._live_tombstone(domain, now)
-        if tombstone is not None:
-            if record.valid_from <= tombstone.valid_from:
-                return StoreAction.REJECTED_STALE
-            if record.revoke:
-                self._tombstones[domain] = Tombstone(
-                    domain, record.valid_from, record.valid_to
-                )
-                return StoreAction.UNCHANGED
-            del self._tombstones[domain]
-            self._put(domain, record, now)
-            return StoreAction.STORED_NEW
-
-        entry = self._entries.get(domain)
-        if entry is None:
-            if record.revoke:
-                return StoreAction.UNCHANGED
-            self._put(domain, record, now)
-            return StoreAction.STORED_NEW
-        if record.valid_from > entry.record.valid_from:
-            if record.revoke:
-                del self._entries[domain]
-                self._tombstones[domain] = Tombstone(
-                    domain, record.valid_from, record.valid_to
-                )
-                return StoreAction.REVOKED_DELETED
-            self._put(domain, record, now)
-            return StoreAction.REPLACED
-        if record.valid_from < entry.record.valid_from:
-            return StoreAction.REJECTED_STALE
-        if record == entry.record:
+        slot = self._slot(domain, now)
+        held = isinstance(slot, StoredPolicy)
+        if held and slot.record == record:
             return StoreAction.UNCHANGED
-        return StoreAction.REJECTED_STALE
+        if slot is not None and record.valid_from <= slot.valid_from:
+            return StoreAction.REJECTED_STALE
+        if record.revoke:
+            if slot is not None:
+                self._slots[domain] = Tombstone(domain, record.valid_from, record.valid_to)
+            return StoreAction.REVOKED_DELETED if held else StoreAction.UNCHANGED
+        self._slots[domain] = StoredPolicy(domain, record, now)
+        return StoreAction.REPLACED if held else StoreAction.STORED_NEW
 
     def observe_absence(self, domain: str, now: date) -> StoreAction:
-        """React to a query that produced no usable policy record.
-
-        A live cached entry means someone is suppressing the record: raise
-        the alarm and keep enforcing from the cache. An expired entry is
-        evicted so the next contact counts as a first connection.
-        """
-        domain = normalize_domain(domain)
-        self._live_tombstone(domain, now)  # lazy tombstone expiry
-        entry = self._entries.get(domain)
-        if entry is None:
-            return StoreAction.UNCHANGED
-        if policy_status(entry.record, now) is PolicyStatus.EXPIRED:
-            del self._entries[domain]
-            return StoreAction.UNCHANGED
-        return StoreAction.DROP_ALARM
+        """React to a query that produced no usable policy record: a live
+        cached entry means someone is suppressing the record, so raise the
+        alarm and keep enforcing from the cache."""
+        if isinstance(self._slot(normalize_domain(domain), now), StoredPolicy):
+            return StoreAction.DROP_ALARM
+        return StoreAction.UNCHANGED
 
     def lookup(self, domain: str, now: date) -> StoredPolicy | None:
         """Governing entry for a domain: itself, else the nearest ancestor
         whose record opted its subdomains in. Expired entries never govern.
         """
-        domain = normalize_domain(domain)
-        entry = self._usable(domain, now)
-        if entry is not None:
-            return entry
-        labels = domain.split(".")
-        for i in range(1, len(labels)):
-            entry = self._usable(".".join(labels[i:]), now)
-            if entry is not None and entry.record.include_sub_domain:
-                return entry
+        labels = normalize_domain(domain).split(".")
+        for i in range(len(labels)):
+            slot = self._slot(".".join(labels[i:]), now)
+            if isinstance(slot, StoredPolicy) and (i == 0 or slot.record.include_sub_domain):
+                return slot
         return None
 
     def get_exact(self, domain: str, now: date) -> StoredPolicy | None:
-        return self._usable(normalize_domain(domain), now)
+        slot = self._slot(normalize_domain(domain), now)
+        return slot if isinstance(slot, StoredPolicy) else None
 
     def entries(self) -> tuple[StoredPolicy, ...]:
-        return tuple(self._entries[d] for d in sorted(self._entries))
+        return self._sorted(StoredPolicy)
 
     def tombstones(self) -> tuple[Tombstone, ...]:
-        return tuple(self._tombstones[d] for d in sorted(self._tombstones))
+        return self._sorted(Tombstone)
 
-    def _usable(self, domain: str, now: date) -> StoredPolicy | None:
-        entry = self._entries.get(domain)
-        if entry is None:
-            return None
-        if policy_status(entry.record, now) is PolicyStatus.EXPIRED:
-            return None
-        return entry
-
-    def _put(self, domain: str, record: PolicyRecord, now: date) -> None:
-        self._entries[domain] = StoredPolicy(domain, record, now)
-
-    def _live_tombstone(self, domain: str, now: date) -> Tombstone | None:
-        tombstone = self._tombstones.get(domain)
-        if tombstone is not None and now > tombstone.valid_to:
-            del self._tombstones[domain]
-            return None
-        return tombstone
+    def _sorted(self, kind: type) -> tuple:
+        return tuple(s for _, s in sorted(self._slots.items()) if isinstance(s, kind))
 
     # -- persistence
 
     def to_text(self) -> str:
-        for domain in (*self._entries, *self._tombstones):
+        for domain in self._slots:
             check_field(StoreFileError, "domain", domain)
         lines = [
             f"POLICY {e.domain} {format_policy_date(e.stored_at)} "
@@ -205,12 +175,14 @@ class PolicyStore(TextFile):
         if fields[0] not in ("POLICY", "TOMBSTONE") or len(fields) != 4:
             raise StoreFileError(f"unrecognised line {line!r}")
         domain = check_field(StoreFileError, "domain", normalize_domain(fields[1]))
-        if domain in self._entries or domain in self._tombstones:
+        if domain in self._slots:
             raise StoreFileError(f"duplicate domain {domain}")
         if fields[0] == "POLICY":
-            self._put(domain, parse_policy(fields[3]), parse_policy_date(fields[2], "stored_at"))
+            self._slots[domain] = StoredPolicy(
+                domain, parse_policy(fields[3]), parse_policy_date(fields[2], "stored_at")
+            )
         else:
-            self._tombstones[domain] = Tombstone(
+            self._slots[domain] = Tombstone(
                 domain,
                 parse_policy_date(fields[2], "valid_from"),
                 parse_policy_date(fields[3], "valid_to"),

@@ -95,12 +95,12 @@ def test_gen_rejects_bad_report(capsys):
 
 
 def test_gen_rejects_unknown_tls_level(capsys):
-    code = main([
-        "gen", "--valid-from", "01-05-2018", "--valid-to", "01-05-2019",
-        "--report", "a@b.c", "--tls-level", "weak",
-    ])
-    assert code == 2
-    assert "tlsLevel" in capsys.readouterr().err
+    # gen always writes tlsLevel=strict-config; there is no option to change it
+    with pytest.raises(SystemExit) as info:
+        main(["gen", "--valid-from", "01-05-2018", "--valid-to", "01-05-2019",
+              "--report", "a@b.c", "--tls-level", "weak"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --tls-level weak" in capsys.readouterr().err
 
 
 def test_sign_resolve_verify_flow(tmp_path, capsys):

@@ -1,6 +1,6 @@
 import re
 from dataclasses import replace
-from datetime import date
+from datetime import date, timedelta
 
 import pytest
 from hypothesis import given, strategies as st
@@ -27,7 +27,7 @@ from dstc.enforcement import (
     decide,
     normalize_suite_name,
 )
-from dstc.policy import PolicyRecord, serialize_policy
+from dstc.policy import PolicyRecord, format_policy_date, serialize_policy
 from dstc.store import PolicyStore, StoreAction
 
 # Hand-labelled real-world ciphersuite names (OpenSSL and IANA spellings).
@@ -228,6 +228,14 @@ def test_equal_capabilities_built_separately_get_equal_configs():
     assert apply(DEFAULT_DECISION, strong_only).ciphersuites == DEFAULT_CLIENT_SUITES[:2]
     assert apply(DEFAULT_DECISION, DEFAULT_CLIENT).versions[-1] is TlsVersion.TLS10
     assert apply(STRICT_DECISION, first) != apply(DEFAULT_DECISION, first)
+
+
+def test_list_and_tuple_suite_lists_get_equal_configs():
+    as_list = ClientCapabilities(TlsVersion.TLS12, TlsVersion.TLS10, list(DEFAULT_CLIENT_SUITES))
+    as_tuple = ClientCapabilities(TlsVersion.TLS12, TlsVersion.TLS10, DEFAULT_CLIENT_SUITES)
+    assert as_list == as_tuple
+    for decision in (STRICT_DECISION, DEFAULT_DECISION):
+        assert apply(decision, as_list) == apply(decision, as_tuple)
 
 
 def test_decision_invariant():
@@ -585,12 +593,18 @@ NEWER = replace(ANSWER, valid_from=date(2018, 7, 1), report="newer@tls12.test")
 NEWER_REVOCATION = replace(NEWER, revoke=True)
 ANSWER_TOMBSTONE = ((date(2018, 6, 1), date(2019, 5, 1)),)
 NEWER_TOMBSTONE = ((date(2018, 7, 1), date(2019, 5, 1)),)
+# Cached records whose validTo has passed at ``now`` (01-07-2018).
+EXPIRED_NEWER = replace(NEWER, valid_from=date(2018, 6, 2), valid_to=date(2018, 6, 30))
+EXPIRED_OLDER = replace(OLDER, valid_from=date(2018, 3, 1), valid_to=date(2018, 6, 1))
 
 CACHE_STATES = {
     "empty": (),
     "older-entry": (OLDER,),
     "newer-entry": (NEWER,),
     "tombstone": (OLDER, NEWER_REVOCATION),  # the domain revoked after ANSWER
+    # An expired entry counts as never seen, whatever its dates.
+    "expired-newer-entry": (EXPIRED_NEWER,),
+    "expired-older-entry": (EXPIRED_OLDER,),
 }
 
 # (cache, answer revokes?) -> mode, reason, report, store action, and the
@@ -614,6 +628,14 @@ ANSWER_TABLE = [
      StoreAction.REJECTED_STALE, ((), NEWER_TOMBSTONE)),
     ("tombstone", True, Mode.DEFAULT, Reason.REVOKED, ANSWER.report,
      StoreAction.REJECTED_STALE, ((), NEWER_TOMBSTONE)),
+    ("expired-newer-entry", False, Mode.STRICT, Reason.OK, ANSWER.report,
+     StoreAction.STORED_NEW, ((ANSWER,), ())),
+    ("expired-newer-entry", True, Mode.DEFAULT, Reason.REVOKED, ANSWER.report,
+     StoreAction.UNCHANGED, ((), ())),
+    ("expired-older-entry", False, Mode.STRICT, Reason.OK, ANSWER.report,
+     StoreAction.STORED_NEW, ((ANSWER,), ())),
+    ("expired-older-entry", True, Mode.DEFAULT, Reason.REVOKED, ANSWER.report,
+     StoreAction.UNCHANGED, ((), ())),
 ]
 
 
@@ -648,3 +670,46 @@ def test_decide_answer_table(zone_keys, now, monkeypatch, cache, revoke, mode, r
         tuple((t.valid_from, t.valid_to) for t in store.tombstones()),
     ) == after
     assert apply(decision, DEFAULT_CLIENT).fallback_enabled is (mode is Mode.DEFAULT)
+
+
+# -- an expired cache slot is no cache slot ----------------------------------
+
+NOW = date(2018, 7, 1)
+
+
+def _day(draw, first, last):
+    return first + timedelta(days=draw(st.integers(0, (last - first).days)))
+
+
+@st.composite
+def expired_cache_files(draw):
+    """A one-line cache file for tls12.test whose validTo is before NOW."""
+    valid_to = _day(draw, date(2017, 1, 1), NOW - timedelta(days=1))
+    valid_from = _day(draw, date(2016, 1, 1), valid_to)
+    if draw(st.booleans()):
+        dates = f"{format_policy_date(valid_from)} {format_policy_date(valid_to)}"
+        return f"TOMBSTONE tls12.test {dates}\n"
+    cached = PolicyRecord(valid_from, valid_to, "cached@tls12.test",
+                          include_sub_domain=draw(st.booleans()))
+    stored_at = format_policy_date(valid_from)
+    return f"POLICY tls12.test {stored_at} {serialize_policy(cached)}\n"
+
+
+@st.composite
+def active_answers(draw):
+    return PolicyRecord(
+        _day(draw, date(2017, 1, 1), NOW),
+        _day(draw, NOW, date(2019, 7, 1)),
+        "answer@tls12.test",
+        include_sub_domain=draw(st.booleans()),
+        revoke=draw(st.booleans()),
+    )
+
+
+@given(cache_file=expired_cache_files(), answer=active_answers())
+def test_expired_slot_decides_like_an_empty_cache(zone_keys, cache_file, answer):
+    zone, anchors = build_world(zone_keys, records=[answer])
+    decision, store = run_decide(zone, anchors, store=PolicyStore.from_text(cache_file))
+    expected, fresh = run_decide(zone, anchors, store=PolicyStore())
+    assert decision == expected
+    assert store.to_text() == fresh.to_text()

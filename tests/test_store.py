@@ -1,5 +1,6 @@
 import random
 import re
+from dataclasses import replace
 from datetime import date, timedelta
 
 import pytest
@@ -137,6 +138,36 @@ def test_absence_after_expiry_evicts(now):
     # next contact is a first connection again
     fresh = record(date(2019, 6, 1), valid_to=date(2020, 6, 1))
     assert store.update("tls12.test", fresh, after) is StoreAction.STORED_NEW
+
+
+EXPIRED = record(date(2018, 3, 1), valid_to=date(2018, 6, 1))
+
+
+@pytest.mark.parametrize("incoming, action, kept", [
+    (record(date(2018, 1, 1)), StoreAction.STORED_NEW, "entry"),
+    (record(date(2018, 6, 1)), StoreAction.STORED_NEW, "entry"),
+    (record(date(2018, 6, 1), revoke=True), StoreAction.UNCHANGED, "nothing"),
+], ids=["older-policy", "newer-policy", "newer-revocation"])
+def test_update_over_an_expired_entry_acts_as_on_an_empty_cache(now, incoming, action, kept):
+    expired, empty = PolicyStore(), PolicyStore()
+    expired.update("tls12.test", EXPIRED, date(2018, 3, 1))
+    assert expired.update("tls12.test", incoming, now) is action
+    assert empty.update("tls12.test", incoming, now) is action
+    assert expired.to_text() == empty.to_text()
+    assert bool(expired.entries()) is (kept == "entry")
+    assert not expired.tombstones()
+
+
+@pytest.mark.parametrize("read", [
+    lambda store, now: store.get_exact("tls12.test", now),
+    lambda store, now: store.lookup("tls12.test", now),
+    lambda store, now: store.lookup("www.tls12.test", now),
+], ids=["get_exact", "lookup", "lookup-ancestor"])
+def test_reads_evict_an_expired_entry(now, read):
+    store = PolicyStore()
+    store.update("tls12.test", replace(EXPIRED, include_sub_domain=True), date(2018, 3, 1))
+    assert read(store, now) is None
+    assert not store.entries()
 
 
 def test_lookup_exact_and_subdomain(now):
