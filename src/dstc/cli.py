@@ -235,8 +235,10 @@ def cmd_verify(args) -> int:
     zone = ZoneStore.load(args.zone)
     anchors = TrustAnchorSet.load(args.anchors)
     store = _load_or_new(PolicyStore, args.store)
-    decision, _ = _decide_and_print(zone, anchors, store, args.domain, _now(args))
+    now = _now(args)
+    decision, _ = _decide_and_print(zone, anchors, store, args.domain, now)
     if args.store:
+        store.drop_expired(now)
         store.save(args.store)
     return REFUSAL if decision.reason in ATTACK_REASONS else 0
 
@@ -253,7 +255,8 @@ def cmd_connect_sim(args) -> int:
             f"profile {args.server!r} not defined in {args.profiles}"
         )
     attack = AttackerStrategy.parse(args.attack)
-    decision, config = _decide_and_print(zone, anchors, store, args.domain, _now(args))
+    now = _now(args)
+    decision, config = _decide_and_print(zone, anchors, store, args.domain, now)
     outcome = run_handshake(config, profiles[args.server], attack)
     print(f"attack: {attack.describe()}")
     print("transcript:")
@@ -265,6 +268,7 @@ def cmd_connect_sim(args) -> int:
     else:
         print(f"outcome: {outcome.result.value}")
     if args.store:
+        store.drop_expired(now)
         store.save(args.store)
     return 0 if outcome.result is HandshakeResult.ESTABLISHED else REFUSAL
 

@@ -7,7 +7,10 @@ matters. Chain-of-trust walking is replaced by a trust-anchor set mapping a
 zone apex to the public key a client accepts for that apex and everything
 below it.
 
-The zone store doubles as the attack surface: ``attacker_*`` methods mutate
+The zone store keeps one slot per name. A name without a slot does not
+exist (NXDOMAIN), a slot holding None is a name without TXT data (NODATA,
+RFC 2308 section 2), and any other slot holds the name's one TXT record set.
+The store doubles as the attack surface: ``attacker_*`` methods mutate
 published record sets without access to the signing key, which is exactly
 what a man-in-the-middle can do to plain DNS traffic.
 
@@ -45,6 +48,8 @@ _HASH = hashes.SHA256()
 
 # Sentinel validity window for unsigned record sets loaded from zone files.
 _NO_DATE = date.min
+# resolve()'s marker for a name that has no slot in the zone.
+_ABSENT = object()
 
 
 class MissingPrivateKey(ValueError):
@@ -260,6 +265,9 @@ class DnsResponse:
 class ZoneStore(TextFile):
     """All record sets of one zone, plus the attacker's write access.
 
+    One slot per name: absent is NXDOMAIN, None is NODATA, anything else
+    is the name's TXT record set.
+
     Single-threaded: callers use a store from one thread at a time, and the
     store takes no lock.
     """
@@ -267,90 +275,95 @@ class ZoneStore(TextFile):
     FILE_ERROR = ZoneFileError
 
     def __init__(self):
-        self._names: set[str] = set()
-        self._txt: dict[str, SignedRRset] = {}
+        self._names: dict[str, SignedRRset | None] = {}
         self._keys: dict[str, bytes] = {}
 
     # -- owner-side operations
 
     def register_name(self, name: str) -> None:
-        self._names.add(normalize_domain(name))
+        self._names.setdefault(normalize_domain(name), None)
 
     def publish(self, rrset: SignedRRset) -> None:
         name = normalize_domain(rrset.owner_name)
         if name != rrset.owner_name:
             rrset = replace(rrset, owner_name=name)
-        self._names.add(name)
-        self._txt[name] = rrset
+        self._names[name] = rrset
 
     def add_key(self, key_id: str, public_der: bytes) -> None:
         self._keys[key_id] = public_der
 
     def rrset_for(self, name: str) -> SignedRRset | None:
-        return self._txt.get(normalize_domain(name))
+        return self._names.get(normalize_domain(name))
 
     def __contains__(self, name: str) -> bool:
         """Whether the name exists in the zone, with or without TXT data."""
         return normalize_domain(name) in self._names
 
-    # -- attacker operations: record manipulation without the signing key
-
-    def attacker_add_txt_value(self, name: str, value: str) -> None:
-        """Inject a TXT value; creates an unsigned set for unknown names."""
+    def _rewrite(self, name: str, edit, create: bool = False) -> None:
+        """Write back the name's set as ``replace(set, **edit(set))``. A name
+        without a set raises KeyError, unless ``create`` starts an empty unsigned one."""
         name = normalize_domain(name)
-        current = self._txt.get(name)
+        current = self._names.get(name)
         if current is None:
-            self._names.add(name)
-            self._txt[name] = SignedRRset(
+            if not create:
+                raise KeyError(name)
+            current = SignedRRset(
                 owner_name=name,
-                values=(value,),
+                values=(),
                 signature=b"",
                 key_id="-",
                 inception=_NO_DATE,
                 expiration=_NO_DATE,
             )
-        else:
-            self._txt[name] = replace(current, values=current.values + (value,))
+        self._names[name] = replace(current, **edit(current))
+
+    # -- attacker operations: record manipulation without the signing key
+
+    def attacker_add_txt_value(self, name: str, value: str) -> None:
+        """Inject a TXT value; creates an unsigned set for a name without one."""
+        self._rewrite(name, lambda s: {"values": s.values + (value,)}, create=True)
 
     def attacker_modify_txt_value(self, name: str, index: int, value: str) -> None:
-        name = normalize_domain(name)
-        current = self._txt[name]
-        values = list(current.values)
-        values[index] = value
-        self._txt[name] = replace(current, values=tuple(values))
+        def edit(s):
+            values = list(s.values)
+            values[index] = value
+            return {"values": tuple(values)}
+        self._rewrite(name, edit)
 
     def attacker_delete_txt_value(self, name: str, index: int) -> None:
-        name = normalize_domain(name)
-        current = self._txt[name]
-        values = list(current.values)
-        del values[index]
-        self._txt[name] = replace(current, values=tuple(values))
+        def edit(s):
+            values = list(s.values)
+            del values[index]
+            return {"values": tuple(values)}
+        self._rewrite(name, edit)
 
     def attacker_tamper_signature(self, name: str, byte_index: int = 0) -> None:
-        name = normalize_domain(name)
-        current = self._txt[name]
-        sig = bytearray(current.signature)
-        sig[byte_index] ^= 0x01
-        self._txt[name] = replace(current, signature=bytes(sig))
+        def edit(s):
+            sig = bytearray(s.signature)
+            sig[byte_index] ^= 0x01
+            return {"signature": bytes(sig)}
+        self._rewrite(name, edit)
 
     def attacker_drop_rrset(self, name: str) -> None:
         """Suppress the TXT set; the name itself stays resolvable."""
         name = normalize_domain(name)
-        self._txt.pop(name, None)
+        if name in self._names:
+            self._names[name] = None
 
     def attacker_replace_rrset(self, name: str, rrset: SignedRRset) -> None:
         """Substitute a captured record set, e.g. replay an old signed one."""
         name = normalize_domain(name)
-        self._names.add(name)
-        self._txt[name] = replace(rrset, owner_name=name)
+        self._names[name] = replace(rrset, owner_name=name)
 
     # -- persistence
 
     def to_text(self) -> str:
         lines = []
-        for name in sorted(self._txt):
+        slots = sorted(self._names.items())
+        for name, rrset in slots:
+            if rrset is None:
+                continue
             _check_field("name", name)
-            rrset = self._txt[name]
             for value in rrset.values:
                 if '"' in value or len(f'"{value}"'.splitlines()) > 1:
                     raise ZoneFileError(
@@ -364,8 +377,8 @@ class ZoneStore(TextFile):
                     f"{format_policy_date(rrset.inception)} "
                     f"{format_policy_date(rrset.expiration)} {sig64}"
                 )
-        for name in sorted(self._names - set(self._txt)):
-            lines.append(f"{_check_field('name', name)} NAME -")
+        lines += [f"{_check_field('name', name)} NAME -"
+                  for name, rrset in slots if rrset is None]
         for key_id in sorted(self._keys):
             der64 = base64.b64encode(self._keys[key_id]).decode("ascii")
             lines.append(f"KEY {_check_field('key id', key_id)} {der64}")
@@ -374,28 +387,14 @@ class ZoneStore(TextFile):
     @classmethod
     def from_text(cls, text: str) -> "ZoneStore":
         zone = cls()
-        txt_values: dict[str, list[str]] = {}
-        sigs: dict[str, tuple[str, date, date, bytes]] = {}
-        parse_lines(text, partial(zone._parse_line, txt_values, sigs), ZoneFileError)
-        for name in sigs:
-            if name not in txt_values:
+        signed: dict[str, dict] = {}  # SIG fields per name, in file order
+        parse_lines(text, partial(zone._parse_line, signed), ZoneFileError)
+        for name in signed:
+            if not zone._names[name].values:
                 raise ZoneFileError(f"SIG without TXT values for {name}")
-        for name, values in txt_values.items():
-            key_id, inception, expiration, signature = sigs.get(
-                name, ("-", _NO_DATE, _NO_DATE, b"")
-            )
-            zone._txt[name] = SignedRRset(
-                owner_name=name,
-                values=tuple(values),
-                signature=signature,
-                key_id=key_id,
-                inception=inception,
-                expiration=expiration,
-            )
-            zone._names.add(name)
         return zone
 
-    def _parse_line(self, txt_values, sigs, line) -> None:
+    def _parse_line(self, signed, line) -> None:
         fields = line.split()
         if fields[0] == "KEY":
             if len(fields) != 3:
@@ -415,22 +414,21 @@ class ZoneStore(TextFile):
                 raise ZoneFileError("TXT value must be double-quoted")
             if '"' in rest[1:-1]:
                 raise ZoneFileError("TXT value contains an inner quote")
-            txt_values.setdefault(name, []).append(rest[1:-1])
-            self._names.add(name)
+            self._rewrite(name, lambda s: {"values": s.values + (rest[1:-1],)}, create=True)
         elif kind == "SIG":
             if len(fields) != 6:
                 raise ZoneFileError("SIG line needs <key_id> <inception> <expiration> <base64>")
-            if name in sigs:
+            if name in signed:
                 raise ZoneFileError(f"duplicate SIG for {name}")
-            sigs[name] = (
-                _check_field("key id", fields[2]),
-                parse_policy_date(fields[3], "inception"),
-                parse_policy_date(fields[4], "expiration"),
-                base64.b64decode(fields[5], validate=True),
-            )
-            self._names.add(name)
+            signed[name] = {
+                "key_id": _check_field("key id", fields[2]),
+                "inception": parse_policy_date(fields[3], "inception"),
+                "expiration": parse_policy_date(fields[4], "expiration"),
+                "signature": base64.b64decode(fields[5], validate=True),
+            }
+            self._rewrite(name, lambda s: signed[name], create=True)
         elif kind == "NAME":
-            self._names.add(name)
+            self._names.setdefault(name, None)
         else:
             raise ZoneFileError(f"unknown record kind {kind!r}")
 
@@ -444,12 +442,12 @@ def resolve(zone: ZoneStore | None, name: str) -> DnsResponse:
     if zone is None:
         raise ZoneNotLoaded("no zone loaded")
     name = normalize_domain(name)
-    rrset = zone.rrset_for(name)
-    if rrset is not None:
-        return DnsResponse(name, Disposition.ANSWERED, rrset)
-    if name in zone:
+    rrset = zone._names.get(name, _ABSENT)
+    if rrset is _ABSENT:
+        return DnsResponse(name, Disposition.NO_SUCH_DOMAIN)
+    if rrset is None:
         return DnsResponse(name, Disposition.NO_RECORD)
-    return DnsResponse(name, Disposition.NO_SUCH_DOMAIN)
+    return DnsResponse(name, Disposition.ANSWERED, rrset)
 
 
 @dataclass(frozen=True)

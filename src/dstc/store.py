@@ -8,7 +8,8 @@ is flagged as a dropping attack instead of silently downgrading.
 
 A domain's slot holds either its policy or its tombstone, and one expiry rule
 covers both: once the slot's validTo has passed, the next read drops it and
-the domain counts as never seen.
+the domain counts as never seen. ``drop_expired`` applies the rule to every
+slot at once, so a save does not write expired lines back.
 
 Persistence format (UTF-8, line oriented):
 
@@ -138,6 +139,11 @@ class PolicyStore(TextFile):
         slot = self._slot(normalize_domain(domain), now)
         return slot if isinstance(slot, StoredPolicy) else None
 
+    def drop_expired(self, now: date) -> None:
+        """Drop every slot whose validTo has passed, so a save sheds them."""
+        for domain in list(self._slots):
+            self._slot(domain, now)
+
     def entries(self) -> tuple[StoredPolicy, ...]:
         return self._sorted(StoredPolicy)
 
@@ -182,8 +188,8 @@ class PolicyStore(TextFile):
                 domain, parse_policy(fields[3]), parse_policy_date(fields[2], "stored_at")
             )
         else:
-            self._slots[domain] = Tombstone(
-                domain,
-                parse_policy_date(fields[2], "valid_from"),
-                parse_policy_date(fields[3], "valid_to"),
-            )
+            valid_from = parse_policy_date(fields[2], "valid_from")
+            valid_to = parse_policy_date(fields[3], "valid_to")
+            if valid_from > valid_to:
+                raise StoreFileError("tombstone valid_from is later than valid_to")
+            self._slots[domain] = Tombstone(domain, valid_from, valid_to)

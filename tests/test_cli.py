@@ -5,6 +5,7 @@ import pytest
 from dstc.cli import main
 from dstc.dnssec import TrustAnchor, TrustAnchorSet, ZoneStore, sign_rrset
 from dstc.policy import PolicyRecord, serialize_policy
+from dstc.store import PolicyStore
 from dstc.survey import generate_corpus, render_corpus
 
 POLICY = PolicyRecord(
@@ -218,6 +219,37 @@ def test_verify_drop_alarm_across_invocations(world, capsys):
     out = capsys.readouterr().out
     assert "mode=Strict reason=DropAlarm" in out
     assert "should be reported to admin@tls12.test" in out
+
+
+EXPIRED_POLICY = PolicyRecord(
+    valid_from=date(2017, 1, 1), valid_to=date(2017, 6, 1), report="admin@old.test"
+)
+
+
+@pytest.mark.parametrize("command", ["verify", "connect-sim"])
+@pytest.mark.parametrize("domain", ["tls12.test", "old.test"])
+def test_saving_the_store_drops_its_expired_lines(world, capsys, command, domain):
+    live = PolicyStore()
+    live.update("tls12.test", POLICY, date(2018, 7, 1))
+    live_line = live.to_text()
+    expired_lines = (
+        f"POLICY old.test 01-01-2017 {serialize_policy(EXPIRED_POLICY)}\n"
+        "TOMBSTONE gone.test 01-01-2017 01-06-2017\n"
+    )
+    extra = ["--profiles", world["profiles"], "--server", "strong"] if command != "verify" else []
+    argv = [
+        command, "--zone", world["zone"], "--anchors", world["anchors"], *extra,
+        "--domain", domain, "--now", "01-07-2018", "--store", world["store"],
+    ]
+    outputs = []
+    for text in (expired_lines + live_line, live_line):
+        with open(world["store"], "w", encoding="utf-8") as fh:
+            fh.write(text)
+        code = main(argv)
+        outputs.append((code, capsys.readouterr().out))
+        with open(world["store"], encoding="utf-8") as fh:
+            assert fh.read() == live_line
+    assert outputs[0] == outputs[1]
 
 
 def test_verify_unreadable_zone_exit_two(world, capsys):

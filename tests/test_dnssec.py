@@ -300,6 +300,86 @@ def test_zone_file_rejects_sig_without_txt():
         ZoneStore.from_text("a.test SIG zsk-1 01-05-2018 01-05-2019 AAAA\n")
 
 
+@pytest.mark.parametrize("order", [
+    lambda txt, sig: txt + [sig],
+    lambda txt, sig: [sig] + txt,
+    lambda txt, sig: txt[:1] + [sig] + txt[1:],
+    lambda txt, sig: ["TLS12.test. NAME -", sig] + txt,
+    lambda txt, sig: txt + [sig, "tls12.test NAME -"],
+], ids=["txt-first", "sig-first", "sig-between", "name-then-sig-first", "name-last"])
+def test_zone_reader_builds_the_same_set_in_any_line_order(zone_keys, rrset, now, order):
+    written = ZoneStore()
+    written.publish(rrset)
+    text = written.to_text()
+    *txt, sig = text.splitlines()
+    zone = ZoneStore.from_text("\n".join(order(txt, sig)) + "\n")
+    loaded = zone.rrset_for("tls12.test")
+    assert loaded == rrset
+    assert verify_rrset(zone_keys.public_key, loaded, now) is VerifyStatus.VALID
+    assert zone.to_text() == text
+
+
+@pytest.mark.parametrize("text, first", [
+    ("b.test SIG zsk-1 01-05-2018 01-05-2019 AAAA\n"
+     "a.test SIG zsk-1 01-05-2018 01-05-2019 AAAA\n", "b.test"),
+    ("a.test SIG zsk-1 01-05-2018 01-05-2019 AAAA\n"
+     "b.test SIG zsk-1 01-05-2018 01-05-2019 AAAA\n", "a.test"),
+    ("c.test SIG zsk-1 01-05-2018 01-05-2019 AAAA\n"
+     "b.test SIG zsk-1 01-05-2018 01-05-2019 AAAA\n"
+     "a.test SIG zsk-1 01-05-2018 01-05-2019 AAAA\n"
+     'c.test TXT "x"\n', "b.test"),
+], ids=["b-then-a", "a-then-b", "first-has-txt-later"])
+def test_sig_without_txt_names_the_first_such_name_in_file_order(text, first):
+    with pytest.raises(ZoneFileError, match=f"^SIG without TXT values for {re.escape(first)}$"):
+        ZoneStore.from_text(text)
+
+
+NAME_ONLY = "tls12.test NAME -\n"
+SIGNED = tuple(sorted(VALUES))
+
+
+@pytest.mark.parametrize("text, change, disposition, values", [
+    (NAME_ONLY, lambda z, r: z.register_name("TLS12.test"), Disposition.NO_RECORD, None),
+    (NAME_ONLY, lambda z, r: z.publish(r), Disposition.ANSWERED, SIGNED),
+    (NAME_ONLY, lambda z, r: z.attacker_drop_rrset("tls12.test"), Disposition.NO_RECORD, None),
+    (NAME_ONLY, lambda z, r: z.attacker_add_txt_value("tls12.test", "forged"),
+     Disposition.ANSWERED, ("forged",)),
+    ("", lambda z, r: z.register_name("TLS12.test"), Disposition.NO_RECORD, None),
+    ("", lambda z, r: z.publish(r), Disposition.ANSWERED, SIGNED),
+    ("", lambda z, r: z.attacker_drop_rrset("tls12.test"), Disposition.NO_SUCH_DOMAIN, None),
+    ("", lambda z, r: z.attacker_add_txt_value("tls12.test", "forged"),
+     Disposition.ANSWERED, ("forged",)),
+], ids=[f"{start}-{op}" for start in ("name-only", "absent") for op in (
+    "register_name", "publish", "attacker_drop_rrset", "attacker_add_txt_value")])
+@pytest.mark.parametrize("reload", [False, True], ids=["in-memory", "round-trip"])
+def test_owner_and_attacker_changes_give_the_slot_disposition(
+    rrset, text, change, disposition, values, reload
+):
+    zone = ZoneStore.from_text(text)
+    change(zone, rrset)
+    if reload:
+        zone = ZoneStore.from_text(zone.to_text())
+    answer = resolve(zone, "tls12.test")
+    assert answer.disposition is disposition
+    assert (answer.rrset and answer.rrset.values) == values
+    assert ("tls12.test" in zone) is (disposition is not Disposition.NO_SUCH_DOMAIN)
+    assert resolve(zone, "other.test").disposition is Disposition.NO_SUCH_DOMAIN
+
+
+@pytest.mark.parametrize("change", [
+    lambda zone: zone.attacker_modify_txt_value("tls12.test", 0, "x"),
+    lambda zone: zone.attacker_delete_txt_value("tls12.test", 0),
+    lambda zone: zone.attacker_tamper_signature("tls12.test"),
+], ids=["modify", "delete", "tamper"])
+@pytest.mark.parametrize("text", ["", NAME_ONLY], ids=["absent", "name-only"])
+def test_rewriting_a_missing_set_raises_key_error_and_changes_nothing(change, text):
+    zone = ZoneStore.from_text(text)
+    before = zone.to_text()
+    with pytest.raises(KeyError):
+        change(zone)
+    assert zone.to_text() == before
+
+
 def test_normalize_domain():
     assert normalize_domain("WWW.Example.COM.") == "www.example.com"
 

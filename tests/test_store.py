@@ -170,6 +170,33 @@ def test_reads_evict_an_expired_entry(now, read):
     assert not store.entries()
 
 
+def test_drop_expired_sheds_expired_slots_and_keeps_every_decision(now):
+    store = PolicyStore()
+    store.update("old.test", replace(EXPIRED, include_sub_domain=True), date(2018, 3, 1))
+    store.update("gone.test", record(date(2018, 3, 1), valid_to=date(2018, 6, 1)),
+                 date(2018, 3, 1))
+    store.update("gone.test", record(date(2018, 4, 1), valid_to=date(2018, 6, 1), revoke=True),
+                 date(2018, 4, 1))
+    store.update("tls12.test", record(), now)
+    live = PolicyStore()
+    live.update("tls12.test", record(), now)
+    assert store.tombstones()
+
+    store.drop_expired(now)
+    assert store.to_text() == live.to_text()
+    for domain in ("old.test", "www.old.test", "gone.test", "tls12.test"):
+        assert store.lookup(domain, now) == live.lookup(domain, now)
+        assert store.observe_absence(domain, now) is live.observe_absence(domain, now)
+        assert store.update(domain, record(), now) is live.update(domain, record(), now)
+
+
+def test_load_rejects_a_tombstone_that_ends_before_it_starts():
+    with pytest.raises(
+        StoreFileError, match="^line 2: tombstone valid_from is later than valid_to$"
+    ):
+        PolicyStore.from_text("# cache\nTOMBSTONE a.test 01-06-2019 01-01-2018\n")
+
+
 def test_lookup_exact_and_subdomain(now):
     store = PolicyStore()
     store.update("example.com", record(include_sub_domain=True), now)
