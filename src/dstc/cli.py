@@ -166,19 +166,18 @@ def cmd_gen(args) -> int:
 
 
 def cmd_sign(args) -> int:
-    if os.path.exists(args.key):
-        keys = ZoneKeyPair.load_private_pem(args.key, args.key_id)
-    elif args.generate_key:
-        keys = ZoneKeyPair.generate(args.key_id)
-        keys.save_private_pem(args.key)
-        print(f"generated key {args.key_id} at {args.key}", file=sys.stderr)
-    else:
+    # Every input is read and checked before anything is written, so a
+    # refused sign leaves no new key behind.
+    parse_policy(args.policy_txt)  # refuse to sign a malformed policy
+    zone = _load_or_new(ZoneStore, args.zone)
+    anchors = _load_or_new(TrustAnchorSet, args.anchors_out)
+    generate = not os.path.exists(args.key)
+    if generate and not args.generate_key:
         print(f"dstc sign: key file {args.key} not found "
               "(pass --generate-key to create it)", file=sys.stderr)
         return USAGE_ERROR
-
-    parse_policy(args.policy_txt)  # refuse to sign a malformed policy
-    zone = _load_or_new(ZoneStore, args.zone)
+    keys = (ZoneKeyPair.generate(args.key_id) if generate
+            else ZoneKeyPair.load_private_pem(args.key, args.key_id))
     rrset = sign_rrset(
         keys,
         args.domain,
@@ -188,12 +187,15 @@ def cmd_sign(args) -> int:
     )
     zone.publish(rrset)
     zone.add_key(keys.key_id, keys.public_der())
+    zone.to_text()  # refuse a value the zone file cannot hold
+    if generate:
+        keys.save_private_pem(args.key)
+        print(f"generated key {args.key_id} at {args.key}", file=sys.stderr)
     zone.save(args.zone)
     print(f"signed {len(rrset.values)} TXT value(s) for {rrset.owner_name} "
           f"into {args.zone}")
 
     if args.anchors_out:
-        anchors = _load_or_new(TrustAnchorSet, args.anchors_out)
         anchors.add(TrustAnchor(rrset.owner_name, keys.key_id, keys.public_der()))
         anchors.save(args.anchors_out)
         print(f"trust anchor for {rrset.owner_name} recorded in {args.anchors_out}")

@@ -28,6 +28,7 @@ record set; it can never verify.
 from __future__ import annotations
 
 import base64
+import os
 import struct
 from dataclasses import dataclass, field, replace
 from datetime import date
@@ -131,13 +132,20 @@ class ZoneKeyPair:
             serialization.PrivateFormat.PKCS8,
             serialization.NoEncryption(),
         )
-        with open(path, "wb") as fh:
+        # Owner-only from the start, and never over an existing file.
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+        with os.fdopen(fd, "wb") as fh:
             fh.write(pem)
 
     @classmethod
     def load_private_pem(cls, path: str, key_id: str) -> "ZoneKeyPair":
         with open(path, "rb") as fh:
-            private = serialization.load_pem_private_key(fh.read(), password=None)
+            pem = fh.read()
+        try:
+            private = serialization.load_pem_private_key(pem, password=None)
+        except (TypeError, UnsupportedAlgorithm) as exc:
+            # TypeError: the key is encrypted and no password is given.
+            raise ZoneFileError(f"{path}: cannot load private key ({exc})") from exc
         if not isinstance(private, rsa.RSAPrivateKey):
             raise ZoneFileError(f"{path}: not an RSA private key")
         if private.key_size < MIN_KEY_BITS:

@@ -118,18 +118,17 @@ def negotiate(
     candidate = min(offered_version, max(server.supported_versions))
     if candidate not in server.supported_versions:
         return Negotiation(False, None, None, "no common version")
-    suite = _pick_suite(server, offered_suites)
-    if suite is None:
-        return Negotiation(False, candidate, None, "no common ciphersuite")
-    return Negotiation(True, candidate, suite)
+    return _select_suite(server, candidate, offered_suites)
 
 
-def _pick_suite(server: ServerProfile, offered_suites) -> str | None:
+def _select_suite(server: ServerProfile, version: TlsVersion, offered_suites) -> Negotiation:
+    """``version`` with the server's first preferred suite the client offered,
+    or a refusal that still reports ``version``."""
     offered = _normalised_offer(tuple(offered_suites))
-    return next(
-        (s for s in server.suite_preference if normalize_suite_name(s) in offered),
-        None,
-    )
+    for suite in server.suite_preference:
+        if normalize_suite_name(suite) in offered:
+            return Negotiation(True, version, suite)
+    return Negotiation(False, version, None, "no common ciphersuite")
 
 
 # A client offers the same few suite tuples on every hello (one per config).
@@ -167,104 +166,89 @@ def run_handshake(
 ) -> HandshakeOutcome:
     """Drive one client-server negotiation under an attacker strategy.
 
-    Lost hellos trigger fallback one version at a time when the config allows
-    it and a bounded same-version retry when it does not. The client accepts
-    a ServerHello only for a version it is currently willing to speak.
+    On the n-th lost hello a fallback client moves to its n-th lower version
+    and is exhausted when none is left; a strict client re-sends its one
+    offer and aborts once the n-th loss exceeds ``STRICT_RETRY_BUDGET``. The
+    hello that gets through is then modified, fragmented or negotiated as is.
+    The client accepts a ServerHello only for a version it is willing to speak.
     """
+    versions = client_cfg.versions
+    drops = attacker.drop_count if attacker.kind is AttackKind.DROP_CLIENT_HELLO else 0
+    suites = len(client_cfg.ciphersuites)
     transcript: list[str] = []
-    version_index = 0
-    drops_seen = 0
-    retries_used = 0
 
     def fail(result, line):
         transcript.append(line)
         return HandshakeOutcome(result, None, None, tuple(transcript))
 
-    while True:
-        offer = client_cfg.versions[version_index]
-        transcript.append(
-            f"client: ClientHello version={offer} suites={len(client_cfg.ciphersuites)}"
-        )
-
-        if (
-            attacker.kind is AttackKind.DROP_CLIENT_HELLO
-            and drops_seen < attacker.drop_count
-        ):
-            drops_seen += 1
-            transcript.append(
-                f"attacker: dropped ClientHello ({drops_seen} of {attacker.drop_count})"
-            )
-            if client_cfg.fallback_enabled:
-                if version_index + 1 < len(client_cfg.versions):
-                    lower = client_cfg.versions[version_index + 1]
-                    transcript.append(f"client: fallback {offer} -> {lower}")
-                    version_index += 1
-                    continue
+    offer = versions[0]
+    transcript.append(f"client: ClientHello version={offer} suites={suites}")
+    for lost in range(1, drops + 1):
+        transcript.append(f"attacker: dropped ClientHello ({lost} of {drops})")
+        if client_cfg.fallback_enabled:
+            if lost == len(versions):
                 return fail(
                     HandshakeResult.EXHAUSTED,
                     "client: no lower version left, giving up",
                 )
-            if retries_used < STRICT_RETRY_BUDGET:
-                retries_used += 1
-                transcript.append(
-                    f"client: retry same version {offer} "
-                    f"({retries_used} of {STRICT_RETRY_BUDGET})"
-                )
-                continue
+            transcript.append(f"client: fallback {offer} -> {versions[lost]}")
+            offer = versions[lost]
+        elif lost > STRICT_RETRY_BUDGET:
             return fail(
                 HandshakeResult.ABORTED_BY_CLIENT,
                 "client: abort (hello lost and fallback disabled)",
             )
-
-        sent_version = offer
-        if attacker.kind is AttackKind.MODIFY_CLIENT_HELLO_VERSION:
-            sent_version = attacker.target_version
-            transcript.append(
-                f"attacker: modified ClientHello version {offer} -> {sent_version}"
-            )
-
-        if attacker.kind is AttackKind.FRAGMENT_CLIENT_HELLO:
-            transcript.append("attacker: fragmented ClientHello")
-            if server.fragmentation_bug:
-                coerced = TlsVersion.TLS10
-                suite = _pick_suite(server, client_cfg.ciphersuites)
-                transcript.append(
-                    f"server: fragmentation bug, negotiating {coerced} regardless of offer"
-                )
-                selection = Negotiation(suite is not None, coerced, suite,
-                                        None if suite else "no common ciphersuite")
-            else:
-                transcript.append("server: reassembled fragmented hello, no effect")
-                selection = negotiate(server, sent_version, client_cfg.ciphersuites)
         else:
-            selection = negotiate(server, sent_version, client_cfg.ciphersuites)
+            transcript.append(
+                f"client: retry same version {offer} ({lost} of {STRICT_RETRY_BUDGET})"
+            )
+        transcript.append(f"client: ClientHello version={offer} suites={suites}")
 
-        if selection.version is None:
-            return fail(
-                HandshakeResult.ABORTED_BY_SERVER,
-                f"server: refuse ({selection.refusal})",
-            )
+    if attacker.kind is AttackKind.MODIFY_CLIENT_HELLO_VERSION:
         transcript.append(
-            f"server: ServerHello version={selection.version} "
-            f"suite={selection.suite or '(none)'}"
+            f"attacker: modified ClientHello version {offer} -> {attacker.target_version}"
         )
-        if selection.version not in client_cfg.versions:
-            return fail(
-                HandshakeResult.ABORTED_BY_CLIENT,
-                f"client: abort (ServerHello version {selection.version} "
-                "outside enforced policy)",
+        offer = attacker.target_version
+
+    if attacker.kind is AttackKind.FRAGMENT_CLIENT_HELLO:
+        transcript.append("attacker: fragmented ClientHello")
+        if server.fragmentation_bug:
+            transcript.append(
+                f"server: fragmentation bug, negotiating {TlsVersion.TLS10} regardless of offer"
             )
-        if selection.suite is None:
-            return fail(
-                HandshakeResult.ABORTED_BY_SERVER,
-                "server: abort (no common ciphersuite)",
-            )
-        transcript.append(
-            f"established: version={selection.version} suite={selection.suite}"
+            selection = _select_suite(server, TlsVersion.TLS10, client_cfg.ciphersuites)
+        else:
+            transcript.append("server: reassembled fragmented hello, no effect")
+            selection = negotiate(server, offer, client_cfg.ciphersuites)
+    else:
+        selection = negotiate(server, offer, client_cfg.ciphersuites)
+
+    if selection.version is None:
+        return fail(
+            HandshakeResult.ABORTED_BY_SERVER,
+            f"server: refuse ({selection.refusal})",
         )
-        return HandshakeOutcome(
-            HandshakeResult.ESTABLISHED,
-            selection.version,
-            selection.suite,
-            tuple(transcript),
+    transcript.append(
+        f"server: ServerHello version={selection.version} "
+        f"suite={selection.suite or '(none)'}"
+    )
+    if selection.version not in versions:
+        return fail(
+            HandshakeResult.ABORTED_BY_CLIENT,
+            f"client: abort (ServerHello version {selection.version} "
+            "outside enforced policy)",
         )
+    if selection.suite is None:
+        return fail(
+            HandshakeResult.ABORTED_BY_SERVER,
+            "server: abort (no common ciphersuite)",
+        )
+    transcript.append(
+        f"established: version={selection.version} suite={selection.suite}"
+    )
+    return HandshakeOutcome(
+        HandshakeResult.ESTABLISHED,
+        selection.version,
+        selection.suite,
+        tuple(transcript),
+    )

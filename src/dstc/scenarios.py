@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from datetime import date
 from functools import partial
 
-from . import enforcement
 from .dnssec import (
     ZoneKeyPair,
     ZoneStore,
@@ -87,6 +86,12 @@ EXPECT_TOKENS = {
         )
     ),
     "exhausted": Expectation(frozenset({HandshakeResult.EXHAUSTED})),
+}
+
+# A scenario's CLIENT token names the decision its client acts on.
+CLIENT_TOKENS = {
+    "strict": PolicyDecision(Mode.STRICT, Reason.OK),
+    "default": PolicyDecision(Mode.DEFAULT, Reason.NO_RECORD),
 }
 
 
@@ -185,7 +190,7 @@ def _parse_scenario(fields: list[str]) -> Scenario:
         raise ScenarioFileError(
             "SCENARIO needs CLIENT, SERVER, ATTACK and EXPECT sections"
         )
-    if fields[3] not in ("strict", "default"):
+    if fields[3] not in CLIENT_TOKENS:
         raise ScenarioFileError(f"client policy must be strict or default, got {fields[3]!r}")
     if fields[9] not in EXPECT_TOKENS:
         raise ScenarioFileError(f"unknown expectation {fields[9]!r}")
@@ -196,13 +201,6 @@ def _parse_scenario(fields: list[str]) -> Scenario:
         attack=AttackerStrategy.parse(fields[7]),
         expect=EXPECT_TOKENS[fields[9]],
     )
-
-
-def client_config(policy: str) -> enforcement.EffectiveTlsConfig:
-    caps = DEFAULT_CLIENT
-    if policy == "strict":
-        return apply(PolicyDecision(Mode.STRICT, Reason.OK), caps)
-    return apply(PolicyDecision(Mode.DEFAULT, Reason.NO_RECORD), caps)
 
 
 def run_scenario_suite(
@@ -218,7 +216,7 @@ def run_scenario_suite(
                 f"scenario {scenario.name!r} references unknown profile {scenario.server!r}"
             )
         outcome = run_handshake(
-            client_config(scenario.client_policy),
+            apply(CLIENT_TOKENS[scenario.client_policy], DEFAULT_CLIENT),
             profiles[scenario.server],
             scenario.attack,
         )
@@ -379,6 +377,28 @@ def run_downgrade_suite(name: str, keys: ZoneKeyPair | None = None) -> SuiteRepo
     return SuiteReport(name, tuple(rows))
 
 
+# Record edits made without the zone key: (row name, edited name, transcript
+# line, edit). Each edit runs on a freshly signed zone, and verifying the
+# edited name must then report an invalid signature.
+_FORGERIES = (
+    ("add-unregistered-policy", "victim.test",
+     "attacker: injected unsigned policy record",
+     lambda zone, name: zone.attacker_add_txt_value(
+         name, serialize_policy(fixture_policy(report="mallory@evil.test"))
+     )),
+    ("modify-signed-record", "tls12.test",
+     "attacker: rewrote validTo inside the signed record",
+     lambda zone, name: zone.attacker_modify_txt_value(
+         name,
+         0,
+         zone.rrset_for(name).values[0].replace("validTo=01-05-2019", "validTo=01-05-2018"),
+     )),
+    ("delete-from-signed-set", "multi.test",
+     "attacker: removed one value from the signed set",
+     lambda zone, name: zone.attacker_delete_txt_value(name, 1)),
+)
+
+
 def run_forgery(keys: ZoneKeyPair | None = None) -> SuiteReport:
     """Record-forgery matrix: each manipulation and the defence that stops it."""
     keys = keys or ZoneKeyPair.generate("zsk-1")
@@ -388,51 +408,19 @@ def run_forgery(keys: ZoneKeyPair | None = None) -> SuiteReport:
     def row(name, expected, actual, transcript):
         rows.append(ScenarioRow(name, expected, actual, actual == expected, tuple(transcript)))
 
-    # add: inject a policy for a domain that never registered one.
-    fixture = build_fixture({}, keys=keys)
-    fixture.zone.attacker_add_txt_value(
-        "victim.test", serialize_policy(fixture_policy(report="mallory@evil.test"))
-    )
-    status = verify_rrset(keys.public_key, fixture.zone.rrset_for("victim.test"), now)
-    row(
-        "add-unregistered-policy",
-        VerifyStatus.INVALID_SIGNATURE.value,
-        status.value,
-        ["attacker: injected unsigned policy record", f"verify: {status.value}"],
-    )
-
-    # modify: change a directive inside a signed record.
-    fixture = build_fixture({"tls12.test": fixture_policy()}, keys=keys)
-    original = fixture.zone.rrset_for("tls12.test").values[0]
-    fixture.zone.attacker_modify_txt_value(
-        "tls12.test", 0, original.replace("validTo=01-05-2019", "validTo=01-05-2018")
-    )
-    status = verify_rrset(keys.public_key, fixture.zone.rrset_for("tls12.test"), now)
-    row(
-        "modify-signed-record",
-        VerifyStatus.INVALID_SIGNATURE.value,
-        status.value,
-        ["attacker: rewrote validTo inside the signed record", f"verify: {status.value}"],
-    )
-
-    # delete: strip one value out of a signed multi-value set.
-    zone = ZoneStore()
-    zone.publish(
-        sign_rrset(
-            keys,
-            "multi.test",
-            [serialize_policy(fixture_policy()), "v=spf1 -all"],
-            *SIGNATURE_DAYS,
+    policy = serialize_policy(fixture_policy())
+    for row_name, name, line, edit in _FORGERIES:
+        zone = ZoneStore()
+        zone.publish(sign_rrset(keys, "tls12.test", [policy], *SIGNATURE_DAYS))
+        zone.publish(sign_rrset(keys, "multi.test", [policy, "v=spf1 -all"], *SIGNATURE_DAYS))
+        edit(zone, name)
+        status = verify_rrset(keys.public_key, zone.rrset_for(name), now)
+        row(
+            row_name,
+            VerifyStatus.INVALID_SIGNATURE.value,
+            status.value,
+            [line, f"verify: {status.value}"],
         )
-    )
-    zone.attacker_delete_txt_value("multi.test", 1)
-    status = verify_rrset(keys.public_key, zone.rrset_for("multi.test"), now)
-    row(
-        "delete-from-signed-set",
-        VerifyStatus.INVALID_SIGNATURE.value,
-        status.value,
-        ["attacker: removed one value from the signed set", f"verify: {status.value}"],
-    )
 
     # replay-stale: replay an older, correctly signed policy.
     store = PolicyStore()

@@ -1,6 +1,9 @@
+import os
+import stat
 from datetime import date
 
 import pytest
+from cryptography.hazmat.primitives import serialization
 
 from dstc.cli import main
 from dstc.dnssec import TrustAnchor, TrustAnchorSet, ZoneStore, sign_rrset
@@ -170,6 +173,53 @@ def test_sign_refused_render_keeps_zone_file(tmp_path, extra):
     before = zone.read_bytes()
     assert main(sign + ["--extra-txt", extra]) == 2
     assert zone.read_bytes() == before
+
+
+def _sign_args(tmp_path, *extra, policy=serialize_policy(POLICY)):
+    return [
+        "sign", "--zone", str(tmp_path / "z.zone"), "--domain", "tls12.test",
+        "--policy-txt", policy, "--key", str(tmp_path / "k.pem"),
+        "--inception", "01-05-2018", "--expiration", "01-05-2019", *extra,
+    ]
+
+
+def test_generated_key_is_owner_only(tmp_path):
+    old = os.umask(0o022)
+    try:
+        assert main(_sign_args(tmp_path, "--generate-key")) == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "k.pem").stat().st_mode) == 0o600
+
+
+@pytest.mark.parametrize("policy, extra, files", [
+    ("name=DSTC; junk", (), {}),
+    (serialize_policy(POLICY), (), {"z.zone": "tls12.test BOGUS x\n"}),
+    (serialize_policy(POLICY), ("--anchors-out", "a.txt"), {"a.txt": "garbage\n"}),
+    (serialize_policy(POLICY), ("--extra-txt", 'say "hi"'), {}),
+], ids=["malformed-policy", "corrupt-zone", "corrupt-anchors", "unwritable-value"])
+def test_refused_sign_leaves_no_new_key(tmp_path, capsys, policy, extra, files):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    extra = [str(tmp_path / arg) if arg in files else arg for arg in extra]
+    code = main(_sign_args(tmp_path, "--generate-key", *extra, policy=policy))
+    assert code == 2
+    assert not (tmp_path / "k.pem").exists()
+    assert "generated key" not in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(files)
+
+
+def test_encrypted_key_is_a_usage_error(tmp_path, capsys, zone_keys):
+    (tmp_path / "k.pem").write_bytes(zone_keys.private_key.private_bytes(
+        serialization.Encoding.PEM,
+        serialization.PrivateFormat.PKCS8,
+        serialization.BestAvailableEncryption(b"secret"),
+    ))
+    assert main(_sign_args(tmp_path)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("dstc sign: ")
+    assert str(tmp_path / "k.pem") in err[0]
+    assert not (tmp_path / "z.zone").exists()
 
 
 def test_verify_strict_ok_exit_zero(world, capsys):

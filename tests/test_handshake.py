@@ -226,6 +226,166 @@ def test_attacker_actions_always_in_transcript():
         assert any(token in e for e in outcome.transcript)
 
 
+# -- golden transcripts ------------------------------------------------------
+# Whole transcripts for the lost-hello walk (fallback, Exhausted, strict retry
+# and abort), the fragmentation bug and a modified hello, so a rewrite of the
+# simulator has to keep every line, not only the result.
+
+GOLDEN_SERVERS = {
+    "wide": server(ALL_VERSIONS),
+    "wide-buggy": server(ALL_VERSIONS, fragbug=True),
+    "buggy-no-common-suite": server(ALL_VERSIONS, suites=("SEED-SHA",), fragbug=True),
+    "buggy-tls12-only": server({TlsVersion.TLS12}, fragbug=True),
+}
+GOLDEN_CONFIGS = {"strict": STRICT_CFG, "default": DEFAULT_CFG}
+GCM = "ECDHE-RSA-AES128-GCM-SHA256"
+
+GOLDEN = [
+    ("default", "wide", "drop:1", HandshakeResult.ESTABLISHED, TlsVersion.TLS11, GCM, (
+        "client: ClientHello version=TLS1.2 suites=14",
+        "attacker: dropped ClientHello (1 of 1)",
+        "client: fallback TLS1.2 -> TLS1.1",
+        "client: ClientHello version=TLS1.1 suites=14",
+        "server: ServerHello version=TLS1.1 suite=ECDHE-RSA-AES128-GCM-SHA256",
+        "established: version=TLS1.1 suite=ECDHE-RSA-AES128-GCM-SHA256",
+    )),
+    ("default", "wide", "drop:2", HandshakeResult.ESTABLISHED, TlsVersion.TLS10, GCM, (
+        "client: ClientHello version=TLS1.2 suites=14",
+        "attacker: dropped ClientHello (1 of 2)",
+        "client: fallback TLS1.2 -> TLS1.1",
+        "client: ClientHello version=TLS1.1 suites=14",
+        "attacker: dropped ClientHello (2 of 2)",
+        "client: fallback TLS1.1 -> TLS1.0",
+        "client: ClientHello version=TLS1.0 suites=14",
+        "server: ServerHello version=TLS1.0 suite=ECDHE-RSA-AES128-GCM-SHA256",
+        "established: version=TLS1.0 suite=ECDHE-RSA-AES128-GCM-SHA256",
+    )),
+    ("default", "wide", "drop:3", HandshakeResult.EXHAUSTED, None, None, (
+        "client: ClientHello version=TLS1.2 suites=14",
+        "attacker: dropped ClientHello (1 of 3)",
+        "client: fallback TLS1.2 -> TLS1.1",
+        "client: ClientHello version=TLS1.1 suites=14",
+        "attacker: dropped ClientHello (2 of 3)",
+        "client: fallback TLS1.1 -> TLS1.0",
+        "client: ClientHello version=TLS1.0 suites=14",
+        "attacker: dropped ClientHello (3 of 3)",
+        "client: no lower version left, giving up",
+    )),
+    ("default", "wide", "drop:4", HandshakeResult.EXHAUSTED, None, None, (
+        "client: ClientHello version=TLS1.2 suites=14",
+        "attacker: dropped ClientHello (1 of 4)",
+        "client: fallback TLS1.2 -> TLS1.1",
+        "client: ClientHello version=TLS1.1 suites=14",
+        "attacker: dropped ClientHello (2 of 4)",
+        "client: fallback TLS1.1 -> TLS1.0",
+        "client: ClientHello version=TLS1.0 suites=14",
+        "attacker: dropped ClientHello (3 of 4)",
+        "client: no lower version left, giving up",
+    )),
+    ("strict", "wide", "drop:1", HandshakeResult.ESTABLISHED, TlsVersion.TLS12, GCM, (
+        "client: ClientHello version=TLS1.2 suites=6",
+        "attacker: dropped ClientHello (1 of 1)",
+        "client: retry same version TLS1.2 (1 of 1)",
+        "client: ClientHello version=TLS1.2 suites=6",
+        "server: ServerHello version=TLS1.2 suite=ECDHE-RSA-AES128-GCM-SHA256",
+        "established: version=TLS1.2 suite=ECDHE-RSA-AES128-GCM-SHA256",
+    )),
+    ("strict", "wide", "drop:2", HandshakeResult.ABORTED_BY_CLIENT, None, None, (
+        "client: ClientHello version=TLS1.2 suites=6",
+        "attacker: dropped ClientHello (1 of 2)",
+        "client: retry same version TLS1.2 (1 of 1)",
+        "client: ClientHello version=TLS1.2 suites=6",
+        "attacker: dropped ClientHello (2 of 2)",
+        "client: abort (hello lost and fallback disabled)",
+    )),
+    ("strict", "wide", "drop:3", HandshakeResult.ABORTED_BY_CLIENT, None, None, (
+        "client: ClientHello version=TLS1.2 suites=6",
+        "attacker: dropped ClientHello (1 of 3)",
+        "client: retry same version TLS1.2 (1 of 1)",
+        "client: ClientHello version=TLS1.2 suites=6",
+        "attacker: dropped ClientHello (2 of 3)",
+        "client: abort (hello lost and fallback disabled)",
+    )),
+    ("strict", "wide-buggy", "fragment", HandshakeResult.ABORTED_BY_CLIENT, None, None, (
+        "client: ClientHello version=TLS1.2 suites=6",
+        "attacker: fragmented ClientHello",
+        "server: fragmentation bug, negotiating TLS1.0 regardless of offer",
+        "server: ServerHello version=TLS1.0 suite=ECDHE-RSA-AES128-GCM-SHA256",
+        "client: abort (ServerHello version TLS1.0 outside enforced policy)",
+    )),
+    ("strict", "wide", "fragment", HandshakeResult.ESTABLISHED, TlsVersion.TLS12, GCM, (
+        "client: ClientHello version=TLS1.2 suites=6",
+        "attacker: fragmented ClientHello",
+        "server: reassembled fragmented hello, no effect",
+        "server: ServerHello version=TLS1.2 suite=ECDHE-RSA-AES128-GCM-SHA256",
+        "established: version=TLS1.2 suite=ECDHE-RSA-AES128-GCM-SHA256",
+    )),
+    ("strict", "buggy-no-common-suite", "fragment", HandshakeResult.ABORTED_BY_CLIENT,
+     None, None, (
+        "client: ClientHello version=TLS1.2 suites=6",
+        "attacker: fragmented ClientHello",
+        "server: fragmentation bug, negotiating TLS1.0 regardless of offer",
+        "server: ServerHello version=TLS1.0 suite=(none)",
+        "client: abort (ServerHello version TLS1.0 outside enforced policy)",
+    )),
+    ("default", "wide-buggy", "fragment", HandshakeResult.ESTABLISHED, TlsVersion.TLS10, GCM, (
+        "client: ClientHello version=TLS1.2 suites=14",
+        "attacker: fragmented ClientHello",
+        "server: fragmentation bug, negotiating TLS1.0 regardless of offer",
+        "server: ServerHello version=TLS1.0 suite=ECDHE-RSA-AES128-GCM-SHA256",
+        "established: version=TLS1.0 suite=ECDHE-RSA-AES128-GCM-SHA256",
+    )),
+    ("default", "wide", "fragment", HandshakeResult.ESTABLISHED, TlsVersion.TLS12, GCM, (
+        "client: ClientHello version=TLS1.2 suites=14",
+        "attacker: fragmented ClientHello",
+        "server: reassembled fragmented hello, no effect",
+        "server: ServerHello version=TLS1.2 suite=ECDHE-RSA-AES128-GCM-SHA256",
+        "established: version=TLS1.2 suite=ECDHE-RSA-AES128-GCM-SHA256",
+    )),
+    ("default", "buggy-no-common-suite", "fragment", HandshakeResult.ABORTED_BY_SERVER,
+     None, None, (
+        "client: ClientHello version=TLS1.2 suites=14",
+        "attacker: fragmented ClientHello",
+        "server: fragmentation bug, negotiating TLS1.0 regardless of offer",
+        "server: ServerHello version=TLS1.0 suite=(none)",
+        "server: abort (no common ciphersuite)",
+    )),
+    # the bug negotiates TLS 1.0 even where the server has no TLS 1.0 support
+    ("default", "buggy-tls12-only", "fragment", HandshakeResult.ESTABLISHED, TlsVersion.TLS10,
+     GCM, (
+        "client: ClientHello version=TLS1.2 suites=14",
+        "attacker: fragmented ClientHello",
+        "server: fragmentation bug, negotiating TLS1.0 regardless of offer",
+        "server: ServerHello version=TLS1.0 suite=ECDHE-RSA-AES128-GCM-SHA256",
+        "established: version=TLS1.0 suite=ECDHE-RSA-AES128-GCM-SHA256",
+    )),
+    ("default", "wide", "modver:1.0", HandshakeResult.ESTABLISHED, TlsVersion.TLS10, GCM, (
+        "client: ClientHello version=TLS1.2 suites=14",
+        "attacker: modified ClientHello version TLS1.2 -> TLS1.0",
+        "server: ServerHello version=TLS1.0 suite=ECDHE-RSA-AES128-GCM-SHA256",
+        "established: version=TLS1.0 suite=ECDHE-RSA-AES128-GCM-SHA256",
+    )),
+    ("strict", "wide", "modver:1.0", HandshakeResult.ABORTED_BY_CLIENT, None, None, (
+        "client: ClientHello version=TLS1.2 suites=6",
+        "attacker: modified ClientHello version TLS1.2 -> TLS1.0",
+        "server: ServerHello version=TLS1.0 suite=ECDHE-RSA-AES128-GCM-SHA256",
+        "client: abort (ServerHello version TLS1.0 outside enforced policy)",
+    )),
+]
+
+
+@pytest.mark.parametrize(
+    "config, profile, attack, result, version, suite, transcript",
+    GOLDEN,
+    ids=[f"{c}-{a}-{p}" for c, p, a, *_ in GOLDEN],
+)
+def test_golden_transcript(config, profile, attack, result, version, suite, transcript):
+    outcome = run_handshake(
+        GOLDEN_CONFIGS[config], GOLDEN_SERVERS[profile], AttackerStrategy.parse(attack)
+    )
+    assert outcome == HandshakeOutcome(result, version, suite, transcript)
+
+
 STRATEGY_CATALOGUE = [
     NO_ATTACK,
     AttackerStrategy.parse("drop:1"),

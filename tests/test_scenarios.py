@@ -151,6 +151,51 @@ def test_builtin_forgery(zone_keys):
     assert {row.name: row.actual for row in report.rows} == expected
 
 
+FORGERY_GOLDEN = [
+    ("add-unregistered-policy", "InvalidSignature", "InvalidSignature", (
+        "attacker: injected unsigned policy record",
+        "verify: InvalidSignature",
+    )),
+    ("modify-signed-record", "InvalidSignature", "InvalidSignature", (
+        "attacker: rewrote validTo inside the signed record",
+        "verify: InvalidSignature",
+    )),
+    ("delete-from-signed-set", "InvalidSignature", "InvalidSignature", (
+        "attacker: removed one value from the signed set",
+        "verify: InvalidSignature",
+    )),
+    ("replay-stale-policy", "RejectedStale", "RejectedStale", (
+        "attacker: replayed an older signed policy",
+        "store: RejectedStale",
+    )),
+    ("replay-revoked-policy", "RejectedStale", "RejectedStale", (
+        "owner: revocation applied (RevokedDeleted)",
+        "attacker: replayed the revoked policy",
+        "store: RejectedStale (tombstone)",
+    )),
+    ("drop-after-first-connection", "Strict/DropAlarm", "Strict/DropAlarm", (
+        "first connection: Strict/OK",
+        "attacker: suppressed the record set",
+        "second connection: Strict/DropAlarm",
+    )),
+]
+
+
+@pytest.mark.parametrize(
+    "index, name, expected, actual, transcript",
+    [(i, *row) for i, row in enumerate(FORGERY_GOLDEN)],
+    ids=[row[0] for row in FORGERY_GOLDEN],
+)
+def test_forgery_row_golden(zone_keys, index, name, expected, actual, transcript):
+    rows = run_builtin_suite("forgery", keys=zone_keys).rows
+    assert len(rows) == len(FORGERY_GOLDEN)
+    row = rows[index]
+    assert (row.name, row.expected, row.actual, row.transcript) == (
+        name, expected, actual, transcript,
+    )
+    assert row.passed and row.decision is None
+
+
 def test_unknown_builtin_suite():
     with pytest.raises(UnknownScenarioReference):
         run_builtin_suite("nonesuch")
