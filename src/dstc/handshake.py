@@ -174,7 +174,7 @@ def run_handshake(
     """
     versions = client_cfg.versions
     drops = attacker.drop_count if attacker.kind is AttackKind.DROP_CLIENT_HELLO else 0
-    suites = len(client_cfg.ciphersuites)
+    suite_count = len(client_cfg.ciphersuites)
     transcript: list[str] = []
 
     def fail(result, line):
@@ -182,7 +182,7 @@ def run_handshake(
         return HandshakeOutcome(result, None, None, tuple(transcript))
 
     offer = versions[0]
-    transcript.append(f"client: ClientHello version={offer} suites={suites}")
+    transcript.append(f"client: ClientHello version={offer} suites={suite_count}")
     for lost in range(1, drops + 1):
         transcript.append(f"attacker: dropped ClientHello ({lost} of {drops})")
         if client_cfg.fallback_enabled:
@@ -202,7 +202,7 @@ def run_handshake(
             transcript.append(
                 f"client: retry same version {offer} ({lost} of {STRICT_RETRY_BUDGET})"
             )
-        transcript.append(f"client: ClientHello version={offer} suites={suites}")
+        transcript.append(f"client: ClientHello version={offer} suites={suite_count}")
 
     if attacker.kind is AttackKind.MODIFY_CLIENT_HELLO_VERSION:
         transcript.append(
