@@ -1,9 +1,15 @@
+import importlib.util
+import re
+import sys
+from dataclasses import astuple
 from datetime import date
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dstc.policy import (
+    _CANONICAL_RE,
     DuplicateDirective,
     BadFlag,
     MalformedDate,
@@ -218,3 +224,123 @@ def test_rejection_totality(text):
     except (NotDstc, MalformedPolicy):
         return
     assert isinstance(record, PolicyRecord)
+
+
+# -- the canonical fast path --------------------------------------------------
+
+
+def _load_reference():
+    path = Path(__file__).with_name("reference_policy.py")
+    spec = importlib.util.spec_from_file_location("reference_policy", path)
+    module = importlib.util.module_from_spec(spec)
+    # @dataclass looks the class's module up in sys.modules.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+reference = _load_reference()
+
+
+def _outcome(parse, text):
+    """What *parse* makes of *text*: the record's fields, or the exception's
+    class name and message (the reference raises its own classes)."""
+    try:
+        return "record", astuple(parse(text))
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+# Edits that reach the fast path's edges: date and flag digits, separators,
+# whitespace the general parser strips (ASCII, U+001C and U+00A0) and a
+# non-ASCII digit (U+0660).
+_EDIT_CHARS = "0123456789-;= @\n\u0660a\u00a0\x1c"
+_VALUE = re.compile(r"=([^;]*)")
+
+
+@st.composite
+def edited_canonical_texts(draw):
+    """A serialised record with 1-3 single-character inserts, replacements
+    or deletions in or at the ends of its directive values.
+
+    Only text the canonical pattern accepts can part the two parsers, and
+    value edits probe where it stops accepting; an edited key sends the text
+    to the general parser, which the any-text property covers.
+    """
+    text = serialize_policy(draw(policy_records()))
+    for _ in range(draw(st.integers(1, 3))):
+        start, end = draw(st.sampled_from([m.span(1) for m in _VALUE.finditer(text)]))
+        i = draw(st.integers(start, end))
+        edit = draw(st.sampled_from(("insert", "replace", "delete")))
+        char = "" if edit == "delete" else draw(st.sampled_from(_EDIT_CHARS))
+        text = text[:i] + char + text[i + (edit != "insert"):]
+    return text
+
+
+@settings(max_examples=200)
+@given(edited_canonical_texts())
+# A fast path reading the report as \S* gave MalformedReport here, where the
+# general parser sees a ".com" segment: UnknownDirective.
+@example(CANONICAL.replace("report=admin@tls12.com", "report=admin@tls1;.com"))
+# A report class with ASCII-only \s kept the U+00A0 the general parser strips.
+@example(CANONICAL + "\u00a0")
+def test_edited_canonical_text_parses_as_the_general_parser_does(text):
+    assert _outcome(parse_policy, text) == _outcome(reference.parse_policy, text)
+
+
+def _single_edits(text):
+    for i in range(len(text) + 1):
+        yield text[:i] + text[i + 1:]
+        for char in _EDIT_CHARS:
+            yield text[:i] + char + text[i:]
+            yield text[:i] + char + text[i + 1:]
+
+
+@pytest.mark.parametrize("text", [
+    CANONICAL,
+    serialize_policy(PolicyRecord(valid_from=date(2020, 2, 29), valid_to=date(2020, 12, 31),
+                                  report="x@y", include_sub_domain=True, revoke=True)),
+], ids=["canonical", "leap-day-flags-set"])
+def test_every_single_edit_parses_as_the_general_parser_does(text):
+    # Every insert, replacement and deletion of one _EDIT_CHARS character,
+    # so an edge of the canonical pattern cannot hide from a lucky seed.
+    parted = [edited for edited in _single_edits(text)
+              if _outcome(parse_policy, edited) != _outcome(reference.parse_policy, edited)]
+    assert parted == []
+
+
+@given(st.text(max_size=200))
+def test_any_text_parses_as_the_general_parser_does(text):
+    assert _outcome(parse_policy, text) == _outcome(reference.parse_policy, text)
+
+
+@given(policy_records())
+def test_serialized_records_take_the_canonical_fast_path(record):
+    # A writer change that leaves the canonical form would silently send
+    # every cache line to the general parser.
+    assert _CANONICAL_RE.fullmatch(serialize_policy(record))
+
+
+@pytest.mark.parametrize("old, new, error, canonical", [
+    ("validFrom=01-05-2018", "validFrom=31-02-2018", MalformedDate, True),
+    ("validTo=01-05-2019", "validTo=29-02-2019", MalformedDate, True),
+    ("validTo=01-05-2019", "validTo=30-04-2018", MalformedDate, True),
+    ("report=admin@tls12.com", "report=two@at@signs", MalformedReport, False),
+], ids=["no-31-february", "no-29-february-2019", "dates-out-of-order", "two-at-signs"])
+def test_canonical_shaped_defects_raise_as_the_general_parser_does(old, new, error, canonical):
+    text = CANONICAL.replace(old, new)
+    assert bool(_CANONICAL_RE.fullmatch(text)) is canonical
+    with pytest.raises(error) as info:
+        parse_policy(text)
+    assert (type(info.value).__name__, str(info.value)) == _outcome(reference.parse_policy, text)
+
+
+@pytest.mark.parametrize("value", [2, 1, 0, "1", None])
+@pytest.mark.parametrize("flag, directive", [
+    ("include_sub_domain", "includeSubDomain"), ("revoke", "revoke"),
+])
+def test_direct_construction_refuses_non_bool_flags(flag, directive, value):
+    with pytest.raises(BadFlag) as info:
+        PolicyRecord(valid_from=date(2018, 5, 1), valid_to=date(2019, 5, 1),
+                     report="a@b.c", **{flag: value})
+    assert str(info.value) == f"{directive} must be 0 or 1, got {value!r}"
