@@ -46,7 +46,6 @@ from .handshake import (
     HandshakeOutcome,
     HandshakeResult,
     ServerProfile,
-    negotiate,
     run_handshake,
 )
 

@@ -304,9 +304,6 @@ def cmd_survey(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.iterations < 1:
-        print("dstc bench: --iterations must be at least 1", file=sys.stderr)
-        return USAGE_ERROR
     if bool(args.zone) != bool(args.anchors):
         print("dstc bench: --zone and --anchors go together", file=sys.stderr)
         return USAGE_ERROR

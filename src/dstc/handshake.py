@@ -67,13 +67,14 @@ class AttackerStrategy:
 
     @classmethod
     def parse(cls, token: str) -> "AttackerStrategy":
-        """Parse ``none``, ``drop:N``, ``fragment``, or ``modver:V``."""
-        head, _, arg = token.strip().lower().partition(":")
-        if head == "none":
+        """Parse ``none``, ``drop:N``, ``fragment``, or ``modver:V``; ``none``
+        and ``fragment`` take no argument."""
+        head, colon, arg = token.strip().lower().partition(":")
+        if head == "none" and not colon:
             return NO_ATTACK
         if head == "drop":
             return cls(AttackKind.DROP_CLIENT_HELLO, drop_count=int(arg))
-        if head == "fragment":
+        if head == "fragment" and not colon:
             return cls(AttackKind.FRAGMENT_CLIENT_HELLO)
         if head == "modver":
             return cls(
@@ -93,42 +94,14 @@ class AttackerStrategy:
 NO_ATTACK = AttackerStrategy(AttackKind.NONE)
 
 
-@dataclass(frozen=True)
-class Negotiation:
-    """Server-side selection outcome for one hello."""
-
-    ok: bool
-    version: TlsVersion | None
-    suite: str | None
-    refusal: str | None = None
-
-
-def negotiate(
-    server: ServerProfile,
-    offered_version: TlsVersion,
-    offered_suites: tuple[str, ...] | list[str],
-) -> Negotiation:
-    """Select version and suite for a single-version hello offer.
-
-    The server takes min(offer, its maximum) and must support that exact
-    version; the suite is its first preference the client offered. Either
-    miss is a refusal, though a suite refusal still reports the version the
-    server would have picked.
-    """
-    candidate = min(offered_version, max(server.supported_versions))
-    if candidate not in server.supported_versions:
-        return Negotiation(False, None, None, "no common version")
-    return _select_suite(server, candidate, offered_suites)
-
-
-def _select_suite(server: ServerProfile, version: TlsVersion, offered_suites) -> Negotiation:
-    """``version`` with the server's first preferred suite the client offered,
-    or a refusal that still reports ``version``."""
+def _first_common_suite(server: ServerProfile, offered_suites) -> str | None:
+    """The server's first preferred suite the client offered, names compared
+    after normalisation, or None."""
     offered = _normalised_offer(tuple(offered_suites))
     for suite in server.suite_preference:
         if normalize_suite_name(suite) in offered:
-            return Negotiation(True, version, suite)
-    return Negotiation(False, version, None, "no common ciphersuite")
+            return suite
+    return None
 
 
 # A client offers the same few suite tuples on every hello (one per config).
@@ -210,45 +183,29 @@ def run_handshake(
         )
         offer = attacker.target_version
 
-    if attacker.kind is AttackKind.FRAGMENT_CLIENT_HELLO:
+    fragmented = attacker.kind is AttackKind.FRAGMENT_CLIENT_HELLO
+    forced = fragmented and server.fragmentation_bug
+    if fragmented:
         transcript.append("attacker: fragmented ClientHello")
-        if server.fragmentation_bug:
-            transcript.append(
-                f"server: fragmentation bug, negotiating {TlsVersion.TLS10} regardless of offer"
-            )
-            selection = _select_suite(server, TlsVersion.TLS10, client_cfg.ciphersuites)
-        else:
-            transcript.append("server: reassembled fragmented hello, no effect")
-            selection = negotiate(server, offer, client_cfg.ciphersuites)
-    else:
-        selection = negotiate(server, offer, client_cfg.ciphersuites)
-
-    if selection.version is None:
-        return fail(
-            HandshakeResult.ABORTED_BY_SERVER,
-            f"server: refuse ({selection.refusal})",
+        transcript.append(
+            f"server: fragmentation bug, negotiating {TlsVersion.TLS10} regardless of offer"
+            if forced else "server: reassembled fragmented hello, no effect"
         )
-    transcript.append(
-        f"server: ServerHello version={selection.version} "
-        f"suite={selection.suite or '(none)'}"
-    )
-    if selection.version not in versions:
+    # The bug answers TLS 1.0 even on a server that does not support it.
+    version = TlsVersion.TLS10 if forced else min(offer, max(server.supported_versions))
+    if not forced and version not in server.supported_versions:
+        return fail(HandshakeResult.ABORTED_BY_SERVER, "server: refuse (no common version)")
+    suite = _first_common_suite(server, client_cfg.ciphersuites)
+    transcript.append(f"server: ServerHello version={version} suite={suite or '(none)'}")
+    if version not in versions:
         return fail(
             HandshakeResult.ABORTED_BY_CLIENT,
-            f"client: abort (ServerHello version {selection.version} "
-            "outside enforced policy)",
+            f"client: abort (ServerHello version {version} outside enforced policy)",
         )
-    if selection.suite is None:
+    if suite is None:
         return fail(
             HandshakeResult.ABORTED_BY_SERVER,
             "server: abort (no common ciphersuite)",
         )
-    transcript.append(
-        f"established: version={selection.version} suite={selection.suite}"
-    )
-    return HandshakeOutcome(
-        HandshakeResult.ESTABLISHED,
-        selection.version,
-        selection.suite,
-        tuple(transcript),
-    )
+    transcript.append(f"established: version={version} suite={suite}")
+    return HandshakeOutcome(HandshakeResult.ESTABLISHED, version, suite, tuple(transcript))

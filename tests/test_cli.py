@@ -371,6 +371,16 @@ def test_connect_sim_attack_aborts(world, capsys):
     assert "outcome: AbortedByClient" in out
 
 
+def test_connect_sim_refuses_an_attack_argument_it_would_drop(world, capsys):
+    code = main([
+        "connect-sim", "--zone", world["zone"], "--anchors", world["anchors"],
+        "--domain", "tls12.test", "--profiles", world["profiles"],
+        "--server", "strong", "--attack", "fragment:x", "--now", "01-07-2018",
+    ])
+    assert code == 2
+    assert "fragment:x" in capsys.readouterr().err
+
+
 def test_connect_sim_unknown_profile(world):
     code = main([
         "connect-sim", "--zone", world["zone"], "--anchors", world["anchors"],

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from dstc.enforcement import (
     DEFAULT_CLIENT,
+    EffectiveTlsConfig,
     Mode,
     PolicyDecision,
     Reason,
@@ -20,7 +21,6 @@ from dstc.handshake import (
     HandshakeResult,
     NO_ATTACK,
     ServerProfile,
-    negotiate,
     run_handshake,
 )
 
@@ -39,55 +39,56 @@ def server(versions, suites=STRONG + WEAK, fragbug=False, name="srv.test"):
     return ServerProfile(name, frozenset(versions), suites, fragbug)
 
 
-# -- negotiate ---------------------------------------------------------------
+# -- the server's answer -----------------------------------------------------
 
-def test_negotiate_selects_offered_version():
+def test_server_selects_offered_version():
     s = server({TlsVersion.TLS10, TlsVersion.TLS11, TlsVersion.TLS12})
-    selection = negotiate(s, TlsVersion.TLS12, DEFAULT_CFG.ciphersuites)
-    assert selection.ok and selection.version is TlsVersion.TLS12
+    outcome = run_handshake(DEFAULT_CFG, s)
+    assert outcome.result is HandshakeResult.ESTABLISHED
+    assert outcome.negotiated_version is TlsVersion.TLS12
 
 
-def test_negotiate_server_picks_lower_offer():
+def test_server_picks_lower_offer():
     s = server({TlsVersion.TLS10, TlsVersion.TLS11, TlsVersion.TLS12})
-    selection = negotiate(s, TlsVersion.TLS11, DEFAULT_CFG.ciphersuites)
-    assert selection.ok and selection.version is TlsVersion.TLS11
+    outcome = run_handshake(DEFAULT_CFG, s, AttackerStrategy.parse("modver:1.1"))
+    assert outcome.result is HandshakeResult.ESTABLISHED
+    assert outcome.negotiated_version is TlsVersion.TLS11
 
 
-def test_negotiate_caps_at_server_maximum():
-    s = server({TlsVersion.TLS10, TlsVersion.TLS11})
-    selection = negotiate(s, TlsVersion.TLS12, DEFAULT_CFG.ciphersuites)
-    assert selection.ok and selection.version is TlsVersion.TLS11
+def test_server_caps_at_its_maximum():
+    outcome = run_handshake(DEFAULT_CFG, server({TlsVersion.TLS10, TlsVersion.TLS11}))
+    assert outcome.result is HandshakeResult.ESTABLISHED
+    assert outcome.negotiated_version is TlsVersion.TLS11
 
 
-def test_negotiate_refuses_unsupported_lower_offer():
+def test_server_refuses_unsupported_lower_offer():
     s = server({TlsVersion.TLS12})
-    selection = negotiate(s, TlsVersion.TLS10, DEFAULT_CFG.ciphersuites)
-    assert not selection.ok
-    assert selection.refusal == "no common version"
-    assert selection.version is None
+    outcome = run_handshake(DEFAULT_CFG, s, AttackerStrategy.parse("modver:1.0"))
+    assert outcome.result is HandshakeResult.ABORTED_BY_SERVER
+    assert outcome.transcript[-1] == "server: refuse (no common version)"
+    assert not any("ServerHello" in e for e in outcome.transcript)
 
 
-def test_negotiate_suite_follows_server_preference():
+def test_server_suite_follows_its_preference():
     s = server({TlsVersion.TLS12}, suites=("AES128-SHA", "ECDHE-RSA-AES128-GCM-SHA256"))
-    selection = negotiate(s, TlsVersion.TLS12, DEFAULT_CFG.ciphersuites)
-    assert selection.suite == "AES128-SHA"
+    assert run_handshake(DEFAULT_CFG, s).negotiated_suite == "AES128-SHA"
 
 
-def test_negotiate_suite_refusal_keeps_version():
-    s = server({TlsVersion.TLS10}, suites=WEAK)
-    selection = negotiate(s, TlsVersion.TLS12, STRICT_CFG.ciphersuites)
-    assert not selection.ok
-    assert selection.refusal == "no common ciphersuite"
-    assert selection.version is TlsVersion.TLS10
+def test_server_suite_refusal_keeps_version():
+    outcome = run_handshake(STRICT_CFG, server({TlsVersion.TLS10}, suites=WEAK))
+    assert outcome.result is HandshakeResult.ABORTED_BY_CLIENT
+    assert "server: ServerHello version=TLS1.0 suite=(none)" in outcome.transcript
 
 
-def test_negotiate_suite_names_compare_normalised():
-    s = server({TlsVersion.TLS12}, suites=("TLS_ECDHE_RSA_WITH_AES_128_GCM_SHA256",))
-    selection = negotiate(s, TlsVersion.TLS12, ("ecdhe-rsa-with-aes-128-gcm-sha256",))
-    assert selection.ok
+def test_server_compares_suite_names_normalised():
+    iana = "TLS_ECDHE_RSA_WITH_AES_128_GCM_SHA256"
+    cfg = EffectiveTlsConfig((TlsVersion.TLS12,), ("ecdhe-rsa-with-aes-128-gcm-sha256",), False)
+    outcome = run_handshake(cfg, server({TlsVersion.TLS12}, suites=(iana,)))
+    assert outcome.result is HandshakeResult.ESTABLISHED
+    assert outcome.negotiated_suite == iana
 
 
-def test_negotiate_accepts_a_list_offer():
+def test_server_accepts_a_list_offer():
     iana = "TLS_ECDHE_RSA_WITH_AES_128_GCM_SHA256"
     s = server({TlsVersion.TLS12}, suites=WEAK + (iana,))
     for offer, suite in (
@@ -95,9 +96,11 @@ def test_negotiate_accepts_a_list_offer():
         (list(WEAK[1:]), "AES128-SHA"),
         (list(STRONG), None),
     ):
-        selection = negotiate(s, TlsVersion.TLS12, offer)
-        assert selection == negotiate(s, TlsVersion.TLS12, tuple(offer))
-        assert selection.suite == suite
+        outcome = run_handshake(EffectiveTlsConfig((TlsVersion.TLS12,), offer, False), s)
+        assert outcome == run_handshake(
+            EffectiveTlsConfig((TlsVersion.TLS12,), tuple(offer), False), s
+        )
+        assert outcome.negotiated_suite == suite
 
 
 # -- run_handshake -----------------------------------------------------------
@@ -236,6 +239,9 @@ GOLDEN_SERVERS = {
     "wide-buggy": server(ALL_VERSIONS, fragbug=True),
     "buggy-no-common-suite": server(ALL_VERSIONS, suites=("SEED-SHA",), fragbug=True),
     "buggy-tls12-only": server({TlsVersion.TLS12}, fragbug=True),
+    "tls12-only": server({TlsVersion.TLS12}),
+    "legacy10-weak": server({TlsVersion.TLS10}, WEAK),
+    "no-common-suite": server(ALL_VERSIONS, suites=("SEED-SHA",)),
 }
 GOLDEN_CONFIGS = {"strict": STRICT_CFG, "default": DEFAULT_CFG}
 GCM = "ECDHE-RSA-AES128-GCM-SHA256"
@@ -371,6 +377,23 @@ GOLDEN = [
         "server: ServerHello version=TLS1.0 suite=ECDHE-RSA-AES128-GCM-SHA256",
         "client: abort (ServerHello version TLS1.0 outside enforced policy)",
     )),
+    # the three refusals: no common version, no common suite seen by the
+    # client first, no common suite seen by the server
+    ("default", "tls12-only", "modver:1.0", HandshakeResult.ABORTED_BY_SERVER, None, None, (
+        "client: ClientHello version=TLS1.2 suites=14",
+        "attacker: modified ClientHello version TLS1.2 -> TLS1.0",
+        "server: refuse (no common version)",
+    )),
+    ("strict", "legacy10-weak", "none", HandshakeResult.ABORTED_BY_CLIENT, None, None, (
+        "client: ClientHello version=TLS1.2 suites=6",
+        "server: ServerHello version=TLS1.0 suite=(none)",
+        "client: abort (ServerHello version TLS1.0 outside enforced policy)",
+    )),
+    ("default", "no-common-suite", "none", HandshakeResult.ABORTED_BY_SERVER, None, None, (
+        "client: ClientHello version=TLS1.2 suites=14",
+        "server: ServerHello version=TLS1.2 suite=(none)",
+        "server: abort (no common ciphersuite)",
+    )),
 ]
 
 
@@ -461,6 +484,12 @@ def test_strategy_validation():
     assert AttackerStrategy.parse("drop:4").drop_count == 4
     assert AttackerStrategy.parse("modver:1.0").target_version is TlsVersion.TLS10
     assert AttackerStrategy.parse("none") is NO_ATTACK
+
+
+@pytest.mark.parametrize("token", ["none:5", "none:", "fragment:x", "fragment:"])
+def test_strategy_parse_refuses_an_argument_it_would_drop(token):
+    with pytest.raises(ValueError):
+        AttackerStrategy.parse(token)
 
 
 def test_profile_validation():

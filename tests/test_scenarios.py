@@ -67,6 +67,7 @@ def test_unknown_profile_reference():
     "SCENARIO a CLIENT loose SERVER s ATTACK none EXPECT established",
     "SCENARIO a CLIENT strict SERVER s ATTACK warp EXPECT established",
     "SCENARIO a CLIENT strict SERVER s ATTACK none EXPECT mangled",
+    "SCENARIO a CLIENT strict SERVER s ATTACK none:1 EXPECT established",
     "NOISE x",
 ])
 def test_scenario_file_rejects_bad_lines(line):
@@ -81,8 +82,9 @@ def test_scenario_file_rejects_bad_lines(line):
     "\nNOISE x\n",
     "SCENARIO a CLIENT strict SERVER s ATTACK none EXPECT established\n" * 3,
     "PROFILE a VERSIONS TLS1.2 SUITES AES128-SHA\n" * 2,
+    "\nSCENARIO a CLIENT strict SERVER s ATTACK none:1 EXPECT established\n",
 ], ids=["short-profile", "bad-version", "bad-client", "unknown-kind", "duplicate",
-        "duplicate-profile"])
+        "duplicate-profile", "attack-argument"])
 def test_scenario_file_error_names_its_line(text):
     with pytest.raises(ScenarioFileError, match="^line 2: "):
         parse_scenario_file(text)
