@@ -468,3 +468,85 @@ def test_bench_bad_fixture_exit_two(world, capsys):
         "bench", "--zone", world["zone"], "--anchors", world["anchors"],
         "--domain", "unknown.test", "--now", "01-07-2018",
     ]) == 2
+
+
+STRICT_LINES = (
+    "config: versions=TLS1.2 fallback=off\n"
+    "config: suites=ECDHE-ECDSA-AES128-GCM-SHA256,ECDHE-RSA-AES128-GCM-SHA256,"
+    "ECDHE-ECDSA-CHACHA20-POLY1305,ECDHE-RSA-CHACHA20-POLY1305,"
+    "ECDHE-ECDSA-AES256-GCM-SHA384,ECDHE-RSA-AES256-GCM-SHA384\n"
+)
+CACHED_LINE = f"POLICY tls12.test 01-07-2018 {serialize_policy(POLICY)}\n"
+LIVE_TOMBSTONE = "TOMBSTONE rev.test 01-06-2018 01-06-2019\n"
+
+
+def _store_text(world):
+    with open(world["store"], encoding="utf-8") as fh:
+        return fh.read()
+
+
+def test_verify_store_golden(world, capsys):
+    with open(world["store"], "w", encoding="utf-8") as fh:
+        fh.write("TOMBSTONE gone.test 01-01-2017 01-06-2017\n" + LIVE_TOMBSTONE)
+    argv = ["verify", "--zone", world["zone"], "--anchors", world["anchors"],
+            "--domain", "TLS12.test", "--store", world["store"]]
+    assert main([*argv, "--now", "01-07-2018"]) == 0
+    assert capsys.readouterr().out == (
+        "decision: mode=Strict reason=OK report=admin@tls12.test\n" + STRICT_LINES
+    )
+    assert _store_text(world) == CACHED_LINE + LIVE_TOMBSTONE
+
+    zone = ZoneStore.load(world["zone"])
+    zone.attacker_drop_rrset("tls12.test")
+    zone.save(world["zone"])
+    assert main([*argv, "--now", "02-07-2018"]) == 1
+    assert capsys.readouterr().out == (
+        "decision: mode=Strict reason=DropAlarm report=admin@tls12.test\n"
+        + STRICT_LINES
+        + "report: attack indicators for TLS12.test should be reported to "
+        "admin@tls12.test\n"
+    )
+    assert _store_text(world) == CACHED_LINE + LIVE_TOMBSTONE
+
+
+def test_connect_sim_store_golden(world, capsys):
+    argv = ["connect-sim", "--zone", world["zone"], "--anchors", world["anchors"],
+            "--profiles", world["profiles"], "--server", "strong",
+            "--attack", "drop:1", "--now", "01-07-2018", "--store", world["store"]]
+    assert main([*argv, "--domain", "unknown.test"]) == 0
+    assert capsys.readouterr().out == (
+        "decision: mode=Default reason=NoRecord report=-\n"
+        "config: versions=TLS1.2,TLS1.1,TLS1.0 fallback=on\n"
+        "config: suites=ECDHE-ECDSA-AES128-GCM-SHA256,ECDHE-RSA-AES128-GCM-SHA256,"
+        "ECDHE-ECDSA-CHACHA20-POLY1305,ECDHE-RSA-CHACHA20-POLY1305,"
+        "ECDHE-ECDSA-AES256-GCM-SHA384,ECDHE-RSA-AES256-GCM-SHA384,"
+        "ECDHE-ECDSA-AES256-SHA,ECDHE-ECDSA-AES128-SHA,"
+        "ECDHE-RSA-AES128-SHA,ECDHE-RSA-AES256-SHA,DHE-RSA-AES128-SHA,"
+        "DHE-RSA-AES256-SHA,AES128-SHA,AES256-SHA\n"
+        "attack: drop:1\n"
+        "transcript:\n"
+        "  client: ClientHello version=TLS1.2 suites=14\n"
+        "  attacker: dropped ClientHello (1 of 1)\n"
+        "  client: fallback TLS1.2 -> TLS1.1\n"
+        "  client: ClientHello version=TLS1.1 suites=14\n"
+        "  server: ServerHello version=TLS1.1 suite=ECDHE-RSA-AES128-GCM-SHA256\n"
+        "  established: version=TLS1.1 suite=ECDHE-RSA-AES128-GCM-SHA256\n"
+        "outcome: Established version=TLS1.1 suite=ECDHE-RSA-AES128-GCM-SHA256\n"
+    )
+    assert _store_text(world) == ""
+
+    assert main([*argv, "--domain", "tls12.test"]) == 0
+    assert capsys.readouterr().out == (
+        "decision: mode=Strict reason=OK report=admin@tls12.test\n"
+        + STRICT_LINES
+        + "attack: drop:1\n"
+        "transcript:\n"
+        "  client: ClientHello version=TLS1.2 suites=6\n"
+        "  attacker: dropped ClientHello (1 of 1)\n"
+        "  client: retry same version TLS1.2 (1 of 1)\n"
+        "  client: ClientHello version=TLS1.2 suites=6\n"
+        "  server: ServerHello version=TLS1.2 suite=ECDHE-RSA-AES128-GCM-SHA256\n"
+        "  established: version=TLS1.2 suite=ECDHE-RSA-AES128-GCM-SHA256\n"
+        "outcome: Established version=TLS1.2 suite=ECDHE-RSA-AES128-GCM-SHA256\n"
+    )
+    assert _store_text(world) == CACHED_LINE
