@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import contextmanager
 from datetime import date
 
 from . import bench as bench_mod
@@ -19,7 +20,6 @@ from . import survey as survey_mod
 from .dnssec import (
     TrustAnchor,
     TrustAnchorSet,
-    ZoneFileError,
     ZoneKeyPair,
     ZoneStore,
     resolve,
@@ -35,7 +35,7 @@ from .policy import (
     parse_policy_date,
     serialize_policy,
 )
-from .store import PolicyStore, StoreFileError
+from .store import PolicyStore
 from .textfile import read_text
 
 USAGE_ERROR = 2
@@ -137,8 +137,7 @@ def main(argv: list[str] | None = None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (OSError, ZoneFileError, StoreFileError, scenarios_mod.ScenarioFileError,
-            survey_mod.CorpusFormatError, survey_mod.EmptyCorpus, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"dstc {args.command}: {exc}", file=sys.stderr)
         return USAGE_ERROR
 
@@ -217,8 +216,17 @@ def cmd_resolve(args) -> int:
     return 0
 
 
-def _decide_and_print(zone, anchors, store, domain, now):
-    decision = decide(resolve(zone, domain), anchors, store, domain, now)
+@contextmanager
+def _decided(args):
+    """Decide for ``args.domain`` on the zone, the anchors and the ``--store``
+    cache, print the decision and its config, and yield both. Once the block
+    completes, the cache is written back without its expired slots; a block
+    that raises writes nothing."""
+    zone = ZoneStore.load(args.zone)
+    anchors = TrustAnchorSet.load(args.anchors)
+    store = _load_or_new(PolicyStore, args.store)
+    now = _now(args)
+    decision = decide(resolve(zone, args.domain), anchors, store, args.domain, now)
     config = apply(decision, DEFAULT_CLIENT)
     report = decision.report_address or "-"
     print(f"decision: mode={decision.mode.value} reason={decision.reason.value} "
@@ -229,26 +237,19 @@ def _decide_and_print(zone, anchors, store, domain, now):
     if decision.reason in ATTACK_REASONS:
         target = decision.report_address
         if target:
-            print(f"report: attack indicators for {domain} should be reported to {target}")
-    return decision, config
-
-
-def cmd_verify(args) -> int:
-    zone = ZoneStore.load(args.zone)
-    anchors = TrustAnchorSet.load(args.anchors)
-    store = _load_or_new(PolicyStore, args.store)
-    now = _now(args)
-    decision, _ = _decide_and_print(zone, anchors, store, args.domain, now)
+            print(f"report: attack indicators for {args.domain} should be reported to {target}")
+    yield decision, config
     if args.store:
         store.drop_expired(now)
         store.save(args.store)
-    return REFUSAL if decision.reason in ATTACK_REASONS else 0
+
+
+def cmd_verify(args) -> int:
+    with _decided(args) as (decision, _):
+        return REFUSAL if decision.reason in ATTACK_REASONS else 0
 
 
 def cmd_connect_sim(args) -> int:
-    zone = ZoneStore.load(args.zone)
-    anchors = TrustAnchorSet.load(args.anchors)
-    store = _load_or_new(PolicyStore, args.store)
     profiles, _ = scenarios_mod.parse_scenario_file(
         read_text(args.profiles, scenarios_mod.ScenarioFileError)
     )
@@ -257,22 +258,18 @@ def cmd_connect_sim(args) -> int:
             f"profile {args.server!r} not defined in {args.profiles}"
         )
     attack = AttackerStrategy.parse(args.attack)
-    now = _now(args)
-    decision, config = _decide_and_print(zone, anchors, store, args.domain, now)
-    outcome = run_handshake(config, profiles[args.server], attack)
-    print(f"attack: {attack.describe()}")
-    print("transcript:")
-    for event in outcome.transcript:
-        print(f"  {event}")
-    if outcome.result is HandshakeResult.ESTABLISHED:
-        print(f"outcome: {outcome.result.value} version={outcome.negotiated_version} "
-              f"suite={outcome.negotiated_suite}")
-    else:
-        print(f"outcome: {outcome.result.value}")
-    if args.store:
-        store.drop_expired(now)
-        store.save(args.store)
-    return 0 if outcome.result is HandshakeResult.ESTABLISHED else REFUSAL
+    with _decided(args) as (_, config):
+        outcome = run_handshake(config, profiles[args.server], attack)
+        print(f"attack: {attack.describe()}")
+        print("transcript:")
+        for event in outcome.transcript:
+            print(f"  {event}")
+        if outcome.result is HandshakeResult.ESTABLISHED:
+            print(f"outcome: {outcome.result.value} version={outcome.negotiated_version} "
+                  f"suite={outcome.negotiated_suite}")
+        else:
+            print(f"outcome: {outcome.result.value}")
+        return 0 if outcome.result is HandshakeResult.ESTABLISHED else REFUSAL
 
 
 def cmd_attack_sim(args) -> int:

@@ -57,10 +57,6 @@ class MissingPrivateKey(ValueError):
     """Signing was requested with a verify-only key pair."""
 
 
-class ZoneNotLoaded(RuntimeError):
-    """resolve() was called before a zone was loaded."""
-
-
 class ZoneFileError(ValueError):
     """A zone or trust-anchor file could not be parsed."""
 
@@ -114,9 +110,6 @@ class ZoneKeyPair:
             raise ValueError(f"key size {bits} below the {MIN_KEY_BITS}-bit floor")
         private = rsa.generate_private_key(public_exponent=65537, key_size=bits)
         return cls(key_id=key_id, public_key=private.public_key(), private_key=private)
-
-    def public_only(self) -> "ZoneKeyPair":
-        return ZoneKeyPair(self.key_id, self.public_key)
 
     def public_der(self) -> bytes:
         return self.public_key.public_bytes(
@@ -303,10 +296,6 @@ class ZoneStore(TextFile):
     def rrset_for(self, name: str) -> SignedRRset | None:
         return self._names.get(normalize_domain(name))
 
-    def __contains__(self, name: str) -> bool:
-        """Whether the name exists in the zone, with or without TXT data."""
-        return normalize_domain(name) in self._names
-
     def _rewrite(self, name: str, edit, create: bool = False) -> None:
         """Write back the name's set as ``replace(set, **edit(set))``. A name
         without a set raises KeyError, unless ``create`` starts an empty unsigned one."""
@@ -436,19 +425,17 @@ class ZoneStore(TextFile):
             }
             self._rewrite(name, lambda s: signed[name], create=True)
         elif kind == "NAME":
-            self._names.setdefault(name, None)
+            self.register_name(name)
         else:
             raise ZoneFileError(f"unknown record kind {kind!r}")
 
 
-def resolve(zone: ZoneStore | None, name: str) -> DnsResponse:
+def resolve(zone: ZoneStore, name: str) -> DnsResponse:
     """Look up a name's TXT record set in the zone.
 
     Returns Answered with the signed set, NoRecord for a known name without
     TXT data, and NoSuchDomain otherwise.
     """
-    if zone is None:
-        raise ZoneNotLoaded("no zone loaded")
     name = normalize_domain(name)
     rrset = zone._names.get(name, _ABSENT)
     if rrset is _ABSENT:
@@ -502,12 +489,6 @@ class TrustAnchorSet(TextFile):
                 f"{_check_field('apex', apex)} {_check_field('key id', anchor.key_id)} {der64}"
             )
         return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_text(cls, text: str) -> "TrustAnchorSet":
-        anchors = cls()
-        parse_lines(text, anchors._parse_line, ZoneFileError)
-        return anchors
 
     def _parse_line(self, line: str) -> None:
         fields = line.split()

@@ -68,11 +68,11 @@ class AttackerStrategy:
     @classmethod
     def parse(cls, token: str) -> "AttackerStrategy":
         """Parse ``none``, ``drop:N``, ``fragment``, or ``modver:V``; ``none``
-        and ``fragment`` take no argument."""
+        and ``fragment`` take no argument, and N is ASCII decimal digits."""
         head, colon, arg = token.strip().lower().partition(":")
         if head == "none" and not colon:
             return NO_ATTACK
-        if head == "drop":
+        if head == "drop" and arg.isascii() and arg.isdigit():
             return cls(AttackKind.DROP_CLIENT_HELLO, drop_count=int(arg))
         if head == "fragment" and not colon:
             return cls(AttackKind.FRAGMENT_CLIENT_HELLO)

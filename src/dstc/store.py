@@ -31,7 +31,7 @@ from .policy import (
     parse_policy_date,
     serialize_policy,
 )
-from .textfile import TextFile, check_field, parse_lines
+from .textfile import TextFile, check_field
 
 
 class StoreAction(Enum):
@@ -170,12 +170,6 @@ class PolicyStore(TextFile):
         ]
         return "\n".join(lines) + ("\n" if lines else "")
 
-    @classmethod
-    def from_text(cls, text: str) -> "PolicyStore":
-        store = cls()
-        parse_lines(text, store._parse_line, StoreFileError)
-        return store
-
     def _parse_line(self, line: str) -> None:
         fields = line.split(None, 3)
         if fields[0] not in ("POLICY", "TOMBSTONE") or len(fields) != 4:
@@ -184,8 +178,11 @@ class PolicyStore(TextFile):
         if domain in self._slots:
             raise StoreFileError(f"duplicate domain {domain}")
         if fields[0] == "POLICY":
+            record = parse_policy(fields[3])
+            if record.revoke:
+                raise StoreFileError("a cached policy cannot carry revoke=1")
             self._slots[domain] = StoredPolicy(
-                domain, parse_policy(fields[3]), parse_policy_date(fields[2], "stored_at")
+                domain, record, parse_policy_date(fields[2], "stored_at")
             )
         else:
             valid_from = parse_policy_date(fields[2], "valid_from")

@@ -90,11 +90,6 @@ class SurveyReport:
     fsae_mixed_count: int          # FS+AE plus at least one weaker label
     fsae_mixed_pct: str
 
-    @property
-    def latest_denominator(self) -> int:
-        """Denominator for the ciphersuite figures."""
-        return self.latest_count
-
 
 def survey(profiles: list[ServerProfile]) -> SurveyReport:
     """Compute the survey statistics over parsed profiles."""
@@ -171,11 +166,11 @@ def render_report_text(r: SurveyReport) -> str:
             f"supports TLS1.2 exclusively    {r.latest_exclusive_count} ({r.latest_exclusive_pct}% of {r.responding})",
             f"supports TLS1.2 and TLS1.1     {r.latest_two_count} ({r.latest_two_pct}% of {r.responding})",
             f"supports TLS1.2, 1.1 and 1.0   {r.latest_three_count} ({r.latest_three_pct}% of {r.responding})",
-            f"modal suite count              {modal} in {r.modal_servers} servers ({r.modal_pct}% of {r.latest_denominator})",
+            f"modal suite count              {modal} in {r.modal_servers} servers ({r.modal_pct}% of {r.latest_count})",
             "suite labels across TLS1.2 servers:",
             *label_lines,
-            f"servers with any FS+AE suite   {r.fsae_any_count} ({r.fsae_any_pct}% of {r.latest_denominator})",
-            f"FS+AE plus weaker suites       {r.fsae_mixed_count} ({r.fsae_mixed_pct}% of {r.latest_denominator})",
+            f"servers with any FS+AE suite   {r.fsae_any_count} ({r.fsae_any_pct}% of {r.latest_count})",
+            f"FS+AE plus weaker suites       {r.fsae_mixed_count} ({r.fsae_mixed_pct}% of {r.latest_count})",
         ]
     )
 

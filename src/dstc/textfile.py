@@ -62,8 +62,9 @@ def read_text(path: str, error: type[ValueError]) -> str:
 
 
 class TextFile:
-    """Persistence for a class that defines ``to_text()``, the classmethod
-    ``from_text(text)`` and ``FILE_ERROR``, the error class of its format."""
+    """Persistence for a class that defines ``to_text()``, ``FILE_ERROR``,
+    the error class of its format, and ``_parse_line(line)``, which reads one
+    line into an instance made by ``cls()``."""
 
     FILE_ERROR: type[ValueError]
 
@@ -90,6 +91,12 @@ class TextFile:
         except BaseException:
             os.unlink(tmp)
             raise
+
+    @classmethod
+    def from_text(cls, text: str):
+        loaded = cls()
+        parse_lines(text, loaded._parse_line, cls.FILE_ERROR)
+        return loaded
 
     @classmethod
     def load(cls, path: str):

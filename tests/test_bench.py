@@ -1,7 +1,11 @@
 import pytest
 
 from dstc.bench import run_bench, render_bench_table
-from dstc.scenarios import build_fixture, fixture_policy
+from dstc.dnssec import TrustAnchor, resolve, sign_rrset
+from dstc.enforcement import Mode, Reason, decide
+from dstc.policy import serialize_policy
+from dstc.scenarios import SIGNATURE_DAYS, build_fixture, fixture_policy
+from dstc.store import PolicyStore
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +40,20 @@ def test_table_renders_all_rows(fixture):
 def test_rejects_zero_iterations(fixture):
     with pytest.raises(ValueError):
         run_bench(fixture.zone, fixture.anchors, "tls12.test", fixture.now, 0)
+
+
+def test_query_verify_skips_values_that_are_not_dstc(zone_keys):
+    fixture = build_fixture({}, keys=zone_keys)
+    policy = serialize_policy(fixture_policy(report="admin@multi.test"))
+    fixture.zone.publish(
+        sign_rrset(zone_keys, "multi.test", [policy, "v=spf1 -all"], *SIGNATURE_DAYS)
+    )
+    fixture.anchors.add(TrustAnchor("multi.test", zone_keys.key_id, zone_keys.public_der()))
+    decision = decide(resolve(fixture.zone, "multi.test"), fixture.anchors, PolicyStore(),
+                      "multi.test", fixture.now)
+    assert (decision.mode, decision.reason) == (Mode.STRICT, Reason.OK)
+    report = run_bench(fixture.zone, fixture.anchors, "multi.test", fixture.now, 1)
+    assert report.rows[1].name == "QueryVerify"
 
 
 def test_rejects_missing_domain(fixture):

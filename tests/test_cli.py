@@ -381,6 +381,19 @@ def test_connect_sim_refuses_an_attack_argument_it_would_drop(world, capsys):
     assert "fragment:x" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token", ["drop:x", "drop:", "drop:+2", "drop:\u0662", "drop:1_0"])
+def test_connect_sim_names_a_bad_drop_count(world, capsys, token):
+    code = main([
+        "connect-sim", "--zone", world["zone"], "--anchors", world["anchors"],
+        "--domain", "tls12.test", "--profiles", world["profiles"],
+        "--server", "strong", "--attack", token, "--now", "01-07-2018",
+    ])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"dstc connect-sim: unknown attack '{token}'\n"
+
+
 def test_connect_sim_unknown_profile(world):
     code = main([
         "connect-sim", "--zone", world["zone"], "--anchors", world["anchors"],
@@ -452,6 +465,19 @@ def test_bench_single_iteration(world, capsys):
     out = capsys.readouterr().out
     for row in ("SigVerify", "QueryVerify", "Enforce", "All 3 functions"):
         assert row in out
+
+
+def test_bench_skips_a_txt_value_that_is_not_dstc(world, zone_keys, capsys):
+    zone = ZoneStore.load(world["zone"])
+    zone.publish(sign_rrset(zone_keys, "tls12.test", [serialize_policy(POLICY), "v=spf1 -all"],
+                            date(2018, 5, 1), date(2019, 5, 1)))
+    zone.save(world["zone"])
+    assert main([
+        "bench", "--iterations", "1", "--zone", world["zone"],
+        "--anchors", world["anchors"], "--domain", "tls12.test", "--now", "01-07-2018",
+    ]) == 0
+    out, err = capsys.readouterr()
+    assert "QueryVerify" in out and err == ""
 
 
 def test_bench_builtin_fixture(capsys):

@@ -16,7 +16,6 @@ from dstc.dnssec import (
     VerifyStatus,
     ZoneFileError,
     ZoneKeyPair,
-    ZoneNotLoaded,
     ZoneStore,
     canonical_form,
     normalize_domain,
@@ -92,7 +91,7 @@ def test_signature_window(zone_keys, rrset):
 
 def test_signing_requires_private_key(zone_keys):
     with pytest.raises(MissingPrivateKey):
-        sign_rrset(zone_keys.public_only(), "a.test", ["x"], INCEPTION, EXPIRATION)
+        sign_rrset(ZoneKeyPair(zone_keys.key_id, zone_keys.public_key), "a.test", ["x"], INCEPTION, EXPIRATION)
 
 
 def test_signing_rejects_inverted_window(zone_keys):
@@ -183,11 +182,6 @@ def test_resolve_dispositions(zone_keys, rrset):
     assert answered.rrset == rrset
     assert resolve(zone, "empty.test").disposition is Disposition.NO_RECORD
     assert resolve(zone, "nope.test").disposition is Disposition.NO_SUCH_DOMAIN
-
-
-def test_resolve_requires_zone():
-    with pytest.raises(ZoneNotLoaded):
-        resolve(None, "a.test")
 
 
 def test_dropped_rrset_leaves_name_known(zone_keys, rrset):
@@ -362,7 +356,6 @@ def test_owner_and_attacker_changes_give_the_slot_disposition(
     answer = resolve(zone, "tls12.test")
     assert answer.disposition is disposition
     assert (answer.rrset and answer.rrset.values) == values
-    assert ("tls12.test" in zone) is (disposition is not Disposition.NO_SUCH_DOMAIN)
     assert resolve(zone, "other.test").disposition is Disposition.NO_SUCH_DOMAIN
 
 
@@ -484,7 +477,8 @@ def test_resolve_miss_on_large_zone(zone_keys):
     assert resolve(zone, "d7.test").disposition is Disposition.ANSWERED
     assert resolve(zone, "D99999.test.").disposition is Disposition.NO_RECORD
     assert resolve(zone, "d100000.test").disposition is Disposition.NO_SUCH_DOMAIN
-    assert "d0.test" in zone and "ghost.test" not in zone
+    assert resolve(zone, "d0.test").disposition is Disposition.NO_RECORD
+    assert resolve(zone, "ghost.test").disposition is Disposition.NO_SUCH_DOMAIN
 
 
 # -- verified-answer memo: a repeat verify may skip RSA, never a check --------

@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -489,6 +490,13 @@ def test_strategy_validation():
 @pytest.mark.parametrize("token", ["none:5", "none:", "fragment:x", "fragment:"])
 def test_strategy_parse_refuses_an_argument_it_would_drop(token):
     with pytest.raises(ValueError):
+        AttackerStrategy.parse(token)
+
+
+@pytest.mark.parametrize("token", ["drop:x", "drop:", "drop:+2", "drop:\u0662", "drop:1_0",
+                                   "drop:1.5", "drop:-1", "drop: 2"])
+def test_strategy_parse_takes_only_ascii_digits_as_the_drop_count(token):
+    with pytest.raises(ValueError, match=f"^unknown attack {re.escape(repr(token))}$"):
         AttackerStrategy.parse(token)
 
 

@@ -1,3 +1,4 @@
+import re
 import runpy
 from pathlib import Path
 
@@ -87,6 +88,13 @@ def test_scenario_file_rejects_bad_lines(line):
         "duplicate-profile", "attack-argument"])
 def test_scenario_file_error_names_its_line(text):
     with pytest.raises(ScenarioFileError, match="^line 2: "):
+        parse_scenario_file(text)
+
+
+@pytest.mark.parametrize("token", ["drop:x", "drop:", "drop:+2", "drop:\u0662", "drop:1_0"])
+def test_scenario_file_names_a_bad_drop_count(token):
+    text = f"# header\nSCENARIO a CLIENT strict SERVER s ATTACK {token} EXPECT aborted\n"
+    with pytest.raises(ScenarioFileError, match=f"^line 2: unknown attack {re.escape(repr(token))}$"):
         parse_scenario_file(text)
 
 

@@ -197,6 +197,16 @@ def test_load_rejects_a_tombstone_that_ends_before_it_starts():
         PolicyStore.from_text("# cache\nTOMBSTONE a.test 01-06-2019 01-01-2018\n")
 
 
+def test_load_rejects_a_cached_policy_that_revokes():
+    # No writer stores a revoking record; loaded as live, it would give
+    # Strict/DropAlarm from a revoked policy once the record is absent.
+    revoking = serialize_policy(record(revoke=True))
+    with pytest.raises(
+        StoreFileError, match="^line 2: a cached policy cannot carry revoke=1$"
+    ):
+        PolicyStore.from_text(f"# cache\nPOLICY a.test 01-06-2018 {revoking}\n")
+
+
 def test_lookup_exact_and_subdomain(now):
     store = PolicyStore()
     store.update("example.com", record(include_sub_domain=True), now)
