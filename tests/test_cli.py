@@ -449,6 +449,55 @@ def test_survey_command(tmp_path, capsys):
     assert "latest_pct=75.00%" in capsys.readouterr().out
 
 
+GOLDEN_SURVEY_TEXT = """\
+responding profiles            7080
+supports TLS1.2                6888 (97.29% of 7080)
+supports TLS1.2 exclusively    373 (5.27% of 7080)
+supports TLS1.2 and TLS1.1     6462 (91.27% of 7080)
+supports TLS1.2, 1.1 and 1.0   6202 (87.60% of 7080)
+modal suite count              20 in 938 servers (13.62% of 6888)
+suite labels across TLS1.2 servers:
+    FS+AE        35037
+    FS+nonAE     41226
+    nonFS+AE     22745
+    nonFS+nonAE  14840
+servers with any FS+AE suite   6500 (94.37% of 6888)
+FS+AE plus weaker suites       6483 (94.12% of 6888)
+"""
+
+GOLDEN_SURVEY_KV = """\
+responding=7080
+latest_count=6888
+latest_pct=97.29%
+latest_exclusive_count=373
+latest_exclusive_pct=5.27%
+latest_two_count=6462
+latest_two_pct=91.27%
+latest_three_count=6202
+latest_three_pct=87.60%
+modal_suite_count=20
+modal_servers=938
+modal_pct=13.62%
+label_FS+AE=35037
+label_FS+nonAE=41226
+label_nonFS+AE=22745
+label_nonFS+nonAE=14840
+fsae_any_count=6500
+fsae_any_pct=94.37%
+fsae_mixed_count=6483
+fsae_mixed_pct=94.12%
+"""
+
+
+def test_survey_golden_stdout_on_generated_corpus(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text(render_corpus(generate_corpus()))
+    assert main(["survey", "--corpus", str(corpus)]) == 0
+    assert capsys.readouterr() == (GOLDEN_SURVEY_TEXT, "")
+    assert main(["survey", "--corpus", str(corpus), "--kv"]) == 0
+    assert capsys.readouterr() == (GOLDEN_SURVEY_KV, "")
+
+
 def test_survey_empty_corpus_exit_two(tmp_path, capsys):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("# nothing here\n")
