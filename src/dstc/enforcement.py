@@ -23,6 +23,7 @@ from .dnssec import (
 from .policy import (
     MalformedPolicy,
     NotDstc,
+    PolicyRecord,
     PolicyStatus,
     parse_policy,
     policy_status,
@@ -86,7 +87,9 @@ _AE_TOKENS = ("GCM", "CCM", "CCM8", "CHACHA20")
 
 @lru_cache(maxsize=4096)
 def normalize_suite_name(name: str) -> str:
-    """Map IANA-style ``TLS_..._WITH_...`` names onto scanner-style names."""
+    """Fold case, strip a leading ``TLS_`` and map ``_`` to ``-``. This maps no
+    IANA name onto its OpenSSL name: ``TLS_ECDHE_RSA_WITH_AES_128_GCM_SHA256``
+    gives ``ECDHE-RSA-WITH-AES-128-GCM-SHA256``, not ``ECDHE-RSA-AES128-GCM-SHA256``."""
     s = name.strip().upper()
     if s.startswith("TLS_"):
         s = s[4:]
@@ -241,35 +244,28 @@ def _materialise(mode: Mode, caps: ClientCapabilities) -> EffectiveTlsConfig:
     return EffectiveTlsConfig(versions, caps.suite_list, True)
 
 
-def decide(
+def check_answer(
     response: DnsResponse,
     anchors: TrustAnchorSet,
-    store: PolicyStore,
     domain: str,
     now: date,
-) -> PolicyDecision:
-    """Run the full verification pipeline and emit the governing decision.
-
-    Strict/OK requires every check to pass: a valid signature under the
-    domain's trust anchor, exactly one well-formed policy record, active
-    dates, strict-config level, no revoke flag, and a store that accepts or
-    already holds the record. Any failure falls back to default with the
-    specific reason, except where the cache says the domain must be strict:
-    then the failure is surfaced as a drop alarm and strict stays in force.
-    """
+) -> tuple[Reason, PolicyRecord | None]:
+    """``decide``'s answer checks, in order, without the cache: the first
+    failing reason or ``Reason.OK``, with the record for ``OK``,
+    ``PolicyExpired`` and ``PolicyNotYetValid`` (else ``None``)."""
     if response.disposition is not Disposition.ANSWERED:
-        return _fallback(store, domain, Reason.NO_RECORD, now)
+        return Reason.NO_RECORD, None
 
     rrset = response.rrset
     anchor = anchors.lookup(domain)
     if anchor is None or anchor.key_id != rrset.key_id:
-        return _fallback(store, domain, Reason.INVALID_SIGNATURE, now)
+        return Reason.INVALID_SIGNATURE, None
     status = verify_rrset(anchor.public_key(), rrset, now)
     if status is VerifyStatus.INVALID_SIGNATURE:
-        return _fallback(store, domain, Reason.INVALID_SIGNATURE, now)
+        return Reason.INVALID_SIGNATURE, None
     if status is not VerifyStatus.VALID:
         # Both window violations surface as an expired-signature decision.
-        return _fallback(store, domain, Reason.SIGNATURE_EXPIRED, now)
+        return Reason.SIGNATURE_EXPIRED, None
 
     records = []
     for value in rrset.values:
@@ -278,18 +274,51 @@ def decide(
         except NotDstc:
             continue
         except MalformedPolicy:
-            return _fallback(store, domain, Reason.MALFORMED, now)
+            return Reason.MALFORMED, None
     if not records:
-        return _fallback(store, domain, Reason.NO_RECORD, now)
+        return Reason.NO_RECORD, None
     if len(records) > 1:
-        return _fallback(store, domain, Reason.AMBIGUOUS_RECORDS, now)
+        return Reason.AMBIGUOUS_RECORDS, None
 
     record = records[0]
     status = policy_status(record, now)
     if status is PolicyStatus.EXPIRED:
-        return _fallback(store, domain, Reason.POLICY_EXPIRED, now, record.report)
+        return Reason.POLICY_EXPIRED, record
     if status is PolicyStatus.NOT_YET_VALID:
-        return _fallback(store, domain, Reason.POLICY_NOT_YET_VALID, now, record.report)
+        return Reason.POLICY_NOT_YET_VALID, record
+    return Reason.OK, record
+
+
+def decide(
+    response: DnsResponse,
+    anchors: TrustAnchorSet,
+    store: PolicyStore,
+    domain: str,
+    now: date,
+) -> PolicyDecision:
+    """Check the answer, then let the cache pick the governing decision.
+
+    Strict/OK requires every check of ``check_answer`` to pass, no revoke
+    flag, and a store that accepts or already holds the record. Any failure
+    falls back to default with the specific reason, except where the cache
+    says the domain must be strict: then the failure is surfaced as a drop
+    alarm and strict stays in force.
+    """
+    reason, record = check_answer(response, anchors, domain, now)
+    if reason is not Reason.OK:
+        # No usable record: a live entry of the domain's own raises the
+        # alarm, else an opted-in ancestor keeps strict, else default.
+        if store.observe_absence(domain, now) is StoreAction.DROP_ALARM:
+            entry = store.get_exact(domain, now)
+            return PolicyDecision(Mode.STRICT, Reason.DROP_ALARM, entry.record.report)
+        governing = store.lookup(domain, now)
+        if governing is not None:
+            # Absence is expected under the ancestor; an unusable answer of
+            # the domain's own is treated as interference.
+            strict_reason = Reason.OK if reason is Reason.NO_RECORD else Reason.DROP_ALARM
+            return PolicyDecision(Mode.STRICT, strict_reason, governing.record.report)
+        report = None if record is None else record.report
+        return PolicyDecision(Mode.DEFAULT, reason, report)
 
     # The store's answer alone picks the outcome. RejectedStale means a valid
     # but outdated record (policy or revocation) was replayed: a fresher
@@ -302,18 +331,3 @@ def decide(
     if record.revoke:
         return PolicyDecision(Mode.DEFAULT, Reason.REVOKED, record.report)
     return PolicyDecision(Mode.STRICT, Reason.OK, record.report)
-
-
-def _fallback(store, domain, reason, now, report=None) -> PolicyDecision:
-    """No usable record: a live entry of the domain's own raises the alarm,
-    else an opted-in ancestor keeps strict, else default with ``reason``."""
-    if store.observe_absence(domain, now) is StoreAction.DROP_ALARM:
-        entry = store.get_exact(domain, now)
-        return PolicyDecision(Mode.STRICT, Reason.DROP_ALARM, entry.record.report)
-    governing = store.lookup(domain, now)
-    if governing is not None:
-        # Absence is expected under the ancestor; an unusable answer of the
-        # domain's own is treated as interference.
-        strict_reason = Reason.OK if reason is Reason.NO_RECORD else Reason.DROP_ALARM
-        return PolicyDecision(Mode.STRICT, strict_reason, governing.record.report)
-    return PolicyDecision(Mode.DEFAULT, reason, report)

@@ -72,15 +72,19 @@ class AttackerStrategy:
         head, colon, arg = token.strip().lower().partition(":")
         if head == "none" and not colon:
             return NO_ATTACK
-        if head == "drop" and arg.isascii() and arg.isdigit():
-            return cls(AttackKind.DROP_CLIENT_HELLO, drop_count=int(arg))
         if head == "fragment" and not colon:
             return cls(AttackKind.FRAGMENT_CLIENT_HELLO)
-        if head == "modver":
-            return cls(
-                AttackKind.MODIFY_CLIENT_HELLO_VERSION,
-                target_version=TlsVersion.parse(arg),
-            )
+        # A bad count or version is reported as the token it came in.
+        try:
+            if head == "drop" and arg.isascii() and arg.isdigit():
+                return cls(AttackKind.DROP_CLIENT_HELLO, drop_count=int(arg))
+            if head == "modver":
+                return cls(
+                    AttackKind.MODIFY_CLIENT_HELLO_VERSION,
+                    target_version=TlsVersion.parse(arg),
+                )
+        except ValueError:
+            pass
         raise ValueError(f"unknown attack {token!r}")
 
     def describe(self) -> str:

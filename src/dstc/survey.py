@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import Decimal, ROUND_HALF_UP
 
 from .enforcement import SuiteLabel, TlsVersion, classify_ciphersuite
@@ -176,30 +176,16 @@ def render_report_text(r: SurveyReport) -> str:
 
 
 def render_report_kv(r: SurveyReport) -> str:
-    """Machine-readable key=value lines."""
-    pairs = [
-        ("responding", r.responding),
-        ("latest_count", r.latest_count),
-        ("latest_pct", f"{r.latest_pct}%"),
-        ("latest_exclusive_count", r.latest_exclusive_count),
-        ("latest_exclusive_pct", f"{r.latest_exclusive_pct}%"),
-        ("latest_two_count", r.latest_two_count),
-        ("latest_two_pct", f"{r.latest_two_pct}%"),
-        ("latest_three_count", r.latest_three_count),
-        ("latest_three_pct", f"{r.latest_three_pct}%"),
-        ("modal_suite_count", r.modal_suite_count),
-        ("modal_servers", r.modal_servers),
-        ("modal_pct", f"{r.modal_pct}%"),
-        *(
-            (f"label_{label.value}", r.label_counts.get(label, 0))
-            for label in SuiteLabel
-        ),
-        ("fsae_any_count", r.fsae_any_count),
-        ("fsae_any_pct", f"{r.fsae_any_pct}%"),
-        ("fsae_mixed_count", r.fsae_mixed_count),
-        ("fsae_mixed_pct", f"{r.fsae_mixed_pct}%"),
-    ]
-    return "\n".join(f"{k}={v}" for k, v in pairs)
+    """Machine-readable key=value lines, one per field in declaration order;
+    ``label_counts`` gives one ``label_<value>`` line per suite label."""
+    lines = []
+    for f in fields(SurveyReport):
+        value = getattr(r, f.name)
+        if f.name == "label_counts":
+            lines += [f"label_{label.value}={value.get(label, 0)}" for label in SuiteLabel]
+        else:
+            lines.append(f"{f.name}={value}{'%' if f.name.endswith('_pct') else ''}")
+    return "\n".join(lines)
 
 
 # Suite pools for the synthetic generator, by label.

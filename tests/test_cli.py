@@ -381,7 +381,8 @@ def test_connect_sim_refuses_an_attack_argument_it_would_drop(world, capsys):
     assert "fragment:x" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("token", ["drop:x", "drop:", "drop:+2", "drop:\u0662", "drop:1_0"])
+@pytest.mark.parametrize("token", ["drop:x", "drop:", "drop:+2", "drop:\u0662", "drop:1_0",
+                                   "drop:0", "modver:9", "modver:"])
 def test_connect_sim_names_a_bad_drop_count(world, capsys, token):
     code = main([
         "connect-sim", "--zone", world["zone"], "--anchors", world["anchors"],

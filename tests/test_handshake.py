@@ -89,6 +89,17 @@ def test_server_compares_suite_names_normalised():
     assert outcome.negotiated_suite == iana
 
 
+def test_iana_and_openssl_spellings_of_one_suite_never_match():
+    # Normalisation folds case, a leading TLS_ and underscores only; it maps no
+    # IANA name onto its OpenSSL name. A mapping would be a deliberate change.
+    iana, openssl = "TLS_ECDHE_RSA_WITH_AES_128_GCM_SHA256", "ECDHE-RSA-AES128-GCM-SHA256"
+    assert classify_ciphersuite(iana) is classify_ciphersuite(openssl) is SuiteLabel.FS_AE
+    cfg = EffectiveTlsConfig((TlsVersion.TLS12,), (openssl,), False)
+    outcome = run_handshake(cfg, server({TlsVersion.TLS12}, suites=(iana,)))
+    assert outcome.result is HandshakeResult.ABORTED_BY_SERVER
+    assert outcome.transcript[-1] == "server: abort (no common ciphersuite)"
+
+
 def test_server_accepts_a_list_offer():
     iana = "TLS_ECDHE_RSA_WITH_AES_128_GCM_SHA256"
     s = server({TlsVersion.TLS12}, suites=WEAK + (iana,))
@@ -494,10 +505,21 @@ def test_strategy_parse_refuses_an_argument_it_would_drop(token):
 
 
 @pytest.mark.parametrize("token", ["drop:x", "drop:", "drop:+2", "drop:\u0662", "drop:1_0",
-                                   "drop:1.5", "drop:-1", "drop: 2"])
+                                   "drop:1.5", "drop:-1", "drop: 2", "drop:0"])
 def test_strategy_parse_takes_only_ascii_digits_as_the_drop_count(token):
     with pytest.raises(ValueError, match=f"^unknown attack {re.escape(repr(token))}$"):
         AttackerStrategy.parse(token)
+
+
+@pytest.mark.parametrize("token", ["modver:9", "modver:", "modver:tls1.3"])
+def test_strategy_parse_names_a_bad_modver_version(token):
+    with pytest.raises(ValueError, match=f"^unknown attack {re.escape(repr(token))}$"):
+        AttackerStrategy.parse(token)
+
+
+def test_direct_drop_strategy_keeps_its_own_count_error():
+    with pytest.raises(ValueError, match="^drop strategy needs a repeat count of at least 1$"):
+        AttackerStrategy(AttackKind.DROP_CLIENT_HELLO, drop_count=0)
 
 
 def test_profile_validation():

@@ -91,7 +91,8 @@ def test_scenario_file_error_names_its_line(text):
         parse_scenario_file(text)
 
 
-@pytest.mark.parametrize("token", ["drop:x", "drop:", "drop:+2", "drop:\u0662", "drop:1_0"])
+@pytest.mark.parametrize("token", ["drop:x", "drop:", "drop:+2", "drop:\u0662", "drop:1_0",
+                                   "drop:0", "modver:9", "modver:"])
 def test_scenario_file_names_a_bad_drop_count(token):
     text = f"# header\nSCENARIO a CLIENT strict SERVER s ATTACK {token} EXPECT aborted\n"
     with pytest.raises(ScenarioFileError, match=f"^line 2: unknown attack {re.escape(repr(token))}$"):
