@@ -23,6 +23,7 @@ from dstc.enforcement import (
     SuiteLabel,
     TlsVersion,
     apply,
+    check_answer,
     classify_ciphersuite,
     decide,
     normalize_suite_name,
@@ -713,3 +714,110 @@ def test_expired_slot_decides_like_an_empty_cache(zone_keys, cache_file, answer)
     expected, fresh = run_decide(zone, anchors, store=PolicyStore())
     assert decision == expected
     assert store.to_text() == fresh.to_text()
+
+
+# -- check_answer: the answer checks alone, and decide on an empty cache ------
+
+EXPIRED = replace(POLICY, valid_from=date(2017, 5, 1), valid_to=date(2018, 6, 1))
+NOT_YET_VALID = replace(POLICY, valid_from=date(2018, 8, 1))
+
+
+def _nodata(keys, other, record):
+    zone, anchors = build_world(keys, values=[])
+    zone.register_name("tls12.test")
+    return zone, anchors
+
+
+def _tampered(keys, other, record):
+    zone, anchors = build_world(keys, records=[record])
+    zone.attacker_tamper_signature("tls12.test")
+    return zone, anchors
+
+
+# Each builder takes (zone keys, other keys, record) and returns the zone and
+# anchors of one crafted answer for tls12.test.
+ANSWERS = {
+    "nxdomain": lambda keys, other, record: build_world(keys, values=[]),
+    "nodata": _nodata,
+    "no-dstc-value": lambda keys, other, record: build_world(keys, values=["v=spf1 -all"]),
+    "no-anchor": lambda keys, other, record: (
+        build_world(keys, records=[record])[0], TrustAnchorSet()),
+    "key-id-mismatch": lambda keys, other, record: (
+        build_world(keys, records=[record])[0], build_world(other, values=[])[1]),
+    "tampered-signature": _tampered,
+    "signature-expired": lambda keys, other, record: build_world(
+        keys, records=[record], sig_window=(date(2018, 1, 1), date(2018, 2, 1))),
+    "signature-not-yet-valid": lambda keys, other, record: build_world(
+        keys, records=[record], sig_window=(date(2018, 8, 1), date(2019, 5, 1))),
+    "malformed": lambda keys, other, record: build_world(
+        keys, values=["name=DSTC; validFrom=junk"]),
+    "ambiguous": lambda keys, other, record: build_world(
+        keys, records=[record, replace(record, report="other@tls12.test")]),
+    "published": lambda keys, other, record: build_world(
+        keys, values=[serialize_policy(record), "v=spf1 -all"]),
+}
+
+# (answer, record published, expected reason, record returned?)
+CHECK_TABLE = [
+    ("nxdomain", POLICY, Reason.NO_RECORD, False),
+    ("nodata", POLICY, Reason.NO_RECORD, False),
+    ("no-dstc-value", POLICY, Reason.NO_RECORD, False),
+    ("no-anchor", POLICY, Reason.INVALID_SIGNATURE, False),
+    ("key-id-mismatch", POLICY, Reason.INVALID_SIGNATURE, False),
+    ("tampered-signature", POLICY, Reason.INVALID_SIGNATURE, False),
+    ("signature-expired", POLICY, Reason.SIGNATURE_EXPIRED, False),
+    ("signature-not-yet-valid", POLICY, Reason.SIGNATURE_EXPIRED, False),
+    ("malformed", POLICY, Reason.MALFORMED, False),
+    ("ambiguous", POLICY, Reason.AMBIGUOUS_RECORDS, False),
+    ("published", EXPIRED, Reason.POLICY_EXPIRED, True),
+    ("published", NOT_YET_VALID, Reason.POLICY_NOT_YET_VALID, True),
+    ("published", POLICY, Reason.OK, True),
+]
+
+
+@pytest.mark.parametrize(
+    "answer, record, reason, returns_record",
+    CHECK_TABLE,
+    ids=[f"{row[0]}-{row[2].value}" for row in CHECK_TABLE],
+)
+def test_check_answer_table(zone_keys, other_keys, monkeypatch, answer, record, reason,
+                            returns_record):
+    def no_store(*args, **kwargs):
+        raise AssertionError("check_answer touched a PolicyStore")
+
+    for method in ("update", "observe_absence", "lookup", "get_exact"):
+        monkeypatch.setattr(PolicyStore, method, no_store)
+    zone, anchors = ANSWERS[answer](zone_keys, other_keys, record)
+    result = check_answer(resolve(zone, "tls12.test"), anchors, "tls12.test", NOW)
+    assert result == (reason, record if returns_record else None)
+
+
+@st.composite
+def crafted_answers(draw):
+    """One of the crafted answers, publishing a record with drawn dates and flags."""
+    valid_from = _day(draw, date(2017, 7, 1), date(2018, 10, 1))
+    record = PolicyRecord(
+        valid_from,
+        _day(draw, valid_from, date(2019, 7, 1)),
+        "admin@tls12.test",
+        include_sub_domain=draw(st.booleans()),
+        revoke=draw(st.booleans()),
+    )
+    # Half the draws publish the record, so its dates and flags are in play.
+    return draw(st.just("published") | st.sampled_from(sorted(ANSWERS))), record
+
+
+@given(crafted_answers())
+def test_decide_on_an_empty_store_follows_check_answer(zone_keys, other_keys, drawn):
+    answer, record = drawn
+    zone, anchors = ANSWERS[answer](zone_keys, other_keys, record)
+    response = resolve(zone, "tls12.test")
+    reason, checked = check_answer(response, anchors, "tls12.test", NOW)
+    decision = decide(response, anchors, PolicyStore(), "tls12.test", NOW)
+    if reason is not Reason.OK:
+        report = None if checked is None else checked.report
+        assert decision == PolicyDecision(Mode.DEFAULT, reason, report)
+    elif checked.revoke:
+        assert decision == PolicyDecision(Mode.DEFAULT, Reason.REVOKED, checked.report)
+    else:
+        assert decision == PolicyDecision(Mode.STRICT, Reason.OK, checked.report)
