@@ -167,6 +167,10 @@ class SignedRRset:
     inception: date
     expiration: date
     _canonical: bytes | None = field(default=None, init=False, repr=False, compare=False)
+    # The public key whose RSA check this instance passed; see verify_rrset.
+    _verified_by: rsa.RSAPublicKey | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def canonical_bytes(self) -> bytes:
         # Built on first call and kept: every field it covers is frozen, and
@@ -213,14 +217,6 @@ def sign_rrset(
     )
 
 
-# Verified-answer memo: owner name -> (signature, canonical bytes, public key)
-# of the last record set that passed the RSA check for that owner. One slot
-# per owner, so it grows only with the names this process has verified. Every
-# stored triple passed RSA, so a hit answers exactly as RSA would; sharing the
-# memo across callers or losing an update costs at most a repeat check.
-_verified: dict[str, tuple[bytes, bytes, rsa.RSAPublicKey]] = {}
-
-
 def verify_rrset(
     public_key: rsa.RSAPublicKey, rrset: SignedRRset, now: date
 ) -> VerifyStatus:
@@ -228,15 +224,16 @@ def verify_rrset(
 
     A broken signature wins over a window violation, so tampering is reported
     as tampering even on an expired set. The RSA check is skipped only when
-    signature, canonical bytes and key all equal the owner's memo slot; the
-    window is checked on every call.
+    this very instance already passed it under the same or an equal key: the
+    memo is the record set's own, and every attacker change makes a new
+    instance through ``replace()``. The window is checked on every call.
     """
     try:
         canonical = rrset.canonical_bytes()
-        checked = (rrset.signature, canonical, public_key)
-        if _verified.get(rrset.owner_name) != checked:
+        verified_by = rrset._verified_by
+        if verified_by is not public_key and verified_by != public_key:
             public_key.verify(rrset.signature, canonical, _PAD, _HASH)
-            _verified[rrset.owner_name] = checked
+            object.__setattr__(rrset, "_verified_by", public_key)
     except (_BadSignature, ValueError):
         return VerifyStatus.INVALID_SIGNATURE
     if now < rrset.inception:
@@ -285,7 +282,11 @@ class ZoneStore(TextFile):
         self._names.setdefault(normalize_domain(name), None)
 
     def publish(self, rrset: SignedRRset) -> None:
-        name = normalize_domain(rrset.owner_name)
+        self._file(rrset.owner_name, rrset)
+
+    def _file(self, name: str, rrset: SignedRRset) -> None:
+        """Fill the name's slot; the set is copied only to rename its owner."""
+        name = normalize_domain(name)
         if name != rrset.owner_name:
             rrset = replace(rrset, owner_name=name)
         self._names[name] = rrset
@@ -349,8 +350,7 @@ class ZoneStore(TextFile):
 
     def attacker_replace_rrset(self, name: str, rrset: SignedRRset) -> None:
         """Substitute a captured record set, e.g. replay an old signed one."""
-        name = normalize_domain(name)
-        self._names[name] = replace(rrset, owner_name=name)
+        self._file(name, rrset)
 
     # -- persistence
 

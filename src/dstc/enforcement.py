@@ -8,7 +8,7 @@ default mode offers the whole legacy-compatible range with fallback enabled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import date
 from enum import Enum, IntEnum
 from functools import lru_cache
@@ -211,6 +211,12 @@ class EffectiveTlsConfig:
     versions: tuple[TlsVersion, ...]
     ciphersuites: tuple[str, ...]
     fallback_enabled: bool
+    _offered: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # The offered names as run_handshake compares them, built once.
+        offered = frozenset(map(normalize_suite_name, self.ciphersuites))
+        object.__setattr__(self, "_offered", offered)
 
 
 def apply(decision: PolicyDecision, caps: ClientCapabilities) -> EffectiveTlsConfig:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 
 from .enforcement import EffectiveTlsConfig, TlsVersion, normalize_suite_name
 
@@ -98,20 +97,13 @@ class AttackerStrategy:
 NO_ATTACK = AttackerStrategy(AttackKind.NONE)
 
 
-def _first_common_suite(server: ServerProfile, offered_suites) -> str | None:
+def _first_common_suite(server: ServerProfile, offered: frozenset[str]) -> str | None:
     """The server's first preferred suite the client offered, names compared
     after normalisation, or None."""
-    offered = _normalised_offer(tuple(offered_suites))
     for suite in server.suite_preference:
         if normalize_suite_name(suite) in offered:
             return suite
     return None
-
-
-# A client offers the same few suite tuples on every hello (one per config).
-@lru_cache(maxsize=256)
-def _normalised_offer(offered_suites: tuple[str, ...]) -> frozenset[str]:
-    return frozenset(normalize_suite_name(s) for s in offered_suites)
 
 
 class HandshakeResult(Enum):
@@ -199,7 +191,7 @@ def run_handshake(
     version = TlsVersion.TLS10 if forced else min(offer, max(server.supported_versions))
     if not forced and version not in server.supported_versions:
         return fail(HandshakeResult.ABORTED_BY_SERVER, "server: refuse (no common version)")
-    suite = _first_common_suite(server, client_cfg.ciphersuites)
+    suite = _first_common_suite(server, client_cfg._offered)
     transcript.append(f"server: ServerHello version={version} suite={suite or '(none)'}")
     if version not in versions:
         return fail(
