@@ -18,6 +18,7 @@ from .dnssec import (
     DnsResponse,
     TrustAnchorSet,
     VerifyStatus,
+    normalize_domain,
     verify_rrset,
 )
 from .policy import (
@@ -263,6 +264,11 @@ def check_answer(
         return Reason.NO_RECORD, None
 
     rrset = response.rrset
+    # A set signed for another name, even under the right key, is no answer
+    # for this one. Names are normalised only when they differ as given.
+    owner = rrset.owner_name
+    if owner != domain and normalize_domain(owner) != normalize_domain(domain):
+        return Reason.INVALID_SIGNATURE, None
     anchor = anchors.lookup(domain)
     if anchor is None or anchor.key_id != rrset.key_id:
         return Reason.INVALID_SIGNATURE, None

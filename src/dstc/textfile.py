@@ -74,8 +74,10 @@ class TextFile:
         The text is rendered first, written to a temporary file next to
         ``path``, flushed to disk and renamed over ``path``, so a refused
         render or a failed write leaves the old file as it was and a crash
-        leaves either the old or the new file. The temporary file is removed
-        on any failure, and a replaced file keeps its permission bits.
+        leaves either the old or the new file. The directory is then flushed
+        too, so the rename itself survives a power cut; if that fails, the
+        error propagates with the new file in place. The temporary file is
+        removed on any failure, and a replaced file keeps its permission bits.
         """
         text = self.to_text()
         tmp = f"{path}.{secrets.token_hex(4)}.tmp"
@@ -91,6 +93,11 @@ class TextFile:
         except BaseException:
             os.unlink(tmp)
             raise
+        directory = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
 
     @classmethod
     def from_text(cls, text: str):

@@ -574,6 +574,35 @@ def test_memo_hit_still_checks_the_window(zone_keys, rrset, now):
     )
 
 
+def test_memo_keeps_a_restored_answer_verified(zone_keys, now):
+    key = CountingKey(zone_keys.public_key)
+    zone = ZoneStore()
+    zone.publish(sign_rrset(zone_keys, "restored.test", VALUES, INCEPTION, EXPIRATION))
+    original = zone.rrset_for("restored.test")
+    newer = sign_rrset(
+        zone_keys, "restored.test", VALUES, INCEPTION, EXPIRATION + timedelta(days=1)
+    )
+    for answer, calls in ((original, 1), (newer, 2), (original, 2)):
+        zone.attacker_replace_rrset("restored.test", answer)
+        rrset = resolve(zone, "restored.test").rrset
+        assert verify_rrset(key, rrset, now) is VerifyStatus.VALID
+        assert key.calls == calls
+
+
+def test_replace_files_the_captured_set_or_a_renamed_copy(zone_keys, rrset, now):
+    zone = ZoneStore()
+    assert verify_rrset(zone_keys.public_key, rrset, now) is VerifyStatus.VALID
+    zone.attacker_replace_rrset("TLS12.test.", rrset)
+    assert zone.rrset_for("tls12.test") is rrset
+    zone.attacker_replace_rrset("victim.test", rrset)
+    moved = zone.rrset_for("victim.test")
+    assert moved == replace(rrset, owner_name="victim.test")
+    # the copy carries no memo of the original's check
+    key = CountingKey(zone_keys.public_key)
+    assert verify_rrset(key, moved, now) is VerifyStatus.INVALID_SIGNATURE
+    assert key.calls == 1
+
+
 _NOW = date(2018, 7, 1)
 _tampers = st.one_of(
     st.tuples(st.just("signature"), st.integers(0, 255), st.integers(1, 255)),

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dstc.dnssec import (
+    Disposition,
+    DnsResponse,
     TrustAnchor,
     TrustAnchorSet,
     ZoneStore,
@@ -29,6 +31,7 @@ from dstc.enforcement import (
     normalize_suite_name,
 )
 from dstc.policy import PolicyRecord, format_policy_date, serialize_policy
+from dstc.scenarios import build_fixture, fixture_policy
 from dstc.store import PolicyStore, StoreAction
 
 # Hand-labelled real-world ciphersuite names (OpenSSL and IANA spellings).
@@ -514,6 +517,30 @@ def test_decide_fail_closed_matrix(zone_keys, other_keys):
         assert decision.reason is expected_reason
 
 
+def test_decide_refuses_a_signed_answer_for_another_name(zone_keys):
+    # Both names sign under one key, so the foreign set passes RSA and the
+    # anchor; only its owner name tells it apart.
+    fixture = build_fixture(
+        {
+            "victim.test": fixture_policy(report="admin@victim.test"),
+            "other.test": fixture_policy(
+                valid_from=date(2018, 6, 1), report="admin@other.test", revoke=True
+            ),
+        },
+        keys=zone_keys,
+    )
+    assert fixture.decide_for("victim.test") == PolicyDecision(
+        Mode.STRICT, Reason.OK, "admin@victim.test"
+    )
+    cached = fixture.store.to_text()
+    foreign = DnsResponse(
+        "victim.test", Disposition.ANSWERED, fixture.zone.rrset_for("other.test")
+    )
+    decision = decide(foreign, fixture.anchors, fixture.store, "victim.test", fixture.now)
+    assert decision == PolicyDecision(Mode.STRICT, Reason.DROP_ALARM, "admin@victim.test")
+    assert fixture.store.to_text() == cached
+
+
 # -- the no-usable-record fallback, per reason and cache state ---------------
 
 SUB = "www.tls12.test"
@@ -734,6 +761,16 @@ def _tampered(keys, other, record):
     return zone, anchors
 
 
+def _other_owner(keys, other, record):
+    # A set validly signed for another name under tls12.test's key. ZoneStore
+    # renames every set it files, so the slot is written directly.
+    zone, anchors = build_world(keys, values=[])
+    zone._names["tls12.test"] = sign_rrset(
+        keys, "other.test", [serialize_policy(record)], *SIG_WINDOW
+    )
+    return zone, anchors
+
+
 # Each builder takes (zone keys, other keys, record) and returns the zone and
 # anchors of one crafted answer for tls12.test.
 ANSWERS = {
@@ -745,6 +782,7 @@ ANSWERS = {
     "key-id-mismatch": lambda keys, other, record: (
         build_world(keys, records=[record])[0], build_world(other, values=[])[1]),
     "tampered-signature": _tampered,
+    "other-owner": _other_owner,
     "signature-expired": lambda keys, other, record: build_world(
         keys, records=[record], sig_window=(date(2018, 1, 1), date(2018, 2, 1))),
     "signature-not-yet-valid": lambda keys, other, record: build_world(
@@ -765,6 +803,7 @@ CHECK_TABLE = [
     ("no-anchor", POLICY, Reason.INVALID_SIGNATURE, False),
     ("key-id-mismatch", POLICY, Reason.INVALID_SIGNATURE, False),
     ("tampered-signature", POLICY, Reason.INVALID_SIGNATURE, False),
+    ("other-owner", POLICY, Reason.INVALID_SIGNATURE, False),
     ("signature-expired", POLICY, Reason.SIGNATURE_EXPIRED, False),
     ("signature-not-yet-valid", POLICY, Reason.SIGNATURE_EXPIRED, False),
     ("malformed", POLICY, Reason.MALFORMED, False),

@@ -10,6 +10,7 @@ each reader are reached.
 import base64
 import os
 import re
+import stat
 from datetime import date
 
 import pytest
@@ -156,6 +157,49 @@ def test_save_replaces_the_file_and_keeps_its_permission_bits(tmp_path):
     store.save(str(path))
     assert path.read_text() == store.to_text()
     assert os.stat(path).st_mode & 0o777 == 0o640
+    assert os.listdir(tmp_path) == ["cache.txt"]
+
+
+@pytest.mark.parametrize("relative", [False, True], ids=["absolute", "relative"])
+def test_save_syncs_the_directory_after_the_rename(tmp_path, monkeypatch, relative):
+    store, path = _saved_cache(tmp_path)
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace",))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    if relative:
+        monkeypatch.chdir(tmp_path)
+    store.save("cache.txt" if relative else str(path))
+    assert events == [
+        ("fsync", path.stat().st_ino),
+        ("replace",),
+        ("fsync", tmp_path.stat().st_ino),
+    ]
+    assert path.read_text() == store.to_text()
+
+
+def test_failed_directory_sync_propagates_with_the_new_file_in_place(tmp_path, monkeypatch):
+    store, path = _saved_cache(tmp_path)
+    real_fsync = os.fsync
+
+    def fsync(fd):
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            raise OSError("injected")
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    with pytest.raises(OSError, match="injected"):
+        store.save(str(path))
+    assert path.read_text() == store.to_text()
     assert os.listdir(tmp_path) == ["cache.txt"]
 
 
