@@ -230,8 +230,9 @@ def verify_rrset(
     """
     try:
         canonical = rrset.canonical_bytes()
-        verified_by = rrset._verified_by
-        if verified_by is not public_key and verified_by != public_key:
+        passed = rrset._verified_by
+        # None is tested first: comparing it with a key object costs about 2 us.
+        if passed is None or (passed is not public_key and passed != public_key):
             public_key.verify(rrset.signature, canonical, _PAD, _HASH)
             object.__setattr__(rrset, "_verified_by", public_key)
     except (_BadSignature, ValueError):
