@@ -156,7 +156,8 @@ def public_key_from_der(der: bytes) -> rsa.RSAPublicKey:
     return key
 
 
-@dataclass(frozen=True)
+# Slots: setting a memo field never gives a set its own attribute dict.
+@dataclass(frozen=True, slots=True)
 class SignedRRset:
     """A TXT record set plus its detached signature and validity window."""
 
@@ -223,10 +224,9 @@ def verify_rrset(
     """Check the signature and its validity window.
 
     A broken signature wins over a window violation, so tampering is reported
-    as tampering even on an expired set. The RSA check is skipped only when
-    this very instance already passed it under the same or an equal key: the
-    memo is the record set's own, and every attacker change makes a new
-    instance through ``replace()``. The window is checked on every call.
+    as tampering even on an expired set. The RSA check is skipped only for a
+    set that itself passed it under this or an equal key (``replace()`` makes
+    a new set); the window is checked on every call.
     """
     try:
         canonical = rrset.canonical_bytes()
