@@ -173,6 +173,10 @@ class SignedRRset:
         default=None, init=False, repr=False, compare=False
     )
 
+    def __post_init__(self):
+        # Both memos assume the values never change, so a list is copied.
+        object.__setattr__(self, "values", tuple(self.values))
+
     def canonical_bytes(self) -> bytes:
         # Built on first call and kept: every field it covers is frozen, and
         # each attacker change makes a new instance through replace(). A

@@ -118,8 +118,24 @@ def classify_ciphersuite(name: str) -> SuiteLabel:
     return SuiteLabel.NONFS_NONAE
 
 
-class NoStrongSuites(ValueError):
-    """Strict filtering left no ciphersuite to offer."""
+class Mode(Enum):
+    STRICT = "Strict"
+    DEFAULT = "Default"
+
+
+@dataclass(frozen=True)
+class EffectiveTlsConfig:
+    """The concrete hello parameters a client will use."""
+
+    versions: tuple[TlsVersion, ...]
+    ciphersuites: tuple[str, ...]
+    fallback_enabled: bool
+    _offered: frozenset[str] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # The offered names as run_handshake compares them, built once.
+        offered = frozenset(map(normalize_suite_name, self.ciphersuites))
+        object.__setattr__(self, "_offered", offered)
 
 
 @dataclass(frozen=True)
@@ -129,16 +145,27 @@ class ClientCapabilities:
     latest_version: TlsVersion
     version_floor: TlsVersion
     suite_list: tuple[str, ...]
+    # The config apply gives each mode, built once: strict offers the single
+    # latest version and the FS+AE subset with fallback off, default every
+    # version down to the floor and the full list with fallback on.
+    _strict: EffectiveTlsConfig = field(init=False, repr=False, compare=False)
+    _default: EffectiveTlsConfig = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # apply's config cache keys on the capabilities, so they must hash.
-        object.__setattr__(self, "suite_list", tuple(self.suite_list))
+        # A list would leave the frozen value mutable and unhashable.
+        suites = tuple(self.suite_list)
+        object.__setattr__(self, "suite_list", suites)
         if self.version_floor > self.latest_version:
             raise ValueError("version floor above latest version")
-        if not any(
-            classify_ciphersuite(s) is SuiteLabel.FS_AE for s in self.suite_list
-        ):
+        strong = tuple(s for s in suites if classify_ciphersuite(s) is SuiteLabel.FS_AE)
+        if not strong:
             raise ValueError("suite list carries no FS+AE ciphersuite")
+        versions = tuple(
+            v for v in sorted(TlsVersion, reverse=True)
+            if self.version_floor <= v <= self.latest_version
+        )
+        object.__setattr__(self, "_strict", EffectiveTlsConfig((self.latest_version,), strong, False))
+        object.__setattr__(self, "_default", EffectiveTlsConfig(versions, suites, True))
 
 
 # Desktop-browser-style TLS 1.2 suite list (3DES left out), 6 of 14 FS+AE.
@@ -164,11 +191,6 @@ DEFAULT_CLIENT = ClientCapabilities(
     version_floor=TlsVersion.TLS10,
     suite_list=DEFAULT_CLIENT_SUITES,
 )
-
-
-class Mode(Enum):
-    STRICT = "Strict"
-    DEFAULT = "Default"
 
 
 class Reason(Enum):
@@ -205,50 +227,10 @@ class PolicyDecision:
             raise ValueError(f"strict mode cannot carry reason {self.reason}")
 
 
-@dataclass(frozen=True)
-class EffectiveTlsConfig:
-    """The concrete hello parameters a client will use."""
-
-    versions: tuple[TlsVersion, ...]
-    ciphersuites: tuple[str, ...]
-    fallback_enabled: bool
-    _offered: frozenset[str] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        # The offered names as run_handshake compares them, built once.
-        offered = frozenset(map(normalize_suite_name, self.ciphersuites))
-        object.__setattr__(self, "_offered", offered)
-
-
 def apply(decision: PolicyDecision, caps: ClientCapabilities) -> EffectiveTlsConfig:
-    """Materialise the decision against the client's capabilities.
-
-    Only the decision mode matters: strict offers the single latest version
-    and the FS+AE subset with fallback off; default offers every version down
-    to the floor and the full list with fallback on.
-    """
-    return _materialise(decision.mode, caps)
-
-
-# Keyed by value: a client has two configs, one per mode, and equal
-# capabilities share them. A raised NoStrongSuites is never cached.
-@lru_cache(maxsize=64)
-def _materialise(mode: Mode, caps: ClientCapabilities) -> EffectiveTlsConfig:
-    if mode is Mode.STRICT:
-        suites = tuple(
-            s
-            for s in caps.suite_list
-            if classify_ciphersuite(s) is SuiteLabel.FS_AE
-        )
-        if not suites:
-            raise NoStrongSuites("no FS+AE ciphersuite available")
-        return EffectiveTlsConfig((caps.latest_version,), suites, False)
-    versions = tuple(
-        v
-        for v in sorted(TlsVersion, reverse=True)
-        if caps.version_floor <= v <= caps.latest_version
-    )
-    return EffectiveTlsConfig(versions, caps.suite_list, True)
+    """Materialise the decision against the client's capabilities. Only the
+    decision mode matters; ``ClientCapabilities`` built each mode's config."""
+    return caps._strict if decision.mode is Mode.STRICT else caps._default
 
 
 def check_answer(

@@ -14,7 +14,8 @@ configuration is driven against a server, possibly through an attacker.
             registered legacy server, unregistered legacy server)
   poodle    hello-dropping version downgrade against default and strict
   fragment  hello-fragmentation version downgrade against default and strict
-  forgery   record add / modify / delete / replay / drop against zone+store
+  forgery   record add / modify / delete / replay / drop, each followed by
+            the client's decision from the forged answer and its cache
 """
 
 from __future__ import annotations
@@ -28,10 +29,8 @@ from .dnssec import (
     ZoneStore,
     TrustAnchor,
     TrustAnchorSet,
-    VerifyStatus,
     resolve,
     sign_rrset,
-    verify_rrset,
 )
 from .enforcement import (
     DEFAULT_CLIENT,
@@ -51,7 +50,7 @@ from .handshake import (
     run_handshake,
 )
 from .policy import PolicyRecord, serialize_policy
-from .store import PolicyStore, StoreAction
+from .store import PolicyStore
 from .textfile import parse_lines
 
 
@@ -377,97 +376,78 @@ def run_downgrade_suite(name: str, keys: ZoneKeyPair | None = None) -> SuiteRepo
     return SuiteReport(name, tuple(rows))
 
 
-# Record edits made without the zone key: (row name, edited name, transcript
-# line, edit). Each edit runs on a freshly signed zone, and verifying the
-# edited name must then report an invalid signature.
-_FORGERIES = (
-    ("add-unregistered-policy", "victim.test",
-     "attacker: injected unsigned policy record",
-     lambda zone, name: zone.attacker_add_txt_value(
-         name, serialize_policy(fixture_policy(report="mallory@evil.test"))
-     )),
-    ("modify-signed-record", "tls12.test",
-     "attacker: rewrote validTo inside the signed record",
-     lambda zone, name: zone.attacker_modify_txt_value(
-         name,
-         0,
-         zone.rrset_for(name).values[0].replace("validTo=01-05-2019", "validTo=01-05-2018"),
-     )),
-    ("delete-from-signed-set", "multi.test",
-     "attacker: removed one value from the signed set",
-     lambda zone, name: zone.attacker_delete_txt_value(name, 1)),
+_REGISTERED_POLICY = fixture_policy(valid_from=date(2018, 1, 1))
+
+# Forgery rows: (name, domain, expected, steps). Each row starts from a fresh
+# zone holding tls12.test signed as _REGISTERED_POLICY, and an empty cache.
+# A step is (text, change). A tuple change is values the owner signs as the
+# domain's set; a callable is an attacker edit, change(zone, domain, first),
+# that holds no key, only ``first``, the domain's set as first signed; None is
+# a contact, and the row expects and reports the decision of its last one.
+_FORGERY_SUITE = (
+    ("add-unregistered-policy", "victim.test", "Default/InvalidSignature", (
+        ("attacker: injected unsigned policy record",
+         lambda zone, domain, first: zone.attacker_add_txt_value(
+             domain, serialize_policy(fixture_policy(report="mallory@evil.test")))),
+        ("connection", None),
+    )),
+    ("modify-signed-record", "tls12.test", "Default/InvalidSignature", (
+        ("attacker: rewrote validTo inside the signed record",
+         lambda zone, domain, first: zone.attacker_modify_txt_value(
+             domain, 0, first.values[0].replace("validTo=01-05-2019", "validTo=01-05-2018"))),
+        ("connection", None),
+    )),
+    ("delete-from-signed-set", "tls12.test", "Default/InvalidSignature", (
+        ("owner: signed the policy together with an SPF value",
+         (serialize_policy(_REGISTERED_POLICY), "v=spf1 -all")),
+        ("attacker: removed one value from the signed set",
+         lambda zone, domain, first: zone.attacker_delete_txt_value(domain, 1)),
+        ("connection", None),
+    )),
+    ("replay-stale-policy", "tls12.test", "Strict/DropAlarm", (
+        ("owner: signed a newer policy", (serialize_policy(fixture_policy()),)),
+        ("first connection", None),
+        ("attacker: replayed the older signed policy",
+         lambda zone, domain, first: zone.attacker_replace_rrset(domain, first)),
+        ("second connection", None),
+    )),
+    ("replay-revoked-policy", "tls12.test", "Default/Revoked", (
+        ("first connection", None),
+        ("owner: signed a revocation", (serialize_policy(
+            fixture_policy(valid_from=date(2018, 6, 1), revoke=True)),)),
+        ("second connection", None),
+        ("attacker: replayed the revoked policy",
+         lambda zone, domain, first: zone.attacker_replace_rrset(domain, first)),
+        ("third connection", None),
+    )),
+    ("drop-after-first-connection", "tls12.test", "Strict/DropAlarm", (
+        ("first connection", None),
+        ("attacker: suppressed the record set",
+         lambda zone, domain, first: zone.attacker_drop_rrset(domain)),
+        ("second connection", None),
+    )),
 )
 
 
 def run_forgery(keys: ZoneKeyPair | None = None) -> SuiteReport:
-    """Record-forgery matrix: each manipulation and the defence that stops it."""
+    """Record-forgery matrix: each manipulation, then the client's decision."""
     keys = keys or ZoneKeyPair.generate("zsk-1")
-    now = FIXTURE_NOW
     rows = []
-
-    def row(name, expected, actual, transcript):
-        rows.append(ScenarioRow(name, expected, actual, actual == expected, tuple(transcript)))
-
-    policy = serialize_policy(fixture_policy())
-    for row_name, name, line, edit in _FORGERIES:
-        zone = ZoneStore()
-        zone.publish(sign_rrset(keys, "tls12.test", [policy], *SIGNATURE_DAYS))
-        zone.publish(sign_rrset(keys, "multi.test", [policy, "v=spf1 -all"], *SIGNATURE_DAYS))
-        edit(zone, name)
-        status = verify_rrset(keys.public_key, zone.rrset_for(name), now)
-        row(
-            row_name,
-            VerifyStatus.INVALID_SIGNATURE.value,
-            status.value,
-            [line, f"verify: {status.value}"],
-        )
-
-    # replay-stale: replay an older, correctly signed policy.
-    store = PolicyStore()
-    old = fixture_policy(valid_from=date(2018, 1, 1))
-    new = fixture_policy(valid_from=date(2018, 5, 1))
-    store.update("tls12.test", new, now)
-    action = store.update("tls12.test", old, now)
-    row(
-        "replay-stale-policy",
-        StoreAction.REJECTED_STALE.value,
-        action.value,
-        ["attacker: replayed an older signed policy", f"store: {action.value}"],
-    )
-
-    # replay-revoked: replay the policy that a revocation deleted.
-    store = PolicyStore()
-    store.update("tls12.test", old, now)
-    revoke = fixture_policy(valid_from=date(2018, 6, 1), revoke=True)
-    revoke_action = store.update("tls12.test", revoke, now)
-    action = store.update("tls12.test", old, now)
-    row(
-        "replay-revoked-policy",
-        StoreAction.REJECTED_STALE.value,
-        action.value,
-        [
-            f"owner: revocation applied ({revoke_action.value})",
-            "attacker: replayed the revoked policy",
-            f"store: {action.value} (tombstone)",
-        ],
-    )
-
-    # drop: suppress the record after the client cached the policy.
-    fixture = build_fixture({"tls12.test": fixture_policy()}, keys=keys)
-    first = fixture.decide_for("tls12.test")
-    fixture.zone.attacker_drop_rrset("tls12.test")
-    second = fixture.decide_for("tls12.test")
-    row(
-        "drop-after-first-connection",
-        f"{Mode.STRICT.value}/{Reason.DROP_ALARM.value}",
-        f"{second.mode.value}/{second.reason.value}",
-        [
-            f"first connection: {first.mode.value}/{first.reason.value}",
-            "attacker: suppressed the record set",
-            f"second connection: {second.mode.value}/{second.reason.value}",
-        ],
-    )
-
+    for row_name, domain, expected, steps in _FORGERY_SUITE:
+        fixture = build_fixture({"tls12.test": _REGISTERED_POLICY}, keys=keys)
+        first = fixture.zone.rrset_for(domain)
+        transcript = []
+        for text, change in steps:
+            if change is None:
+                decision = fixture.decide_for(domain)
+                actual = f"{decision.mode.value}/{decision.reason.value}"
+                text = f"{text}: {actual}"
+            elif callable(change):
+                change(fixture.zone, domain, first)
+            else:
+                fixture.zone.publish(sign_rrset(keys, domain, change, *SIGNATURE_DAYS))
+            transcript.append(text)
+        rows.append(ScenarioRow(row_name, expected, actual, actual == expected, tuple(transcript)))
     return SuiteReport("forgery", tuple(rows))
 
 

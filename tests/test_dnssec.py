@@ -603,6 +603,22 @@ def test_replace_files_the_captured_set_or_a_renamed_copy(zone_keys, rrset, now)
     assert key.calls == 1
 
 
+def test_a_set_built_from_a_list_cannot_change_after_verifying(zone_keys, rrset, now):
+    values = list(rrset.values)
+    built = SignedRRset(
+        rrset.owner_name, values, rrset.signature, rrset.key_id, INCEPTION, EXPIRATION
+    )
+    assert verify_rrset(zone_keys.public_key, built, now) is VerifyStatus.VALID
+    values.append("injected")
+    assert built.values == rrset.values and hash(built) == hash(rrset)
+    with pytest.raises(AttributeError):
+        built.values.append("injected")
+    # a fresh set holding the changed values fails; the built one kept the signed values
+    fresh = replace(rrset, values=tuple(values))
+    assert verify_rrset(zone_keys.public_key, fresh, now) is VerifyStatus.INVALID_SIGNATURE
+    assert verify_rrset(zone_keys.public_key, built, now) is VerifyStatus.VALID
+
+
 _NOW = date(2018, 7, 1)
 _tampers = st.one_of(
     st.tuples(st.just("signature"), st.integers(0, 255), st.integers(1, 255)),

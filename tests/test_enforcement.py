@@ -19,7 +19,6 @@ from dstc.enforcement import (
     DEFAULT_CLIENT,
     DEFAULT_CLIENT_SUITES,
     Mode,
-    NoStrongSuites,
     PolicyDecision,
     Reason,
     SuiteLabel,
@@ -207,15 +206,6 @@ def test_apply_depends_only_on_mode():
 def test_capabilities_require_a_strong_suite():
     with pytest.raises(ValueError):
         ClientCapabilities(TlsVersion.TLS12, TlsVersion.TLS10, ("AES128-SHA",))
-
-
-def test_apply_defensive_no_strong_suites():
-    caps = ClientCapabilities.__new__(ClientCapabilities)
-    object.__setattr__(caps, "latest_version", TlsVersion.TLS12)
-    object.__setattr__(caps, "version_floor", TlsVersion.TLS10)
-    object.__setattr__(caps, "suite_list", ("AES128-SHA",))
-    with pytest.raises(NoStrongSuites):
-        apply(STRICT_DECISION, caps)
 
 
 def test_equal_capabilities_built_separately_get_equal_configs():

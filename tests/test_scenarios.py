@@ -152,37 +152,42 @@ def test_builtin_forgery(zone_keys):
     report = run_builtin_suite("forgery", keys=zone_keys)
     assert report.all_passed, report.render()
     expected = {
-        "add-unregistered-policy": "InvalidSignature",
-        "modify-signed-record": "InvalidSignature",
-        "delete-from-signed-set": "InvalidSignature",
-        "replay-stale-policy": "RejectedStale",
-        "replay-revoked-policy": "RejectedStale",
+        "add-unregistered-policy": "Default/InvalidSignature",
+        "modify-signed-record": "Default/InvalidSignature",
+        "delete-from-signed-set": "Default/InvalidSignature",
+        "replay-stale-policy": "Strict/DropAlarm",
+        "replay-revoked-policy": "Default/Revoked",
         "drop-after-first-connection": "Strict/DropAlarm",
     }
     assert {row.name: row.actual for row in report.rows} == expected
 
 
 FORGERY_GOLDEN = [
-    ("add-unregistered-policy", "InvalidSignature", "InvalidSignature", (
+    ("add-unregistered-policy", "Default/InvalidSignature", "Default/InvalidSignature", (
         "attacker: injected unsigned policy record",
-        "verify: InvalidSignature",
+        "connection: Default/InvalidSignature",
     )),
-    ("modify-signed-record", "InvalidSignature", "InvalidSignature", (
+    ("modify-signed-record", "Default/InvalidSignature", "Default/InvalidSignature", (
         "attacker: rewrote validTo inside the signed record",
-        "verify: InvalidSignature",
+        "connection: Default/InvalidSignature",
     )),
-    ("delete-from-signed-set", "InvalidSignature", "InvalidSignature", (
+    ("delete-from-signed-set", "Default/InvalidSignature", "Default/InvalidSignature", (
+        "owner: signed the policy together with an SPF value",
         "attacker: removed one value from the signed set",
-        "verify: InvalidSignature",
+        "connection: Default/InvalidSignature",
     )),
-    ("replay-stale-policy", "RejectedStale", "RejectedStale", (
-        "attacker: replayed an older signed policy",
-        "store: RejectedStale",
+    ("replay-stale-policy", "Strict/DropAlarm", "Strict/DropAlarm", (
+        "owner: signed a newer policy",
+        "first connection: Strict/OK",
+        "attacker: replayed the older signed policy",
+        "second connection: Strict/DropAlarm",
     )),
-    ("replay-revoked-policy", "RejectedStale", "RejectedStale", (
-        "owner: revocation applied (RevokedDeleted)",
+    ("replay-revoked-policy", "Default/Revoked", "Default/Revoked", (
+        "first connection: Strict/OK",
+        "owner: signed a revocation",
+        "second connection: Default/Revoked",
         "attacker: replayed the revoked policy",
-        "store: RejectedStale (tombstone)",
+        "third connection: Default/Revoked",
     )),
     ("drop-after-first-connection", "Strict/DropAlarm", "Strict/DropAlarm", (
         "first connection: Strict/OK",
