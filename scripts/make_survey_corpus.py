@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Generate the synthetic 7080-profile survey corpus and summarise it.
+"""Generate the paper's 7080-profile survey corpus and summarise it.
 
-The generator places exact population counts for every figure the survey
-reports, so running the survey over the emitted file demonstrates that the
-statistics pipeline recovers its ground truth.
+The generator places exact population counts for every figure the paper's
+survey reports, so running the survey over the emitted file demonstrates
+that the statistics pipeline recovers its ground truth.
 
 Usage: python3 scripts/make_survey_corpus.py [output-path]
 """

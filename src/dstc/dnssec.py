@@ -53,10 +53,6 @@ _NO_DATE = date.min
 _ABSENT = object()
 
 
-class MissingPrivateKey(ValueError):
-    """Signing was requested with a verify-only key pair."""
-
-
 class ZoneFileError(ValueError):
     """A zone or trust-anchor file could not be parsed."""
 
@@ -98,18 +94,19 @@ def canonical_form(
 
 @dataclass
 class ZoneKeyPair:
-    """A zone signing key. The private half is absent on the client side."""
+    """A zone signing key. The public half is derived from the private one."""
 
     key_id: str
-    public_key: rsa.RSAPublicKey
-    private_key: rsa.RSAPrivateKey | None = None
+    private_key: rsa.RSAPrivateKey
+    public_key: rsa.RSAPublicKey = field(init=False)
+
+    def __post_init__(self):
+        self.public_key = self.private_key.public_key()
 
     @classmethod
-    def generate(cls, key_id: str, bits: int = MIN_KEY_BITS) -> "ZoneKeyPair":
-        if bits < MIN_KEY_BITS:
-            raise ValueError(f"key size {bits} below the {MIN_KEY_BITS}-bit floor")
-        private = rsa.generate_private_key(public_exponent=65537, key_size=bits)
-        return cls(key_id=key_id, public_key=private.public_key(), private_key=private)
+    def generate(cls, key_id: str) -> "ZoneKeyPair":
+        private = rsa.generate_private_key(public_exponent=65537, key_size=MIN_KEY_BITS)
+        return cls(key_id, private)
 
     def public_der(self) -> bytes:
         return self.public_key.public_bytes(
@@ -118,8 +115,6 @@ class ZoneKeyPair:
         )
 
     def save_private_pem(self, path: str) -> None:
-        if self.private_key is None:
-            raise MissingPrivateKey(self.key_id)
         pem = self.private_key.private_bytes(
             serialization.Encoding.PEM,
             serialization.PrivateFormat.PKCS8,
@@ -143,7 +138,7 @@ class ZoneKeyPair:
             raise ZoneFileError(f"{path}: not an RSA private key")
         if private.key_size < MIN_KEY_BITS:
             raise ValueError(f"{path}: key size below the {MIN_KEY_BITS}-bit floor")
-        return cls(key_id=key_id, public_key=private.public_key(), private_key=private)
+        return cls(key_id, private)
 
 
 def public_key_from_der(der: bytes) -> rsa.RSAPublicKey:
@@ -205,8 +200,6 @@ def sign_rrset(
     expiration: date,
 ) -> SignedRRset:
     """Sign a TXT value set; the result verifies under the pair's public key."""
-    if keys.private_key is None:
-        raise MissingPrivateKey(keys.key_id)
     if inception > expiration:
         raise ValueError("inception is later than expiration")
     signature = keys.private_key.sign(

@@ -104,7 +104,7 @@ def classify_ciphersuite(name: str) -> SuiteLabel:
     Forward secrecy: the leading dash-separated token is ECDHE or DHE.
     Authenticated encryption: the name contains GCM, CCM, CCM8, or CHACHA20.
     """
-    if not name or not name.strip():
+    if not name.strip():
         raise ValueError("ciphersuite name must be non-empty")
     s = normalize_suite_name(name)
     fs = s.split("-", 1)[0] in _FS_PREFIXES

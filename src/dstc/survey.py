@@ -10,8 +10,10 @@ sense for servers speaking the latest version, so they use that
 subpopulation, and the report states both denominators. Percentages are
 rounded half-up to two decimals.
 
-``generate_corpus`` builds a synthetic corpus hitting exact target counts,
-so the survey arithmetic can be validated against known ground truth.
+``generate_corpus`` builds the paper's corpus: a synthetic stand-in for its
+scan of the top 10,000 sites that hits each figure the paper reports
+exactly, so the survey arithmetic can be validated against known ground
+truth.
 """
 
 from __future__ import annotations
@@ -222,63 +224,50 @@ WEAK_POOL = (
 # the modal count and appears rarely enough to never contest the mode.
 _OTHER_COUNTS = (10, 12, 14, 16, 18, 22, 24)
 
+# The paper's figures for its scan, which generate_corpus hits exactly.
+RESPONDING = 7080
+LATEST = 6888              # support TLS 1.2
+LATEST_EXCLUSIVE = 373     # support TLS 1.2 only
+LATEST_TWO = 6462          # support TLS 1.2 and TLS 1.1
+LATEST_THREE = 6202        # support TLS 1.2, 1.1 and 1.0
+FSAE_ANY = 6500            # TLS 1.2 servers with an FS+AE suite
+FSAE_MIXED = 6483          # ... and with a weaker suite beside it
+MODAL_COUNT = 20           # the most frequent number of suites per server
+MODAL_SERVERS = 938        # the TLS 1.2 servers offering that many
+_SEED = 20180506
 
-def generate_corpus(
-    total: int = 7080,
-    latest: int = 6888,
-    latest_exclusive: int = 373,
-    latest_two: int = 6462,
-    latest_three: int = 6202,
-    fsae_any: int = 6500,
-    fsae_mixed: int = 6483,
-    modal_count: int = 20,
-    modal_servers: int = 938,
-    seed: int = 20180506,
-) -> list[ServerProfile]:
-    """Build a deterministic corpus hitting the target counts exactly.
 
-    Targets: profiles responding, supporting the latest version, supporting
-    it exclusively, supporting the top two / top three versions cumulatively,
-    having at least one FS+AE suite, having FS+AE plus a weaker suite, and
-    the modal suite count with its population.
-    """
-    only_two = latest_two - latest_three
-    skipped_prev = latest - latest_exclusive - latest_two
-    strong_only = fsae_any - fsae_mixed
-    weak_only = latest - fsae_any
-    non_latest = total - latest
-    if min(only_two, skipped_prev, strong_only, weak_only, non_latest) < 0:
-        raise ValueError("inconsistent corpus targets")
-    if modal_servers > fsae_mixed:
-        raise ValueError("modal population exceeds the mixed-suite population")
-    if modal_count > len(STRONG_POOL) + len(WEAK_POOL):
-        raise ValueError("modal suite count exceeds the suite pools")
+def generate_corpus() -> list[ServerProfile]:
+    """Build the paper's corpus, deterministically, hitting each figure above."""
+    only_two = LATEST_TWO - LATEST_THREE
+    skipped_prev = LATEST - LATEST_EXCLUSIVE - LATEST_TWO
+    strong_only = FSAE_ANY - FSAE_MIXED
+    weak_only = LATEST - FSAE_ANY
+    non_latest = RESPONDING - LATEST
 
     version_plan = (
-        [frozenset({TlsVersion.TLS12})] * latest_exclusive
+        [frozenset({TlsVersion.TLS12})] * LATEST_EXCLUSIVE
         + [frozenset({TlsVersion.TLS12, TlsVersion.TLS11, TlsVersion.TLS10})]
-        * latest_three
+        * LATEST_THREE
         + [frozenset({TlsVersion.TLS12, TlsVersion.TLS11})] * only_two
         + [frozenset({TlsVersion.TLS12, TlsVersion.TLS10})] * skipped_prev
     )
 
-    suite_plan = []
-    for i in range(modal_servers):
-        suite_plan.append(_mixed_suites(modal_count))
-    for i in range(fsae_mixed - modal_servers):
-        suite_plan.append(_mixed_suites(_OTHER_COUNTS[i % len(_OTHER_COUNTS)]))
-    for _ in range(strong_only):
-        suite_plan.append(STRONG_POOL[:6])
-    for _ in range(weak_only):
-        suite_plan.append(WEAK_POOL[:8])
+    suite_plan = (
+        [_mixed_suites(MODAL_COUNT)] * MODAL_SERVERS
+        + [_mixed_suites(_OTHER_COUNTS[i % len(_OTHER_COUNTS)])
+           for i in range(FSAE_MIXED - MODAL_SERVERS)]
+        + [STRONG_POOL[:6]] * strong_only
+        + [WEAK_POOL[:8]] * weak_only
+    )
 
-    rng = random.Random(seed)
+    rng = random.Random(_SEED)
     rng.shuffle(version_plan)
     rng.shuffle(suite_plan)
 
     profiles = [
-        ServerProfile(f"site{i:04d}.example", version_plan[i], tuple(suite_plan[i]))
-        for i in range(latest)
+        ServerProfile(f"site{i:04d}.example", version_plan[i], suite_plan[i])
+        for i in range(LATEST)
     ]
     legacy_versions = (
         frozenset({TlsVersion.TLS11, TlsVersion.TLS10}),
@@ -288,7 +277,7 @@ def generate_corpus(
     for j in range(non_latest):
         profiles.append(
             ServerProfile(
-                f"site{latest + j:04d}.example",
+                f"site{LATEST + j:04d}.example",
                 legacy_versions[j % len(legacy_versions)],
                 WEAK_POOL[:8],
             )
@@ -299,7 +288,4 @@ def generate_corpus(
 
 def _mixed_suites(count: int) -> tuple[str, ...]:
     strong = max(1, count // 3)
-    weak = count - strong
-    if weak > len(WEAK_POOL) or strong > len(STRONG_POOL):
-        raise ValueError(f"cannot build a mixed list of {count} suites")
-    return STRONG_POOL[:strong] + WEAK_POOL[:weak]
+    return STRONG_POOL[:strong] + WEAK_POOL[:count - strong]

@@ -4,6 +4,7 @@ from datetime import date
 
 import pytest
 from cryptography.hazmat.primitives import serialization
+from cryptography.hazmat.primitives.asymmetric import rsa
 
 from dstc.cli import main
 from dstc.dnssec import TrustAnchor, TrustAnchorSet, ZoneStore, sign_rrset
@@ -222,6 +223,22 @@ def test_encrypted_key_is_a_usage_error(tmp_path, capsys, zone_keys):
     assert not (tmp_path / "z.zone").exists()
 
 
+def test_small_key_file_is_a_usage_error(tmp_path, capsys):
+    # Generated keys are always MIN_KEY_BITS; a key file is the one way a
+    # smaller key can still come in.
+    weak = rsa.generate_private_key(public_exponent=65537, key_size=1024)
+    (tmp_path / "k.pem").write_bytes(weak.private_bytes(
+        serialization.Encoding.PEM,
+        serialization.PrivateFormat.PKCS8,
+        serialization.NoEncryption(),
+    ))
+    assert main(_sign_args(tmp_path, "--anchors-out", str(tmp_path / "a.txt"))) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("dstc sign: ")
+    assert str(tmp_path / "k.pem") in err[0] and "2048-bit floor" in err[0]
+    assert [p.name for p in tmp_path.iterdir()] == ["k.pem"]
+
+
 def test_verify_strict_ok_exit_zero(world, capsys):
     code = main([
         "verify", "--zone", world["zone"], "--anchors", world["anchors"],
@@ -436,18 +453,6 @@ def test_attack_sim_failed_expectation_exits_one(tmp_path, capsys):
 def test_attack_sim_requires_exactly_one_source(capsys):
     assert main(["attack-sim"]) == 2
     assert main(["attack-sim", "table2", "--scenario-file", "x"]) == 2
-
-
-def test_survey_command(tmp_path, capsys):
-    corpus = tmp_path / "corpus.txt"
-    corpus.write_text(render_corpus(generate_corpus(
-        total=40, latest=30, latest_exclusive=5, latest_two=20, latest_three=15,
-        fsae_any=25, fsae_mixed=22, modal_count=20, modal_servers=10,
-    )))
-    assert main(["survey", "--corpus", str(corpus)]) == 0
-    assert "responding profiles            40" in capsys.readouterr().out
-    assert main(["survey", "--corpus", str(corpus), "--kv"]) == 0
-    assert "latest_pct=75.00%" in capsys.readouterr().out
 
 
 GOLDEN_SURVEY_TEXT = """\

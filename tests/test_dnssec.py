@@ -9,13 +9,11 @@ from hypothesis import given, settings, strategies as st
 from dstc.dnssec import (
     Disposition,
     DnsResponse,
-    MissingPrivateKey,
     SignedRRset,
     TrustAnchor,
     TrustAnchorSet,
     VerifyStatus,
     ZoneFileError,
-    ZoneKeyPair,
     ZoneStore,
     canonical_form,
     normalize_domain,
@@ -89,19 +87,9 @@ def test_signature_window(zone_keys, rrset):
     assert verify_rrset(zone_keys.public_key, rrset, EXPIRATION) is VerifyStatus.VALID
 
 
-def test_signing_requires_private_key(zone_keys):
-    with pytest.raises(MissingPrivateKey):
-        sign_rrset(ZoneKeyPair(zone_keys.key_id, zone_keys.public_key), "a.test", ["x"], INCEPTION, EXPIRATION)
-
-
 def test_signing_rejects_inverted_window(zone_keys):
     with pytest.raises(ValueError):
         sign_rrset(zone_keys, "a.test", ["x"], EXPIRATION, INCEPTION)
-
-
-def test_small_keys_refused():
-    with pytest.raises(ValueError):
-        ZoneKeyPair.generate("weak", bits=1024)
 
 
 def test_signature_tamper_sweep(zone_keys, rrset, now):

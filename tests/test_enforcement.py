@@ -148,6 +148,11 @@ def test_classifier_rejects_empty():
         classify_ciphersuite("")
 
 
+def test_classifier_rejects_whitespace_only():
+    with pytest.raises(ValueError):
+        classify_ciphersuite("   ")
+
+
 def test_normalize_suite_name():
     assert (
         normalize_suite_name("TLS_ECDHE_RSA_WITH_AES_128_GCM_SHA256")
@@ -206,6 +211,13 @@ def test_apply_depends_only_on_mode():
 def test_capabilities_require_a_strong_suite():
     with pytest.raises(ValueError):
         ClientCapabilities(TlsVersion.TLS12, TlsVersion.TLS10, ("AES128-SHA",))
+
+
+def test_capabilities_with_floor_at_latest_version():
+    caps = ClientCapabilities(TlsVersion.TLS12, TlsVersion.TLS12, DEFAULT_CLIENT_SUITES)
+    config = apply(DEFAULT_DECISION, caps)
+    assert config.versions == (TlsVersion.TLS12,)
+    assert config.fallback_enabled is True
 
 
 def test_equal_capabilities_built_separately_get_equal_configs():
@@ -411,6 +423,16 @@ def test_decide_drop_alarm(zone_keys):
     run_decide(zone, anchors, store=store)
     zone.attacker_drop_rrset("tls12.test")
     decision, _ = run_decide(zone, anchors, store=store)
+    assert decision == PolicyDecision(Mode.STRICT, Reason.DROP_ALARM, "admin@tls12.test")
+
+
+def test_decide_drop_alarm_on_the_cached_validto_day(zone_keys):
+    # The cached policy is live through its validTo day.
+    zone, anchors = build_world(zone_keys)
+    store = PolicyStore()
+    run_decide(zone, anchors, store=store)
+    zone.attacker_drop_rrset("tls12.test")
+    decision, _ = run_decide(zone, anchors, store=store, now=POLICY.valid_to)
     assert decision == PolicyDecision(Mode.STRICT, Reason.DROP_ALARM, "admin@tls12.test")
 
 

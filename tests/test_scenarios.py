@@ -1,5 +1,6 @@
 import re
 import runpy
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,8 @@ from dstc.scenarios import (
     run_builtin_suite,
     run_scenario_suite,
 )
+from dstc.survey import generate_corpus, render_corpus
+from test_cli import GOLDEN_SURVEY_TEXT
 
 SCENARIO_FILE = """
 # downgrade exercises
@@ -231,3 +234,12 @@ def test_run_attack_sims_script(capsys):
         f"suite {name}" for name in BUILTIN_SUITES
     ]
     assert out.rstrip().endswith("all suites passed")
+
+
+def test_make_survey_corpus_script(tmp_path, capsys, monkeypatch):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "make_survey_corpus.py"
+    out_path = tmp_path / "corpus.txt"
+    monkeypatch.setattr(sys, "argv", [str(script), str(out_path)])
+    assert runpy.run_path(str(script))["main"]() == 0
+    assert out_path.read_text() == render_corpus(generate_corpus())
+    assert capsys.readouterr().out.endswith(GOLDEN_SURVEY_TEXT)

@@ -197,6 +197,19 @@ def test_load_rejects_a_tombstone_that_ends_before_it_starts():
         PolicyStore.from_text("# cache\nTOMBSTONE a.test 01-06-2019 01-01-2018\n")
 
 
+def test_one_day_tombstone_survives_save_and_load(tmp_path, now):
+    # A revocation valid for one day leaves a tombstone with validFrom = validTo.
+    store = PolicyStore()
+    store.update("tls12.test", record(), now)
+    one_day = record(valid_from=now, valid_to=now, revoke=True)
+    assert store.update("tls12.test", one_day, now) is StoreAction.REVOKED_DELETED
+    path = tmp_path / "cache.txt"
+    store.save(path)
+    loaded = PolicyStore.load(path)
+    assert loaded.tombstones() == store.tombstones()
+    assert loaded.update("tls12.test", record(), now) is StoreAction.REJECTED_STALE
+
+
 def test_load_rejects_a_cached_policy_that_revokes():
     # No writer stores a revoking record; loaded as live, it would give
     # Strict/DropAlarm from a revoked policy once the record is absent.
@@ -320,6 +333,11 @@ def test_reader_refuses_what_the_writer_cannot_write(line, message):
 def test_load_rejects_garbage():
     with pytest.raises(StoreFileError):
         PolicyStore.from_text("POLICY half a line\n")
+
+
+def test_load_rejects_an_unknown_kind_with_tombstone_fields():
+    with pytest.raises(StoreFileError, match="^line 1: unrecognised line "):
+        PolicyStore.from_text("FOO a.test 01-01-2018 01-01-2019\n")
 
 
 def test_load_error_names_the_unrecognised_line():

@@ -11,8 +11,6 @@ from dstc.survey import (
     parse_corpus,
     pct,
     render_corpus,
-    render_report_kv,
-    render_report_text,
     survey,
 )
 
@@ -172,24 +170,10 @@ def test_generated_corpus_is_deterministic():
 
 
 def test_generated_corpus_survives_file_round_trip(tmp_path):
-    profiles = generate_corpus(
-        total=40, latest=30, latest_exclusive=5, latest_two=20, latest_three=15,
-        fsae_any=25, fsae_mixed=22, modal_count=20, modal_servers=10,
-    )
-    report = survey(profiles)
-    assert report.latest_count == 30
-    assert report.fsae_any_count == 25
+    profiles = generate_corpus()
     path = tmp_path / "corpus.txt"
     path.write_text(render_corpus(profiles))
     assert parse_corpus(path.read_text()) == profiles
-
-
-def test_generator_rejects_inconsistent_targets():
-    with pytest.raises(ValueError):
-        generate_corpus(total=100, latest=200)
-    with pytest.raises(ValueError):
-        generate_corpus(total=100, latest=90, latest_exclusive=50, latest_two=50,
-                        latest_three=40, fsae_any=80, fsae_mixed=70)
 
 
 def test_generator_pools_are_correctly_labelled():
@@ -197,15 +181,3 @@ def test_generator_pools_are_correctly_labelled():
 
     assert all(classify_ciphersuite(s) is SuiteLabel.FS_AE for s in STRONG_POOL)
     assert all(classify_ciphersuite(s) is not SuiteLabel.FS_AE for s in WEAK_POOL)
-
-
-def test_render_report_formats():
-    report = survey(generate_corpus(
-        total=40, latest=30, latest_exclusive=5, latest_two=20, latest_three=15,
-        fsae_any=25, fsae_mixed=22, modal_count=20, modal_servers=10,
-    ))
-    text = render_report_text(report)
-    kv = render_report_kv(report)
-    assert "responding profiles" in text
-    assert "latest_pct=75.00%" in kv
-    assert "fsae_any_count=25" in kv
