@@ -231,7 +231,7 @@ def _decided(args):
     report = decision.report_address or "-"
     print(f"decision: mode={decision.mode.value} reason={decision.reason.value} "
           f"report={report}")
-    print(f"config: versions={','.join(v.label for v in config.versions)} "
+    print(f"config: versions={','.join(str(v) for v in config.versions)} "
           f"fallback={'on' if config.fallback_enabled else 'off'}")
     print(f"config: suites={','.join(config.ciphersuites)}")
     if decision.reason in ATTACK_REASONS:

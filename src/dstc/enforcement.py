@@ -40,12 +40,8 @@ class TlsVersion(IntEnum):
     TLS11 = 0x0302
     TLS12 = 0x0303
 
-    @property
-    def label(self) -> str:
-        return _VERSION_LABELS[self]
-
     def __str__(self) -> str:
-        return self.label
+        return _VERSION_LABELS[self]
 
     @classmethod
     def parse(cls, token: str) -> "TlsVersion":

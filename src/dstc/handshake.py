@@ -90,7 +90,7 @@ class AttackerStrategy:
         if self.kind is AttackKind.DROP_CLIENT_HELLO:
             return f"drop:{self.drop_count}"
         if self.kind is AttackKind.MODIFY_CLIENT_HELLO_VERSION:
-            return f"modver:{self.target_version.label}"
+            return f"modver:{self.target_version!s}"
         return self.kind.value
 
 

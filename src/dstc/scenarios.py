@@ -111,7 +111,7 @@ class ScenarioRow:
     expected: str
     actual: str
     passed: bool
-    transcript: tuple[str, ...] = ()
+    transcript: tuple[str, ...]
     decision: str | None = None
 
 
@@ -205,7 +205,7 @@ def _parse_scenario(fields: list[str]) -> Scenario:
 def run_scenario_suite(
     scenarios: list[Scenario],
     profiles: dict[str, ServerProfile],
-    suite_name: str = "custom",
+    suite_name: str,
 ) -> SuiteReport:
     """Execute scenarios in order against their named server profiles."""
     rows = []

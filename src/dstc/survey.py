@@ -67,7 +67,7 @@ def parse_corpus(text: str) -> list[ServerProfile]:
 def render_corpus(profiles: list[ServerProfile]) -> str:
     lines = []
     for p in profiles:
-        versions = ",".join(v.label for v in sorted(p.supported_versions, reverse=True))
+        versions = ",".join(str(v) for v in sorted(p.supported_versions, reverse=True))
         lines.append(f"{p.domain} | {versions} | {','.join(p.suite_preference)}")
     return "\n".join(lines) + "\n"
 

@@ -2,7 +2,7 @@ from datetime import date
 
 import pytest
 
-from dstc import ZoneKeyPair
+from dstc.dnssec import ZoneKeyPair
 
 
 @pytest.fixture(scope="session")

@@ -544,6 +544,14 @@ def test_bench_rejects_bad_iterations(capsys):
     assert main(["bench", "--iterations", "0"]) == 2
 
 
+@pytest.mark.parametrize("given", ["zone", "anchors"])
+def test_bench_zone_and_anchors_go_together(world, capsys, given):
+    assert main(["bench", "--iterations", "1", f"--{given}", world[given]]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "dstc bench: --zone and --anchors go together\n"
+
+
 def test_bench_bad_fixture_exit_two(world, capsys):
     assert main([
         "bench", "--zone", world["zone"], "--anchors", world["anchors"],

@@ -62,7 +62,7 @@ def test_unknown_profile_reference():
         "SCENARIO x CLIENT strict SERVER ghost ATTACK none EXPECT established\n"
     )
     with pytest.raises(UnknownScenarioReference):
-        run_scenario_suite(scenarios, {})
+        run_scenario_suite(scenarios, {}, suite_name="ghost")
 
 
 @pytest.mark.parametrize("line", [
