@@ -304,6 +304,9 @@ def cmd_bench(args) -> int:
     if bool(args.zone) != bool(args.anchors):
         print("dstc bench: --zone and --anchors go together", file=sys.stderr)
         return USAGE_ERROR
+    if args.now is not None and not args.zone:
+        print("dstc bench: --now goes with --zone", file=sys.stderr)
+        return USAGE_ERROR
     if args.zone:
         zone = ZoneStore.load(args.zone)
         anchors = TrustAnchorSet.load(args.anchors)

@@ -233,18 +233,28 @@ def verify_rrset(
             public_key.verify(rrset.signature, canonical, _PAD, _HASH)
             object.__setattr__(rrset, "_verified_by", public_key)
     except (_BadSignature, ValueError):
-        return VerifyStatus.INVALID_SIGNATURE
+        return _INVALID_SIGNATURE
     if now < rrset.inception:
-        return VerifyStatus.SIGNATURE_NOT_YET_VALID
+        return _SIGNATURE_NOT_YET_VALID
     if now > rrset.expiration:
-        return VerifyStatus.SIGNATURE_EXPIRED
-    return VerifyStatus.VALID
+        return _SIGNATURE_EXPIRED
+    return _VALID
 
 
 class Disposition(Enum):
     ANSWERED = "Answered"
     NO_RECORD = "NoRecord"
     NO_SUCH_DOMAIN = "NoSuchDomain"
+
+
+# Enum.MEMBER costs 140-190 ns on 3.10/3.11 (EnumMeta.__getattr__; 42 ns on 3.12), a global 37 ns.
+_VALID = VerifyStatus.VALID
+_INVALID_SIGNATURE = VerifyStatus.INVALID_SIGNATURE
+_SIGNATURE_EXPIRED = VerifyStatus.SIGNATURE_EXPIRED
+_SIGNATURE_NOT_YET_VALID = VerifyStatus.SIGNATURE_NOT_YET_VALID
+_ANSWERED = Disposition.ANSWERED
+_NO_RECORD = Disposition.NO_RECORD
+_NO_SUCH_DOMAIN = Disposition.NO_SUCH_DOMAIN
 
 
 @dataclass(frozen=True)
@@ -254,7 +264,7 @@ class DnsResponse:
     rrset: SignedRRset | None = None
 
     def __post_init__(self):
-        if (self.disposition is Disposition.ANSWERED) != (self.rrset is not None):
+        if (self.disposition is _ANSWERED) != (self.rrset is not None):
             raise ValueError("rrset must be present exactly when Answered")
 
 
@@ -437,10 +447,10 @@ def resolve(zone: ZoneStore, name: str) -> DnsResponse:
     name = normalize_domain(name)
     rrset = zone._names.get(name, _ABSENT)
     if rrset is _ABSENT:
-        return DnsResponse(name, Disposition.NO_SUCH_DOMAIN)
+        return DnsResponse(name, _NO_SUCH_DOMAIN)
     if rrset is None:
-        return DnsResponse(name, Disposition.NO_RECORD)
-    return DnsResponse(name, Disposition.ANSWERED, rrset)
+        return DnsResponse(name, _NO_RECORD)
+    return DnsResponse(name, _ANSWERED, rrset)
 
 
 @dataclass(frozen=True)

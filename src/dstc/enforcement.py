@@ -41,7 +41,7 @@ class TlsVersion(IntEnum):
     TLS12 = 0x0303
 
     def __str__(self) -> str:
-        return _VERSION_LABELS[self]
+        return VERSION_LABELS[self]
 
     @classmethod
     def parse(cls, token: str) -> "TlsVersion":
@@ -51,7 +51,7 @@ class TlsVersion(IntEnum):
         raise ValueError(f"unknown TLS version {token!r}")
 
 
-_VERSION_LABELS = {
+VERSION_LABELS = {
     TlsVersion.SSL30: "SSL3.0",
     TlsVersion.TLS10: "TLS1.0",
     TlsVersion.TLS11: "TLS1.1",
@@ -202,6 +202,24 @@ class Reason(Enum):
     DROP_ALARM = "DropAlarm"
 
 
+# Enum.MEMBER costs 140-190 ns on 3.10/3.11 (EnumMeta.__getattr__; 42 ns on 3.12), a global 37 ns.
+_ANSWERED = Disposition.ANSWERED
+_VERIFY_VALID, _VERIFY_INVALID = VerifyStatus.VALID, VerifyStatus.INVALID_SIGNATURE
+_POLICY_EXPIRED, _POLICY_NOT_YET_VALID = PolicyStatus.EXPIRED, PolicyStatus.NOT_YET_VALID
+_STORE_DROP_ALARM, _STORE_REJECTED_STALE = StoreAction.DROP_ALARM, StoreAction.REJECTED_STALE
+_STRICT, _DEFAULT = Mode.STRICT, Mode.DEFAULT
+_REASON_OK = Reason.OK
+_REASON_NO_RECORD = Reason.NO_RECORD
+_REASON_INVALID_SIGNATURE = Reason.INVALID_SIGNATURE
+_REASON_SIGNATURE_EXPIRED = Reason.SIGNATURE_EXPIRED
+_REASON_POLICY_EXPIRED = Reason.POLICY_EXPIRED
+_REASON_POLICY_NOT_YET_VALID = Reason.POLICY_NOT_YET_VALID
+_REASON_MALFORMED = Reason.MALFORMED
+_REASON_AMBIGUOUS_RECORDS = Reason.AMBIGUOUS_RECORDS
+_REASON_REVOKED = Reason.REVOKED
+_REASON_DROP_ALARM = Reason.DROP_ALARM
+
+
 # Reasons that indicate active interference rather than plain absence or
 # operator error; surfaced as a non-zero exit by the CLI.
 ATTACK_REASONS = frozenset(
@@ -216,17 +234,14 @@ class PolicyDecision:
     report_address: str | None = None
 
     def __post_init__(self):
-        if self.mode is Mode.STRICT and self.reason not in (
-            Reason.OK,
-            Reason.DROP_ALARM,
-        ):
+        if self.mode is _STRICT and self.reason not in (_REASON_OK, _REASON_DROP_ALARM):
             raise ValueError(f"strict mode cannot carry reason {self.reason}")
 
 
 def apply(decision: PolicyDecision, caps: ClientCapabilities) -> EffectiveTlsConfig:
     """Materialise the decision against the client's capabilities. Only the
     decision mode matters; ``ClientCapabilities`` built each mode's config."""
-    return caps._strict if decision.mode is Mode.STRICT else caps._default
+    return caps._strict if decision.mode is _STRICT else caps._default
 
 
 def check_answer(
@@ -238,24 +253,24 @@ def check_answer(
     """``decide``'s answer checks, in order, without the cache: the first
     failing reason or ``Reason.OK``, with the record for ``OK``,
     ``PolicyExpired`` and ``PolicyNotYetValid`` (else ``None``)."""
-    if response.disposition is not Disposition.ANSWERED:
-        return Reason.NO_RECORD, None
+    if response.disposition is not _ANSWERED:
+        return _REASON_NO_RECORD, None
 
     rrset = response.rrset
     # A set signed for another name, even under the right key, is no answer
     # for this one. Names are normalised only when they differ as given.
     owner = rrset.owner_name
     if owner != domain and normalize_domain(owner) != normalize_domain(domain):
-        return Reason.INVALID_SIGNATURE, None
+        return _REASON_INVALID_SIGNATURE, None
     anchor = anchors.lookup(domain)
     if anchor is None or anchor.key_id != rrset.key_id:
-        return Reason.INVALID_SIGNATURE, None
+        return _REASON_INVALID_SIGNATURE, None
     status = verify_rrset(anchor.public_key(), rrset, now)
-    if status is VerifyStatus.INVALID_SIGNATURE:
-        return Reason.INVALID_SIGNATURE, None
-    if status is not VerifyStatus.VALID:
+    if status is _VERIFY_INVALID:
+        return _REASON_INVALID_SIGNATURE, None
+    if status is not _VERIFY_VALID:
         # Both window violations surface as an expired-signature decision.
-        return Reason.SIGNATURE_EXPIRED, None
+        return _REASON_SIGNATURE_EXPIRED, None
 
     records = []
     for value in rrset.values:
@@ -264,19 +279,19 @@ def check_answer(
         except NotDstc:
             continue
         except MalformedPolicy:
-            return Reason.MALFORMED, None
+            return _REASON_MALFORMED, None
     if not records:
-        return Reason.NO_RECORD, None
+        return _REASON_NO_RECORD, None
     if len(records) > 1:
-        return Reason.AMBIGUOUS_RECORDS, None
+        return _REASON_AMBIGUOUS_RECORDS, None
 
     record = records[0]
     status = policy_status(record, now)
-    if status is PolicyStatus.EXPIRED:
-        return Reason.POLICY_EXPIRED, record
-    if status is PolicyStatus.NOT_YET_VALID:
-        return Reason.POLICY_NOT_YET_VALID, record
-    return Reason.OK, record
+    if status is _POLICY_EXPIRED:
+        return _REASON_POLICY_EXPIRED, record
+    if status is _POLICY_NOT_YET_VALID:
+        return _REASON_POLICY_NOT_YET_VALID, record
+    return _REASON_OK, record
 
 
 def decide(
@@ -295,29 +310,29 @@ def decide(
     alarm and strict stays in force.
     """
     reason, record = check_answer(response, anchors, domain, now)
-    if reason is not Reason.OK:
+    if reason is not _REASON_OK:
         # No usable record: a live entry of the domain's own raises the
         # alarm, else an opted-in ancestor keeps strict, else default.
-        if store.observe_absence(domain, now) is StoreAction.DROP_ALARM:
+        if store.observe_absence(domain, now) is _STORE_DROP_ALARM:
             entry = store.get_exact(domain, now)
-            return PolicyDecision(Mode.STRICT, Reason.DROP_ALARM, entry.record.report)
+            return PolicyDecision(_STRICT, _REASON_DROP_ALARM, entry.record.report)
         governing = store.lookup(domain, now)
         if governing is not None:
             # Absence is expected under the ancestor; an unusable answer of
             # the domain's own is treated as interference.
-            strict_reason = Reason.OK if reason is Reason.NO_RECORD else Reason.DROP_ALARM
-            return PolicyDecision(Mode.STRICT, strict_reason, governing.record.report)
+            strict_reason = _REASON_OK if reason is _REASON_NO_RECORD else _REASON_DROP_ALARM
+            return PolicyDecision(_STRICT, strict_reason, governing.record.report)
         report = None if record is None else record.report
-        return PolicyDecision(Mode.DEFAULT, reason, report)
+        return PolicyDecision(_DEFAULT, reason, report)
 
     # The store's answer alone picks the outcome. RejectedStale means a valid
     # but outdated record (policy or revocation) was replayed: a fresher
     # cached entry keeps governing, and a tombstone means the domain revoked.
-    if store.update(domain, record, now) is StoreAction.REJECTED_STALE:
+    if store.update(domain, record, now) is _STORE_REJECTED_STALE:
         entry = store.get_exact(domain, now)
         if entry is not None:
-            return PolicyDecision(Mode.STRICT, Reason.DROP_ALARM, entry.record.report)
-        return PolicyDecision(Mode.DEFAULT, Reason.REVOKED, record.report)
+            return PolicyDecision(_STRICT, _REASON_DROP_ALARM, entry.record.report)
+        return PolicyDecision(_DEFAULT, _REASON_REVOKED, record.report)
     if record.revoke:
-        return PolicyDecision(Mode.DEFAULT, Reason.REVOKED, record.report)
-    return PolicyDecision(Mode.STRICT, Reason.OK, record.report)
+        return PolicyDecision(_DEFAULT, _REASON_REVOKED, record.report)
+    return PolicyDecision(_STRICT, _REASON_OK, record.report)

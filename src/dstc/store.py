@@ -43,6 +43,15 @@ class StoreAction(Enum):
     DROP_ALARM = "DropAlarm"
 
 
+# Enum.MEMBER costs 140-190 ns on 3.10/3.11 (EnumMeta.__getattr__; 42 ns on 3.12), a global 37 ns.
+_STORED_NEW = StoreAction.STORED_NEW
+_REPLACED = StoreAction.REPLACED
+_REJECTED_STALE = StoreAction.REJECTED_STALE
+_REVOKED_DELETED = StoreAction.REVOKED_DELETED
+_UNCHANGED = StoreAction.UNCHANGED
+_DROP_ALARM = StoreAction.DROP_ALARM
+
+
 class StoreFileError(ValueError):
     """A persistence file could not be loaded."""
 
@@ -106,23 +115,23 @@ class PolicyStore(TextFile):
         slot = self._slot(domain, now)
         held = isinstance(slot, StoredPolicy)
         if held and slot.record == record:
-            return StoreAction.UNCHANGED
+            return _UNCHANGED
         if slot is not None and record.valid_from <= slot.valid_from:
-            return StoreAction.REJECTED_STALE
+            return _REJECTED_STALE
         if record.revoke:
             if slot is not None:
                 self._slots[domain] = Tombstone(domain, record.valid_from, record.valid_to)
-            return StoreAction.REVOKED_DELETED if held else StoreAction.UNCHANGED
+            return _REVOKED_DELETED if held else _UNCHANGED
         self._slots[domain] = StoredPolicy(domain, record, now)
-        return StoreAction.REPLACED if held else StoreAction.STORED_NEW
+        return _REPLACED if held else _STORED_NEW
 
     def observe_absence(self, domain: str, now: date) -> StoreAction:
         """React to a query that produced no usable policy record: a live
         cached entry means someone is suppressing the record, so raise the
         alarm and keep enforcing from the cache."""
         if isinstance(self._slot(normalize_domain(domain), now), StoredPolicy):
-            return StoreAction.DROP_ALARM
-        return StoreAction.UNCHANGED
+            return _DROP_ALARM
+        return _UNCHANGED
 
     def lookup(self, domain: str, now: date) -> StoredPolicy | None:
         """Governing entry for a domain: itself, else the nearest ancestor

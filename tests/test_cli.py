@@ -544,12 +544,17 @@ def test_bench_rejects_bad_iterations(capsys):
     assert main(["bench", "--iterations", "0"]) == 2
 
 
-@pytest.mark.parametrize("given", ["zone", "anchors"])
-def test_bench_zone_and_anchors_go_together(world, capsys, given):
-    assert main(["bench", "--iterations", "1", f"--{given}", world[given]]) == 2
+@pytest.mark.parametrize("given, message", [
+    ("zone", "--zone and --anchors go together"),
+    ("anchors", "--zone and --anchors go together"),
+    ("now", "--now goes with --zone"),
+], ids=["zone", "anchors", "now"])
+def test_bench_zone_and_anchors_go_together(world, capsys, given, message):
+    value = "01-01-2030" if given == "now" else world[given]
+    assert main(["bench", "--iterations", "1", f"--{given}", value]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "dstc bench: --zone and --anchors go together\n"
+    assert err == f"dstc bench: {message}\n"
 
 
 def test_bench_bad_fixture_exit_two(world, capsys):
