@@ -8,6 +8,8 @@ A fourth row times one iteration of the whole pipeline.
 Every row verifies the same record set again and again, so after the first
 iteration each verify is a verified-answer memo hit (see
 ``dnssec.verify_rrset``): SigVerify times a repeat verify, not an RSA check.
+Likewise, after the first iteration each policy parse in the QueryVerify,
+Enforce and "All 3" rows is a parse-memo hit (see ``policy.parse_policy``).
 """
 
 from __future__ import annotations

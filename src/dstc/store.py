@@ -114,7 +114,8 @@ class PolicyStore(TextFile):
         domain = normalize_domain(domain)
         slot = self._slot(domain, now)
         held = isinstance(slot, StoredPolicy)
-        if held and slot.record == record:
+        # A parse memo hit is the very record the slot holds; == builds two tuples.
+        if held and (slot.record is record or slot.record == record):
             return _UNCHANGED
         if slot is not None and record.valid_from <= slot.valid_from:
             return _REJECTED_STALE

@@ -340,3 +340,40 @@ def test_direct_construction_refuses_non_bool_flags(flag, directive, value):
         PolicyRecord(valid_from=date(2018, 5, 1), valid_to=date(2019, 5, 1),
                      report="a@b.c", **{flag: value})
     assert str(info.value) == f"{directive} must be 0 or 1, got {value!r}"
+
+
+# -- the parse memo -----------------------------------------------------------
+
+
+def test_repeated_parse_returns_the_identical_record():
+    text = CANONICAL.replace("admin@", "memo@")
+    first = parse_policy(text)
+    assert parse_policy(text) is first
+    assert first == parse_policy.__wrapped__(text)
+
+
+@pytest.mark.parametrize("text, error", [
+    (CANONICAL.replace("validTo=01-05-2019", "validTo=31-02-2019"), MalformedDate),
+    ("v=spf1 include:_spf.example.com ~all", NotDstc),
+], ids=["malformed", "not-dstc"])
+def test_a_refused_text_raises_afresh_and_is_not_kept(text, error):
+    size = parse_policy.cache_info().currsize
+    raised = []
+    for _ in range(2):
+        with pytest.raises(error) as info:
+            parse_policy(text)
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0] == raised[1]
+    assert parse_policy.cache_info().currsize == size
+
+
+def test_the_memo_holds_more_texts_than_warm_revisit_revisits():
+    # An LRU memo smaller than a cyclic working set (6500 texts) never hits.
+    assert parse_policy.cache_info().maxsize == 1 << 14
+
+
+@given(st.one_of(edited_canonical_texts(), st.text(max_size=200)))
+def test_first_and_second_parse_agree_with_the_reference(text):
+    expected = _outcome(reference.parse_policy, text)
+    assert _outcome(parse_policy, text) == expected
+    assert _outcome(parse_policy, text) == expected

@@ -42,8 +42,14 @@ def test_stale_replay_rejected(now):
 
 def test_identical_redelivery_is_unchanged(now):
     store = PolicyStore()
-    store.update("tls12.test", record(), now)
-    assert store.update("tls12.test", record(), now) is StoreAction.UNCHANGED
+    held = record()
+    store.update("tls12.test", held, now)
+    assert store.update("tls12.test", held, now) is StoreAction.UNCHANGED
+    # An equal record that is not the held instance (no parse memo hit).
+    redelivered = record()
+    assert redelivered == held and redelivered is not held
+    assert store.update("tls12.test", redelivered, now) is StoreAction.UNCHANGED
+    assert store.get_exact("tls12.test", now).record is held
 
 
 def test_equal_validfrom_different_content_rejected(now):
@@ -51,6 +57,9 @@ def test_equal_validfrom_different_content_rejected(now):
     store.update("tls12.test", record(), now)
     conflicting = record(include_sub_domain=True)
     assert store.update("tls12.test", conflicting, now) is StoreAction.REJECTED_STALE
+    other_report = record(report="other@tls12.com")
+    assert store.update("tls12.test", other_report, now) is StoreAction.REJECTED_STALE
+    assert store.get_exact("tls12.test", now).record == record()
 
 
 def test_revocation_deletes_and_leaves_tombstone(now):
