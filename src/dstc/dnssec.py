@@ -257,7 +257,7 @@ _NO_RECORD = Disposition.NO_RECORD
 _NO_SUCH_DOMAIN = Disposition.NO_SUCH_DOMAIN
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DnsResponse:
     queried_name: str
     disposition: Disposition
@@ -272,7 +272,8 @@ class ZoneStore(TextFile):
     """All record sets of one zone, plus the attacker's write access.
 
     One slot per name: absent is NXDOMAIN, None is NODATA, anything else
-    is the name's TXT record set.
+    is the name's TXT record set. ``_answers`` keeps the last answer
+    ``resolve`` built for each name; see there.
 
     Single-threaded: callers use a store from one thread at a time, and the
     store takes no lock.
@@ -282,6 +283,7 @@ class ZoneStore(TextFile):
 
     def __init__(self):
         self._names: dict[str, SignedRRset | None] = {}
+        self._answers: dict[str, DnsResponse] = {}
         self._keys: dict[str, bytes] = {}
 
     # -- owner-side operations
@@ -442,15 +444,19 @@ def resolve(zone: ZoneStore, name: str) -> DnsResponse:
     """Look up a name's TXT record set in the zone.
 
     Returns Answered with the signed set, NoRecord for a known name without
-    TXT data, and NoSuchDomain otherwise.
+    TXT data, and NoSuchDomain otherwise. A name's answer is built once and
+    returned again for as long as its slot holds the very same value, so no
+    write to the slot, whatever its path, can leave a stale answer behind.
     """
     name = normalize_domain(name)
     rrset = zone._names.get(name, _ABSENT)
     if rrset is _ABSENT:
         return DnsResponse(name, _NO_SUCH_DOMAIN)
-    if rrset is None:
-        return DnsResponse(name, _NO_RECORD)
-    return DnsResponse(name, _ANSWERED, rrset)
+    answer = zone._answers.get(name)
+    if answer is None or answer.rrset is not rrset:
+        answer = DnsResponse(name, _NO_RECORD if rrset is None else _ANSWERED, rrset)
+        zone._answers[name] = answer
+    return answer
 
 
 @dataclass(frozen=True)

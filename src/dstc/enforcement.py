@@ -227,7 +227,7 @@ ATTACK_REASONS = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PolicyDecision:
     mode: Mode
     reason: Reason
@@ -236,6 +236,24 @@ class PolicyDecision:
     def __post_init__(self):
         if self.mode is _STRICT and self.reason not in (_REASON_OK, _REASON_DROP_ALARM):
             raise ValueError(f"strict mode cannot carry reason {self.reason}")
+
+
+# Room for more decisions than warm-revisit's 6500 distinct ones (one per
+# report address): an LRU intern smaller than a cyclic working set never hits.
+_DECISION_INTERN_SIZE = 1 << 14
+
+
+@lru_cache(maxsize=_DECISION_INTERN_SIZE)
+def _interned_decision(mode: str, reason: str, report: str | None) -> PolicyDecision:
+    return PolicyDecision(Mode(mode), Reason(reason), report)
+
+
+def _decision(mode: Mode, reason: Reason, report: str | None) -> PolicyDecision:
+    """The one ``PolicyDecision`` for these fields, built and checked on its
+    first use. A refused one is never kept, so it raises on every call. The
+    key holds the members' values: on 3.10/3.11 an Enum hash is Python code
+    (about 140 ns), a str hash is cached."""
+    return _interned_decision(mode._value_, reason._value_, report)
 
 
 def apply(decision: PolicyDecision, caps: ClientCapabilities) -> EffectiveTlsConfig:
@@ -315,15 +333,15 @@ def decide(
         # alarm, else an opted-in ancestor keeps strict, else default.
         if store.observe_absence(domain, now) is _STORE_DROP_ALARM:
             entry = store.get_exact(domain, now)
-            return PolicyDecision(_STRICT, _REASON_DROP_ALARM, entry.record.report)
+            return _decision(_STRICT, _REASON_DROP_ALARM, entry.record.report)
         governing = store.lookup(domain, now)
         if governing is not None:
             # Absence is expected under the ancestor; an unusable answer of
             # the domain's own is treated as interference.
             strict_reason = _REASON_OK if reason is _REASON_NO_RECORD else _REASON_DROP_ALARM
-            return PolicyDecision(_STRICT, strict_reason, governing.record.report)
+            return _decision(_STRICT, strict_reason, governing.record.report)
         report = None if record is None else record.report
-        return PolicyDecision(_DEFAULT, reason, report)
+        return _decision(_DEFAULT, reason, report)
 
     # The store's answer alone picks the outcome. RejectedStale means a valid
     # but outdated record (policy or revocation) was replayed: a fresher
@@ -331,8 +349,8 @@ def decide(
     if store.update(domain, record, now) is _STORE_REJECTED_STALE:
         entry = store.get_exact(domain, now)
         if entry is not None:
-            return PolicyDecision(_STRICT, _REASON_DROP_ALARM, entry.record.report)
-        return PolicyDecision(_DEFAULT, _REASON_REVOKED, record.report)
+            return _decision(_STRICT, _REASON_DROP_ALARM, entry.record.report)
+        return _decision(_DEFAULT, _REASON_REVOKED, record.report)
     if record.revoke:
-        return PolicyDecision(_DEFAULT, _REASON_REVOKED, record.report)
-    return PolicyDecision(_STRICT, _REASON_OK, record.report)
+        return _decision(_DEFAULT, _REASON_REVOKED, record.report)
+    return _decision(_STRICT, _REASON_OK, record.report)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .enforcement import VERSION_LABELS, EffectiveTlsConfig, TlsVersion, normalize_suite_name
 
@@ -124,7 +125,7 @@ _EXHAUSTED = HandshakeResult.EXHAUSTED
 _TLS10 = TlsVersion.TLS10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HandshakeOutcome:
     result: HandshakeResult
     negotiated_version: TlsVersion | None
@@ -137,6 +138,49 @@ class HandshakeOutcome:
             self.negotiated_suite is not None
         ):
             raise ValueError("negotiated fields present iff established")
+
+
+# A transcript step is an event: its kind, then the values its line shows,
+# versions as their labels.
+_LINES = {
+    "hello": "client: ClientHello version={} suites={}",
+    "dropped": "attacker: dropped ClientHello ({} of {})",
+    "exhausted": "client: no lower version left, giving up",
+    "fallback": "client: fallback {} -> {}",
+    "no-fallback": "client: abort (hello lost and fallback disabled)",
+    "retry": "client: retry same version {} ({} of {})",
+    "modified": "attacker: modified ClientHello version {} -> {}",
+    "fragmented": "attacker: fragmented ClientHello",
+    "forced": "server: fragmentation bug, negotiating {} regardless of offer",
+    "reassembled": "server: reassembled fragmented hello, no effect",
+    "no-version": "server: refuse (no common version)",
+    "server-hello": "server: ServerHello version={} suite={}",
+    "outside-policy": "client: abort (ServerHello version {} outside enforced policy)",
+    "no-suite": "server: abort (no common ciphersuite)",
+    "established": "established: version={} suite={}",
+}
+
+
+def _line(event: tuple) -> str:
+    kind, *values = event
+    return _LINES[kind].format(*values)
+
+
+# A few distinct outcomes serve all contacts (one in warm-revisit, eleven in
+# attack-churn); the bound only keeps an unusual caller from growing it.
+_OUTCOME_INTERN_SIZE = 1 << 10
+
+
+@lru_cache(maxsize=_OUTCOME_INTERN_SIZE)
+def _outcome(
+    result: HandshakeResult,
+    version: TlsVersion | None,
+    suite: str | None,
+    events: tuple[tuple, ...],
+) -> HandshakeOutcome:
+    """The one outcome for these fields and events, its lines rendered and
+    its fields checked on first use. The lines depend on the events alone."""
+    return HandshakeOutcome(result, version, suite, tuple(map(_line, events)))
 
 
 def run_handshake(
@@ -156,56 +200,42 @@ def run_handshake(
     labels = VERSION_LABELS
     drops = attacker.drop_count if attacker.kind is _DROP else 0
     suite_count = len(client_cfg.ciphersuites)
-    transcript: list[str] = []
-
-    def fail(result, line):
-        transcript.append(line)
-        return HandshakeOutcome(result, None, None, tuple(transcript))
 
     offer = versions[0]
-    transcript.append(f"client: ClientHello version={labels[offer]} suites={suite_count}")
+    events = [("hello", labels[offer], suite_count)]
     for lost in range(1, drops + 1):
-        transcript.append(f"attacker: dropped ClientHello ({lost} of {drops})")
+        events.append(("dropped", lost, drops))
         if client_cfg.fallback_enabled:
             if lost == len(versions):
-                return fail(_EXHAUSTED, "client: no lower version left, giving up")
-            transcript.append(f"client: fallback {labels[offer]} -> {labels[versions[lost]]}")
+                return _outcome(_EXHAUSTED, None, None, (*events, ("exhausted",)))
+            events.append(("fallback", labels[offer], labels[versions[lost]]))
             offer = versions[lost]
         elif lost > STRICT_RETRY_BUDGET:
-            return fail(_ABORTED_BY_CLIENT, "client: abort (hello lost and fallback disabled)")
+            return _outcome(_ABORTED_BY_CLIENT, None, None, (*events, ("no-fallback",)))
         else:
-            transcript.append(
-                f"client: retry same version {labels[offer]} ({lost} of {STRICT_RETRY_BUDGET})"
-            )
-        transcript.append(f"client: ClientHello version={labels[offer]} suites={suite_count}")
+            events.append(("retry", labels[offer], lost, STRICT_RETRY_BUDGET))
+        events.append(("hello", labels[offer], suite_count))
 
     if attacker.kind is _MODVER:
-        transcript.append(
-            "attacker: modified ClientHello version"
-            f" {labels[offer]} -> {labels[attacker.target_version]}"
-        )
+        events.append(("modified", labels[offer], labels[attacker.target_version]))
         offer = attacker.target_version
 
     fragmented = attacker.kind is _FRAGMENT
     forced = fragmented and server.fragmentation_bug
     if fragmented:
-        transcript.append("attacker: fragmented ClientHello")
-        transcript.append(
-            f"server: fragmentation bug, negotiating {labels[_TLS10]} regardless of offer"
-            if forced else "server: reassembled fragmented hello, no effect"
-        )
+        events.append(("fragmented",))
+        events.append(("forced", labels[_TLS10]) if forced else ("reassembled",))
     # The bug answers TLS 1.0 even on a server that does not support it.
     version = _TLS10 if forced else min(offer, max(server.supported_versions))
     if not forced and version not in server.supported_versions:
-        return fail(_ABORTED_BY_SERVER, "server: refuse (no common version)")
+        return _outcome(_ABORTED_BY_SERVER, None, None, (*events, ("no-version",)))
     suite = _first_common_suite(server, client_cfg._offered)
-    transcript.append(f"server: ServerHello version={labels[version]} suite={suite or '(none)'}")
+    events.append(("server-hello", labels[version], suite or "(none)"))
     if version not in versions:
-        return fail(
-            _ABORTED_BY_CLIENT,
-            f"client: abort (ServerHello version {labels[version]} outside enforced policy)",
+        return _outcome(
+            _ABORTED_BY_CLIENT, None, None, (*events, ("outside-policy", labels[version]))
         )
     if suite is None:
-        return fail(_ABORTED_BY_SERVER, "server: abort (no common ciphersuite)")
-    transcript.append(f"established: version={labels[version]} suite={suite}")
-    return HandshakeOutcome(_ESTABLISHED, version, suite, tuple(transcript))
+        return _outcome(_ABORTED_BY_SERVER, None, None, (*events, ("no-suite",)))
+    events.append(("established", labels[version], suite))
+    return _outcome(_ESTABLISHED, version, suite, tuple(events))

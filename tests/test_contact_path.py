@@ -26,9 +26,11 @@ CONTACT_FUNCTIONS = [
     store.PolicyStore.observe_absence,
     enforcement.check_answer,
     enforcement.decide,
+    enforcement._decision,
     enforcement.PolicyDecision.__post_init__,
     enforcement.apply,
     handshake.run_handshake,
+    handshake._line,
     handshake.HandshakeOutcome.__post_init__,
 ]
 

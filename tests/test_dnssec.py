@@ -714,3 +714,83 @@ def test_refused_canonical_form_is_never_kept(zone_keys, rrset, now):
             verify_rrset(zone_keys.public_key, unnamed, now)
             is VerifyStatus.INVALID_SIGNATURE
         )
+
+
+# -- resolve keeps one answer per slot
+
+
+def _assert_answer_is_current(zone, name):
+    """resolve's answer matches the slot as it is now, and is kept while it does."""
+    answer = resolve(zone, name)
+    if normalize_domain(name) not in zone._names:
+        assert answer.disposition is Disposition.NO_SUCH_DOMAIN and answer.rrset is None
+        return
+    slot = zone.rrset_for(name)
+    expected = Disposition.NO_RECORD if slot is None else Disposition.ANSWERED
+    assert answer.disposition is expected
+    assert answer.rrset is slot
+    assert resolve(zone, name) is answer
+
+
+# Every way to write a slot. A write that refuses the name (KeyError, or an
+# index past the values) must leave the kept answer current as well.
+_SLOT_WRITES = {
+    "publish": lambda zone, name, rrset: zone.publish(replace(rrset, owner_name=name)),
+    "register_name": lambda zone, name, rrset: zone.register_name(name),
+    "attacker_add_txt_value": lambda zone, name, rrset: zone.attacker_add_txt_value(name, "x"),
+    "attacker_modify_txt_value": lambda zone, name, rrset: zone.attacker_modify_txt_value(
+        name, 0, "x"),
+    "attacker_delete_txt_value": lambda zone, name, rrset: zone.attacker_delete_txt_value(
+        name, 0),
+    "attacker_tamper_signature": lambda zone, name, rrset: zone.attacker_tamper_signature(name),
+    "attacker_drop_rrset": lambda zone, name, rrset: zone.attacker_drop_rrset(name),
+    "attacker_replace_rrset": lambda zone, name, rrset: zone.attacker_replace_rrset(name, rrset),
+    "direct": lambda zone, name, rrset: zone._names.__setitem__(name, rrset),
+}
+_KEPT_NAMES = ("tls12.test", "empty.test", "absent.test")
+
+
+def _kept_zone(rrset):
+    zone = ZoneStore()
+    zone.publish(rrset)
+    zone.register_name("empty.test")
+    for name in _KEPT_NAMES:
+        _assert_answer_is_current(zone, name)
+    return zone
+
+
+@pytest.mark.parametrize("write", list(_SLOT_WRITES.values()), ids=list(_SLOT_WRITES))
+@pytest.mark.parametrize("name", _KEPT_NAMES)
+def test_no_slot_write_leaves_a_stale_answer(zone_keys, rrset, write, name):
+    zone = _kept_zone(rrset)
+    other = sign_rrset(zone_keys, name, ["other"], INCEPTION, EXPIRATION)
+    try:
+        write(zone, name, other)
+    except (KeyError, IndexError):
+        pass
+    for each in _KEPT_NAMES:
+        _assert_answer_is_current(zone, each)
+    _assert_answer_is_current(zone, "unknown.test")
+
+
+def test_a_loaded_zone_answers_from_its_slots(rrset):
+    zone = ZoneStore.from_text(_kept_zone(rrset).to_text())
+    for name in (*_KEPT_NAMES, "unknown.test"):
+        _assert_answer_is_current(zone, name)
+    assert resolve(zone, "tls12.test").rrset == rrset
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(sorted(_SLOT_WRITES)), st.sampled_from(_KEPT_NAMES),
+                          st.sampled_from(["genuine", "other"])), max_size=12))
+def test_resolve_follows_any_sequence_of_slot_writes(zone_keys, writes):
+    genuine = sign_rrset(zone_keys, "tls12.test", VALUES, INCEPTION, EXPIRATION)
+    given_sets = {"genuine": genuine, "other": replace(genuine, values=("other",))}
+    zone = _kept_zone(genuine)
+    for write, name, which in writes:
+        try:
+            _SLOT_WRITES[write](zone, name, given_sets[which])
+        except (KeyError, IndexError):
+            pass
+        for each in _KEPT_NAMES:
+            _assert_answer_is_current(zone, each)

@@ -5,6 +5,7 @@ from datetime import date, timedelta
 import pytest
 from hypothesis import given, strategies as st
 
+from dstc import enforcement
 from dstc.dnssec import (
     Disposition,
     DnsResponse,
@@ -872,3 +873,46 @@ def test_decide_on_an_empty_store_follows_check_answer(zone_keys, other_keys, dr
         assert decision == PolicyDecision(Mode.DEFAULT, Reason.REVOKED, checked.report)
     else:
         assert decision == PolicyDecision(Mode.STRICT, Reason.OK, checked.report)
+
+
+# -- one decision value per distinct decision
+
+
+@pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+@pytest.mark.parametrize("reason", list(Reason), ids=lambda r: r.value)
+def test_the_decision_intern_builds_what_the_constructor_builds(mode, reason):
+    size = enforcement._interned_decision.cache_info().currsize
+    try:
+        expected = PolicyDecision(mode, reason, "admin@tls12.test")
+    except ValueError as refused:
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(refused))}$"):
+                enforcement._decision(mode, reason, "admin@tls12.test")
+        assert enforcement._interned_decision.cache_info().currsize == size
+        return
+    kept = enforcement._decision(mode, reason, "admin@tls12.test")
+    assert kept == expected and kept.mode is mode and kept.reason is reason
+    assert enforcement._decision(mode, reason, "admin@tls12.test") is kept
+
+
+def test_a_strict_malformed_decision_raises_on_every_call_and_is_never_kept():
+    size = enforcement._interned_decision.cache_info().currsize
+    for _ in range(3):
+        with pytest.raises(ValueError, match="strict mode cannot carry reason"):
+            enforcement._decision(Mode.STRICT, Reason.MALFORMED, None)
+    assert enforcement._interned_decision.cache_info().currsize == size
+
+
+def test_repeated_decide_returns_the_kept_decision(zone_keys):
+    zone, anchors = build_world(zone_keys)
+    store = PolicyStore()
+    first, _ = run_decide(zone, anchors, store=store)
+    again, _ = run_decide(zone, anchors, store=store)
+    assert again is first
+    assert first == PolicyDecision(Mode.STRICT, Reason.OK, first.report_address)
+
+
+def test_the_decision_intern_holds_more_decisions_than_warm_revisit_makes():
+    # warm-revisit cycles through 6500 report addresses; an LRU intern
+    # smaller than a cyclic working set never hits.
+    assert enforcement._interned_decision.cache_info().maxsize == 1 << 14

@@ -4,6 +4,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from dstc import handshake
 from dstc.enforcement import (
     DEFAULT_CLIENT,
     EffectiveTlsConfig,
@@ -441,6 +442,19 @@ PROFILE_CATALOGUE = [
     server({TlsVersion.TLS10, TlsVersion.TLS12}, STRONG, name="gap"),
 ]
 
+
+def test_a_cold_and_a_warm_outcome_intern_give_equal_outcomes():
+    cases = list(itertools.product(
+        (STRICT_CFG, DEFAULT_CFG), PROFILE_CATALOGUE, STRATEGY_CATALOGUE
+    ))
+    cold = []
+    for case in cases:
+        handshake._outcome.cache_clear()
+        cold.append(run_handshake(*case))
+    warm = [run_handshake(*case) for case in cases]
+    assert warm == cold
+    again = [run_handshake(*case) for case in cases]
+    assert all(outcome is kept for outcome, kept in zip(again, warm))
 
 def test_strict_never_downgrades_across_catalogue():
     for profile, strategy in itertools.product(PROFILE_CATALOGUE, STRATEGY_CATALOGUE):

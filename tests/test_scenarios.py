@@ -215,6 +215,91 @@ def test_forgery_row_golden(zone_keys, index, name, expected, actual, transcript
     assert row.passed and row.decision is None
 
 
+# Each built-in suite's whole report, captured before the handshake transcript
+# was rendered from events: every line must stay byte-identical.
+GOLDEN_SUITE_REPORTS = {
+    "table2": """\
+suite table2: 3 scenario(s)
+[PASS] tls12-registered-strong: expected=Established@TLS1.2 actual=Established@TLS1.2 suite=ECDHE-RSA-AES128-GCM-SHA256 decision=Strict/OK
+    client: ClientHello version=TLS1.2 suites=6
+    server: ServerHello version=TLS1.2 suite=ECDHE-RSA-AES128-GCM-SHA256
+    established: version=TLS1.2 suite=ECDHE-RSA-AES128-GCM-SHA256
+[PASS] tls10-registered-legacy: expected=AbortedByClient actual=AbortedByClient decision=Strict/OK
+    client: ClientHello version=TLS1.2 suites=6
+    server: ServerHello version=TLS1.0 suite=(none)
+    client: abort (ServerHello version TLS1.0 outside enforced policy)
+[PASS] tls11-unregistered-legacy: expected=Established@TLS1.1 actual=Established@TLS1.1 suite=ECDHE-RSA-AES128-SHA decision=Default/NoRecord
+    client: ClientHello version=TLS1.2 suites=14
+    server: ServerHello version=TLS1.1 suite=ECDHE-RSA-AES128-SHA
+    established: version=TLS1.1 suite=ECDHE-RSA-AES128-SHA""",
+    "poodle": """\
+suite poodle: 2 scenario(s)
+[PASS] poodle-default-downgraded: expected=Established@TLS1.0 actual=Established@TLS1.0 suite=ECDHE-RSA-AES128-GCM-SHA256 decision=Default/NoRecord
+    client: ClientHello version=TLS1.2 suites=14
+    attacker: dropped ClientHello (1 of 2)
+    client: fallback TLS1.2 -> TLS1.1
+    client: ClientHello version=TLS1.1 suites=14
+    attacker: dropped ClientHello (2 of 2)
+    client: fallback TLS1.1 -> TLS1.0
+    client: ClientHello version=TLS1.0 suites=14
+    server: ServerHello version=TLS1.0 suite=ECDHE-RSA-AES128-GCM-SHA256
+    established: version=TLS1.0 suite=ECDHE-RSA-AES128-GCM-SHA256
+[PASS] poodle-strict-aborted: expected=AbortedByClient actual=AbortedByClient decision=Strict/OK
+    client: ClientHello version=TLS1.2 suites=6
+    attacker: dropped ClientHello (1 of 2)
+    client: retry same version TLS1.2 (1 of 1)
+    client: ClientHello version=TLS1.2 suites=6
+    attacker: dropped ClientHello (2 of 2)
+    client: abort (hello lost and fallback disabled)""",
+    "fragment": """\
+suite fragment: 2 scenario(s)
+[PASS] fragment-default-downgraded: expected=Established@TLS1.0 actual=Established@TLS1.0 suite=ECDHE-RSA-AES128-GCM-SHA256 decision=Default/NoRecord
+    client: ClientHello version=TLS1.2 suites=14
+    attacker: fragmented ClientHello
+    server: fragmentation bug, negotiating TLS1.0 regardless of offer
+    server: ServerHello version=TLS1.0 suite=ECDHE-RSA-AES128-GCM-SHA256
+    established: version=TLS1.0 suite=ECDHE-RSA-AES128-GCM-SHA256
+[PASS] fragment-strict-aborted: expected=AbortedByClient actual=AbortedByClient decision=Strict/OK
+    client: ClientHello version=TLS1.2 suites=6
+    attacker: fragmented ClientHello
+    server: fragmentation bug, negotiating TLS1.0 regardless of offer
+    server: ServerHello version=TLS1.0 suite=ECDHE-RSA-AES128-GCM-SHA256
+    client: abort (ServerHello version TLS1.0 outside enforced policy)""",
+    "forgery": """\
+suite forgery: 6 scenario(s)
+[PASS] add-unregistered-policy: expected=Default/InvalidSignature actual=Default/InvalidSignature
+    attacker: injected unsigned policy record
+    connection: Default/InvalidSignature
+[PASS] modify-signed-record: expected=Default/InvalidSignature actual=Default/InvalidSignature
+    attacker: rewrote validTo inside the signed record
+    connection: Default/InvalidSignature
+[PASS] delete-from-signed-set: expected=Default/InvalidSignature actual=Default/InvalidSignature
+    owner: signed the policy together with an SPF value
+    attacker: removed one value from the signed set
+    connection: Default/InvalidSignature
+[PASS] replay-stale-policy: expected=Strict/DropAlarm actual=Strict/DropAlarm
+    owner: signed a newer policy
+    first connection: Strict/OK
+    attacker: replayed the older signed policy
+    second connection: Strict/DropAlarm
+[PASS] replay-revoked-policy: expected=Default/Revoked actual=Default/Revoked
+    first connection: Strict/OK
+    owner: signed a revocation
+    second connection: Default/Revoked
+    attacker: replayed the revoked policy
+    third connection: Default/Revoked
+[PASS] drop-after-first-connection: expected=Strict/DropAlarm actual=Strict/DropAlarm
+    first connection: Strict/OK
+    attacker: suppressed the record set
+    second connection: Strict/DropAlarm""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SUITE_REPORTS))
+def test_builtin_suite_report_golden(zone_keys, name):
+    assert run_builtin_suite(name, keys=zone_keys).render() == GOLDEN_SUITE_REPORTS[name]
+
+
 def test_unknown_builtin_suite():
     with pytest.raises(UnknownScenarioReference):
         run_builtin_suite("nonesuch")
