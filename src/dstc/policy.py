@@ -17,6 +17,12 @@ parsed. A record depends only on its text and is frozen, so every caller
 (``check_answer`` and the cache reader) shares one instance per text. A text
 that raises is never kept, so it raises afresh, with the same message, on
 every call.
+
+``format_policy_date`` and ``parse_policy_date`` keep their results the same
+way, for the last ``_DATE_MEMO_SIZE`` dates and (text, directive) pairs, so
+every cache, zone and anchor file reader and writer, and the signing input,
+format and parse each date once. A refused date text is never kept either:
+it raises ``MalformedDate`` naming its directive on every call.
 """
 
 from __future__ import annotations
@@ -125,6 +131,13 @@ class MalformedReport(MalformedPolicy):
         self.value = value
 
 
+# A cache file's lines share few dates (stored_at is the day of the save,
+# validity dates cluster on issuance schedules) and a zone signed in one run
+# shares one inception and one expiration. About 200 B per entry.
+_DATE_MEMO_SIZE = 1 << 12
+
+
+@lru_cache(maxsize=_DATE_MEMO_SIZE)
 def parse_policy_date(text: str, directive: str = "date") -> date:
     """Parse a zero-padded dd-mm-yyyy date; any other shape is rejected."""
     m = _DATE_RE.fullmatch(text)
@@ -141,6 +154,7 @@ def _date(directive: str, day: str, month: str, year: str) -> date:
         raise MalformedDate(directive, str(exc)) from exc
 
 
+@lru_cache(maxsize=_DATE_MEMO_SIZE)
 def format_policy_date(d: date) -> str:
     return f"{d.day:02d}-{d.month:02d}-{d.year:04d}"
 

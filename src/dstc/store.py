@@ -166,18 +166,22 @@ class PolicyStore(TextFile):
     # -- persistence
 
     def to_text(self) -> str:
-        for domain in self._slots:
+        """Every POLICY line in domain order, then every TOMBSTONE line."""
+        policies: list[str] = []
+        tombstones: list[str] = []
+        for domain, slot in sorted(self._slots.items()):
             check_field(StoreFileError, "domain", domain)
-        lines = [
-            f"POLICY {e.domain} {format_policy_date(e.stored_at)} "
-            f"{serialize_policy(e.record)}"
-            for e in self.entries()
-        ]
-        lines += [
-            f"TOMBSTONE {t.domain} {format_policy_date(t.valid_from)} "
-            f"{format_policy_date(t.valid_to)}"
-            for t in self.tombstones()
-        ]
+            if isinstance(slot, StoredPolicy):
+                policies.append(
+                    f"POLICY {domain} {format_policy_date(slot.stored_at)} "
+                    f"{serialize_policy(slot.record)}"
+                )
+            else:
+                tombstones.append(
+                    f"TOMBSTONE {domain} {format_policy_date(slot.valid_from)} "
+                    f"{format_policy_date(slot.valid_to)}"
+                )
+        lines = policies + tombstones
         return "\n".join(lines) + ("\n" if lines else "")
 
     def _parse_line(self, line: str) -> None:

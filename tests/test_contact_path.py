@@ -21,6 +21,9 @@ CONTACT_FUNCTIONS = [
     dnssec.resolve,
     dnssec.DnsResponse.__post_init__,
     dnssec.verify_rrset,
+    # A first sight of a record set builds its signing input.
+    dnssec.canonical_form,
+    dnssec.SignedRRset.canonical_bytes,
     policy.policy_status,
     store.PolicyStore.update,
     store.PolicyStore.observe_absence,

@@ -21,6 +21,7 @@ from dstc.policy import (
     PolicyStatus,
     UnknownDirective,
     UnknownTlsLevel,
+    format_policy_date,
     parse_policy,
     parse_policy_date,
     policy_status,
@@ -377,3 +378,51 @@ def test_first_and_second_parse_agree_with_the_reference(text):
     expected = _outcome(reference.parse_policy, text)
     assert _outcome(parse_policy, text) == expected
     assert _outcome(parse_policy, text) == expected
+
+
+# -- the date memos -----------------------------------------------------------
+
+
+@given(st.dates())
+@example(date.min)
+@example(date(999, 12, 31))
+@example(date.max)
+def test_date_memos_round_trip_and_agree_with_the_unwrapped_functions(d):
+    text = format_policy_date.__wrapped__(d)
+    assert [format_policy_date(d), format_policy_date(d)] == [text, text]
+    assert parse_policy_date.__wrapped__(text) == d
+    assert [parse_policy_date(text), parse_policy_date(text)] == [d, d]
+
+
+@pytest.mark.parametrize("text", [
+    "1-5-2018", "31-02-2019", "01-13-2018", "00-05-2018",
+    "\u0660\u0661-\u0660\u0665-\u0662\u0660\u0661\u0668",
+])
+def test_a_refused_date_raises_afresh_and_is_not_kept(text):
+    size = parse_policy_date.cache_info().currsize
+    raised = []
+    for parse in (parse_policy_date.__wrapped__, parse_policy_date, parse_policy_date):
+        with pytest.raises(MalformedDate) as info:
+            parse(text, "validTo")
+        raised.append((type(info.value), str(info.value), info.value.directive))
+    assert raised[0] == raised[1] == raised[2]
+    assert raised[0][1].startswith("validTo: ")
+    assert parse_policy_date.cache_info().currsize == size
+
+
+def test_one_bad_date_under_two_directives_names_each():
+    details = set()
+    for directive in ("validFrom", "stored_at"):
+        with pytest.raises(MalformedDate) as info:
+            parse_policy_date("31-02-2019", directive)
+        assert info.value.directive == directive
+        prefix, _, detail = str(info.value).partition(": ")
+        assert prefix == directive
+        details.add(detail)
+    # Both carry the calendar's one reason after their own directive.
+    assert len(details) == 1
+
+
+def test_the_date_memos_are_bounded_at_4096_texts():
+    assert format_policy_date.cache_info().maxsize == 1 << 12
+    assert parse_policy_date.cache_info().maxsize == 1 << 12

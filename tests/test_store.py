@@ -4,7 +4,7 @@ from dataclasses import replace
 from datetime import date, timedelta
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from dstc.policy import MalformedReport, PolicyRecord, UnknownTlsLevel, serialize_policy
 from dstc.store import PolicyStore, StoreAction, StoreFileError
@@ -352,6 +352,61 @@ def test_load_rejects_an_unknown_kind_with_tombstone_fields():
 def test_load_error_names_the_unrecognised_line():
     with pytest.raises(StoreFileError, match=r"line 4: unrecognised line 'BOGUS x'"):
         PolicyStore.from_text("\n# cache\n\nBOGUS x\n")
+
+
+# -- the cache file's line order ---------------------------------------------
+
+
+def _dmy(d):
+    return f"{d.day:02d}-{d.month:02d}-{d.year:04d}"
+
+
+@st.composite
+def cache_slots(draw):
+    """(domain, stored_at, valid_from, valid_to, include_sub, revoked) per
+    slot, on mixed-case domains that differ once lowered, none expired at NOW."""
+    domains = draw(st.lists(
+        st.from_regex(r"[a-dA-D]{1,2}(\.[a-dA-D]{1,2})?\.(test|TEST|Test)", fullmatch=True),
+        max_size=12, unique_by=str.lower,
+    ))
+    slots = []
+    for domain in domains:
+        valid_from = NOW - timedelta(days=draw(st.integers(30, 400)))
+        valid_to = NOW + timedelta(days=draw(st.integers(0, 400)))
+        stored_at = NOW - timedelta(days=draw(st.integers(0, 29)))
+        slots.append((domain, stored_at, valid_from, valid_to,
+                      draw(st.booleans()), draw(st.booleans())))
+    return slots
+
+
+# A tombstone whose domain sorts between two policy domains.
+@example([("a.test", NOW, date(2018, 5, 1), VALID_TO, False, False),
+          ("B.test", NOW, date(2018, 5, 1), VALID_TO, False, True),
+          ("c.test", NOW, date(2018, 5, 1), VALID_TO, True, False)])
+@given(cache_slots())
+def test_cache_text_lists_policies_then_tombstones_each_in_domain_order(slots):
+    store = PolicyStore()
+    policies, tombstones = [], []
+    for domain, stored_at, valid_from, valid_to, sub, revoked in slots:
+        name = domain.lower()
+        if revoked:
+            # A revocation of nothing leaves no tombstone, so store a policy first.
+            store.update(domain, record(valid_from - timedelta(days=1), valid_to), stored_at)
+            store.update(domain, record(valid_from, valid_to, revoke=True), stored_at)
+            tombstones.append((name, f"TOMBSTONE {name} {_dmy(valid_from)} {_dmy(valid_to)}"))
+        else:
+            store.update(domain, record(valid_from, valid_to, include_sub_domain=sub), stored_at)
+            policies.append((name, (
+                f"POLICY {name} {_dmy(stored_at)} name=DSTC; validFrom={_dmy(valid_from)}; "
+                f"validTo={_dmy(valid_to)}; tlsLevel=strict-config; "
+                f"includeSubDomain={int(sub)}; revoke=0; report=admin@tls12.com"
+            )))
+    text = store.to_text()
+    assert text == "".join(line + "\n" for _, line in sorted(policies) + sorted(tombstones))
+    reloaded = PolicyStore.from_text(text)
+    assert reloaded.to_text() == text
+    assert reloaded.entries() == store.entries()
+    assert reloaded.tombstones() == store.tombstones()
 
 
 # -- property and randomised interleaving tests ------------------------------
