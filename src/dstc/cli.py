@@ -33,6 +33,7 @@ from .policy import (
     format_policy_date,
     parse_policy,
     parse_policy_date,
+    parse_policy_flag,
     serialize_policy,
 )
 from .store import PolicyStore
@@ -42,19 +43,17 @@ USAGE_ERROR = 2
 REFUSAL = 1
 
 
-def _date_flag(text: str) -> date:
-    try:
-        return parse_policy_date(text)
-    except MalformedPolicy as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _policy_value(read, directive: str):
+    """An argparse type that reads its text as parse_policy reads *directive*."""
+    def read_value(text: str):
+        try:
+            return read(text, directive)
+        except MalformedPolicy as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+    return read_value
 
 
-def _flag01(text: str) -> bool:
-    if text == "0":
-        return False
-    if text == "1":
-        return True
-    raise argparse.ArgumentTypeError("must be 0 or 1")
+_date_flag = _policy_value(parse_policy_date, "date")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -68,8 +67,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--valid-from", required=True, type=_date_flag, metavar="DD-MM-YYYY")
     p.add_argument("--valid-to", required=True, type=_date_flag, metavar="DD-MM-YYYY")
     p.add_argument("--report", required=True, help="owner contact, local@domain")
-    p.add_argument("--include-sub-domain", type=_flag01, default=False, metavar="0|1")
-    p.add_argument("--revoke", type=_flag01, default=False, metavar="0|1")
+    p.add_argument("--include-sub-domain", type=_policy_value(parse_policy_flag, "includeSubDomain"),
+                   default=False, metavar="0|1")
+    p.add_argument("--revoke", type=_policy_value(parse_policy_flag, "revoke"),
+                   default=False, metavar="0|1")
 
     p = sub.add_parser("sign", help="sign a TXT record set into a zone file")
     p.add_argument("--zone", required=True, help="zone file to create or update")

@@ -7,11 +7,6 @@ recognised policy level is ``strict-config``. A TXT value whose ``name``
 directive is missing or not ``DSTC`` is some other record type and is ignored
 rather than rejected.
 
-``parse_policy`` tries the canonical form first: the exact text
-``serialize_policy`` writes (every cache line, and every ``dstc gen`` output),
-read with one regex match. Any other text goes to the general parser. Both
-give the same record, or raise the same exception with the same message.
-
 ``parse_policy`` keeps the records of the last ``_PARSE_MEMO_SIZE`` texts it
 parsed. A record depends only on its text and is frozen, so every caller
 (``check_answer`` and the cache reader) shares one instance per text. A text
@@ -51,27 +46,7 @@ DIRECTIVES = (
 _DATE_RE = re.compile(r"(\d{2})-(\d{2})-(\d{4})", re.ASCII)
 _REPORT_RE = re.compile(r"[^@\s;=]+@[^@\s;=]+")
 
-# The canonical form serialize_policy writes: every directive in DIRECTIVES
-# order, joined by "; ". Its literal text (keys, "=", "; ") holds no regex
-# metacharacter, so the same format with value patterns in its slots is the
-# pattern parse_policy tries first.
 _CANONICAL_FORMAT = "; ".join(f"{key}=%s" for key in DIRECTIVES)
-
-# Matched with fullmatch. The report keeps _REPORT_RE's Unicode \s: under
-# re.ASCII a report ending in U+00A0 would match here, while the general
-# parser strips it off and accepts the rest.
-_CANONICAL_RE = re.compile(
-    _CANONICAL_FORMAT % (
-        re.escape(RECORD_NAME),
-        _DATE_RE.pattern,
-        _DATE_RE.pattern,
-        re.escape(STRICT_CONFIG),
-        "([01])",
-        "([01])",
-        f"((?u:{_REPORT_RE.pattern}))",
-    ),
-    re.ASCII,
-)
 
 
 class PolicyParseError(ValueError):
@@ -143,11 +118,7 @@ def parse_policy_date(text: str, directive: str = "date") -> date:
     m = _DATE_RE.fullmatch(text)
     if m is None:
         raise MalformedDate(directive, f"expected dd-mm-yyyy, got {text!r}")
-    return _date(directive, *m.groups())
-
-
-def _date(directive: str, day: str, month: str, year: str) -> date:
-    """The calendar date of ASCII digit strings, or MalformedDate."""
+    day, month, year = m.groups()
     try:
         return date(int(year), int(month), int(day))
     except ValueError as exc:
@@ -206,7 +177,8 @@ class PolicyRecord:
             )
 
 
-def _parse_flag(directive: str, value: str) -> bool:
+def parse_policy_flag(value: str, directive: str) -> bool:
+    """Read a 0/1 flag directive; any other value is BadFlag naming it."""
     if value == "0":
         return False
     if value == "1":
@@ -226,23 +198,7 @@ def parse_policy(txt_value: str) -> PolicyRecord:
     Raises NotDstc when the value carries no ``name=DSTC`` directive (callers
     should skip such values), and a MalformedPolicy subclass for every other
     defect. No partially-populated record is ever returned.
-
-    The canonical form ``serialize_policy`` writes is read with one regex
-    match, and its dates and values go through the same checks as below.
-    Any other text, such as a date or report of the wrong shape, goes to the
-    general parser. Both give identical results.
     """
-    m = _CANONICAL_RE.fullmatch(txt_value)
-    if m is not None:
-        fd, fm, fy, td, tm, ty, sub, revoke, report = m.groups()
-        return PolicyRecord(
-            valid_from=_date("validFrom", fd, fm, fy),
-            valid_to=_date("validTo", td, tm, ty),
-            report=report,
-            include_sub_domain=sub == "1",
-            revoke=revoke == "1",
-        )
-
     segments = [seg.strip() for seg in txt_value.split(";")]
     segments = [seg for seg in segments if seg]
     named_dstc = any(
@@ -270,13 +226,13 @@ def parse_policy(txt_value: str) -> PolicyRecord:
         if directive not in pairs:
             raise MissingDirective(directive)
 
+    # The name=DSTC scan and the duplicate check leave name at RECORD_NAME.
     return PolicyRecord(
-        name=pairs["name"],
         valid_from=parse_policy_date(pairs["validFrom"], "validFrom"),
         valid_to=parse_policy_date(pairs["validTo"], "validTo"),
         tls_level=pairs["tlsLevel"],
-        include_sub_domain=_parse_flag("includeSubDomain", pairs["includeSubDomain"]),
-        revoke=_parse_flag("revoke", pairs["revoke"]),
+        include_sub_domain=parse_policy_flag(pairs["includeSubDomain"], "includeSubDomain"),
+        revoke=parse_policy_flag(pairs["revoke"], "revoke"),
         report=pairs["report"],
     )
 

@@ -74,6 +74,20 @@ def test_gen_revoke_flag(capsys):
     assert "revoke=1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flag, directive", [
+    ("--revoke", "revoke"), ("--include-sub-domain", "includeSubDomain"),
+])
+def test_gen_rejects_a_flag_that_is_not_0_or_1_naming_its_directive(capsys, flag, directive):
+    # The same rule and message as a policy text's flag directive.
+    with pytest.raises(SystemExit) as info:
+        main(["gen", "--valid-from", "01-05-2018", "--valid-to", "01-05-2019",
+              "--report", "a@b.c", flag, "2"])
+    assert info.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"dstc gen: error: argument {flag}: {directive} must be 0 or 1, got '2'"
+    )
+
+
 def test_gen_rejects_inverted_dates(capsys):
     code = main([
         "gen", "--valid-from", "02-05-2019", "--valid-to", "01-05-2018",

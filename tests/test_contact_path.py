@@ -24,6 +24,9 @@ CONTACT_FUNCTIONS = [
     # A first sight of a record set builds its signing input.
     dnssec.canonical_form,
     dnssec.SignedRRset.canonical_bytes,
+    # A first sight of a policy text parses it; a memo hit runs no code of ours.
+    policy.parse_policy.__wrapped__,
+    policy.parse_policy_date.__wrapped__,
     policy.policy_status,
     store.PolicyStore.update,
     store.PolicyStore.observe_absence,
@@ -47,17 +50,25 @@ def _code_objects(code):
 
 def _member_reads(fn):
     """Every ``Enum.MEMBER`` read in fn and its nested functions: a
-    LOAD_GLOBAL of an Enum subclass followed by a LOAD_ATTR of a member."""
+    LOAD_GLOBAL of an Enum subclass, or of a module followed by the LOAD_ATTRs
+    that reach one, then a LOAD_ATTR of a member."""
     reads = []
     for code in _code_objects(fn.__code__):
         instructions = list(dis.get_instructions(code))
-        for load, attr in zip(instructions, instructions[1:]):
-            if load.opname != "LOAD_GLOBAL" or attr.opname != "LOAD_ATTR":
+        for i, load in enumerate(instructions):
+            if load.opname != "LOAD_GLOBAL":
                 continue
             owner = fn.__globals__.get(load.argval)
-            if (isinstance(owner, type) and issubclass(owner, enum.Enum)
-                    and attr.argval in owner.__members__):
-                reads.append(f"{load.argval}.{attr.argval}")
+            path = [load.argval]
+            for attr in itertools.takewhile(lambda ins: ins.opname == "LOAD_ATTR",
+                                            instructions[i + 1:]):
+                if (isinstance(owner, type) and issubclass(owner, enum.Enum)
+                        and attr.argval in owner.__members__):
+                    reads.append(".".join(path + [attr.argval]))
+                if not isinstance(owner, types.ModuleType):
+                    break
+                owner = getattr(owner, attr.argval, None)
+                path.append(attr.argval)
     return reads
 
 
@@ -65,7 +76,11 @@ def test_the_static_check_sees_a_member_read():
     def reads_a_member():
         return TlsVersion.TLS10
 
+    def reads_a_member_through_its_module():
+        return policy.PolicyStatus.ACTIVE
+
     assert _member_reads(reads_a_member) == ["TlsVersion.TLS10"]
+    assert _member_reads(reads_a_member_through_its_module) == ["policy.PolicyStatus.ACTIVE"]
 
 
 @pytest.mark.parametrize("fn", CONTACT_FUNCTIONS, ids=lambda fn: fn.__qualname__)

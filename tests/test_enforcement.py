@@ -455,6 +455,36 @@ def test_decide_ignores_foreign_txt_values(zone_keys):
     assert decision == PolicyDecision(Mode.STRICT, Reason.OK, "admin@tls12.test")
 
 
+_CANONICAL_TXT = serialize_policy(POLICY)
+
+
+@pytest.mark.parametrize("values", [
+    [_CANONICAL_TXT],
+    ["  name = DSTC ;validFrom= 01-05-2018;\tvalidTo =01-05-2019 ;; tlsLevel=strict-config"
+     ";includeSubDomain=0 ;revoke = 0; report= admin@tls12.test  "],
+    ["report=admin@tls12.test; revoke=0; includeSubDomain=0; tlsLevel=strict-config; "
+     "validTo=01-05-2019; validFrom=01-05-2018; name=DSTC"],
+    ["v=spf1 include:_spf.example.com ~all", _CANONICAL_TXT],
+], ids=["canonical", "loose-whitespace", "reordered", "beside-spf"])
+def test_a_publisher_that_is_not_canonical_is_cached_as_the_canonical_one(
+        zone_keys, now, tmp_path, values):
+    def decide_and_save(values, path):
+        zone, anchors = build_world(zone_keys, values=values)
+        decision, store = run_decide(zone, anchors, now=now)
+        assert decision == PolicyDecision(Mode.STRICT, Reason.OK, "admin@tls12.test")
+        store.save(str(path))
+        return path.read_bytes()
+
+    canonical = decide_and_save([_CANONICAL_TXT], tmp_path / "canonical.txt")
+    assert decide_and_save(values, tmp_path / "store.txt") == canonical
+
+    loaded = PolicyStore.load(str(tmp_path / "store.txt"))
+    zone, anchors = build_world(zone_keys)
+    reason, record = check_answer(resolve(zone, "tls12.test"), anchors, "tls12.test", now)
+    assert reason is Reason.OK
+    assert loaded.update("tls12.test", record, now) is StoreAction.UNCHANGED
+
+
 def test_decide_only_foreign_txt_is_absence(zone_keys):
     zone, anchors = build_world(zone_keys, values=["v=spf1 -all"])
     decision, _ = run_decide(zone, anchors)
