@@ -186,7 +186,6 @@ def cmd_sign(args) -> int:
         args.expiration,
     )
     zone.publish(rrset)
-    zone.add_key(keys.key_id, keys.public_der())
     zone.to_text()  # refuse a value the zone file cannot hold
     if generate:
         keys.save_private_pem(args.key)

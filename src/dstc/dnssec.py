@@ -18,11 +18,13 @@ File formats (UTF-8, line oriented, ``#`` comments allowed):
 
   zone file      <name> TXT "<value>"
                  <name> SIG <key_id> <inception> <expiration> <base64 sig>
-                 KEY <key_id> <base64 DER public key>
+                 <name> NAME -
   trust anchors  <zone apex> <key_id> <base64 DER public key>
 
 Dates are dd-mm-yyyy. A TXT set without a SIG line is kept as an unsigned
-record set; it can never verify.
+record set; it can never verify. Keys come only from the trust anchors: the
+zone reader skips the ``KEY <key_id> <base64>`` lines of older zone files,
+and the next save drops them.
 """
 
 from __future__ import annotations
@@ -148,6 +150,8 @@ def public_key_from_der(der: bytes) -> rsa.RSAPublicKey:
         raise ZoneFileError(str(exc)) from exc
     if not isinstance(key, rsa.RSAPublicKey):
         raise ZoneFileError("not an RSA public key")
+    if key.key_size < MIN_KEY_BITS:
+        raise ZoneFileError(f"key size {key.key_size} is below the {MIN_KEY_BITS}-bit floor")
     return key
 
 
@@ -284,7 +288,6 @@ class ZoneStore(TextFile):
     def __init__(self):
         self._names: dict[str, SignedRRset | None] = {}
         self._answers: dict[str, DnsResponse] = {}
-        self._keys: dict[str, bytes] = {}
 
     # -- owner-side operations
 
@@ -300,9 +303,6 @@ class ZoneStore(TextFile):
         if name != rrset.owner_name:
             rrset = replace(rrset, owner_name=name)
         self._names[name] = rrset
-
-    def add_key(self, key_id: str, public_der: bytes) -> None:
-        self._keys[key_id] = public_der
 
     def rrset_for(self, name: str) -> SignedRRset | None:
         return self._names.get(normalize_domain(name))
@@ -386,9 +386,6 @@ class ZoneStore(TextFile):
                 )
         lines += [f"{_check_field('name', name)} NAME -"
                   for name, rrset in slots if rrset is None]
-        for key_id in sorted(self._keys):
-            der64 = base64.b64encode(self._keys[key_id]).decode("ascii")
-            lines.append(f"KEY {_check_field('key id', key_id)} {der64}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -403,13 +400,7 @@ class ZoneStore(TextFile):
 
     def _parse_line(self, signed, line) -> None:
         fields = line.split()
-        if fields[0] == "KEY":
-            if len(fields) != 3:
-                raise ZoneFileError("KEY line needs <key_id> <base64>")
-            key_id = _check_field("key id", fields[1])
-            if key_id in self._keys:
-                raise ZoneFileError(f"duplicate KEY {key_id}")
-            self._keys[key_id] = base64.b64decode(fields[2], validate=True)
+        if fields[0] == "KEY":  # an older zone file's key; trust comes from the anchors
             return
         name = _check_field("name", normalize_domain(fields[0]))
         kind = fields[1] if len(fields) > 1 else ""

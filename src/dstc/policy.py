@@ -106,9 +106,9 @@ class MalformedReport(MalformedPolicy):
         self.value = value
 
 
-# A cache file's lines share few dates (stored_at is the day of the save,
-# validity dates cluster on issuance schedules) and a zone signed in one run
-# shares one inception and one expiration. About 200 B per entry.
+# A cache file's lines share few dates (validity dates cluster on issuance
+# schedules) and a zone signed in one run shares one inception and one
+# expiration. About 200 B per entry.
 _DATE_MEMO_SIZE = 1 << 12
 
 

@@ -292,7 +292,6 @@ def build_fixture(
     for domain, record in registered.items():
         zone.publish(sign_rrset(keys, domain, [serialize_policy(record)], *SIGNATURE_DAYS))
         anchors.add(TrustAnchor(domain, keys.key_id, keys.public_der()))
-    zone.add_key(keys.key_id, keys.public_der())
     return SignedFixture(zone, anchors, PolicyStore(), FIXTURE_NOW)
 
 

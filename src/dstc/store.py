@@ -13,8 +13,12 @@ slot at once, so a save does not write expired lines back.
 
 Persistence format (UTF-8, line oriented):
 
-  POLICY <domain> <stored_at dd-mm-yyyy> <canonical policy string>
+  POLICY <domain> <canonical policy string>
   TOMBSTONE <domain> <valid_from> <valid_to>
+
+The reader also takes the older ``POLICY <domain> <dd-mm-yyyy> <policy>``
+form: the date, the day the entry was stored, is checked and dropped, so the
+next save writes the line without it.
 """
 
 from __future__ import annotations
@@ -60,7 +64,6 @@ class StoreFileError(ValueError):
 class StoredPolicy:
     domain: str
     record: PolicyRecord
-    stored_at: date
 
     @property
     def valid_from(self) -> date:
@@ -123,7 +126,7 @@ class PolicyStore(TextFile):
             if slot is not None:
                 self._slots[domain] = Tombstone(domain, record.valid_from, record.valid_to)
             return _REVOKED_DELETED if held else _UNCHANGED
-        self._slots[domain] = StoredPolicy(domain, record, now)
+        self._slots[domain] = StoredPolicy(domain, record)
         return _REPLACED if held else _STORED_NEW
 
     def observe_absence(self, domain: str, now: date) -> StoreAction:
@@ -172,10 +175,7 @@ class PolicyStore(TextFile):
         for domain, slot in sorted(self._slots.items()):
             check_field(StoreFileError, "domain", domain)
             if isinstance(slot, StoredPolicy):
-                policies.append(
-                    f"POLICY {domain} {format_policy_date(slot.stored_at)} "
-                    f"{serialize_policy(slot.record)}"
-                )
+                policies.append(f"POLICY {domain} {serialize_policy(slot.record)}")
             else:
                 tombstones.append(
                     f"TOMBSTONE {domain} {format_policy_date(slot.valid_from)} "
@@ -185,22 +185,28 @@ class PolicyStore(TextFile):
         return "\n".join(lines) + ("\n" if lines else "")
 
     def _parse_line(self, line: str) -> None:
-        fields = line.split(None, 3)
-        if fields[0] not in ("POLICY", "TOMBSTONE") or len(fields) != 4:
+        # A policy text is one field or several; a tombstone has two dates.
+        kind, *fields = line.split(None, 2 if line.startswith("POLICY") else 3)
+        if kind not in ("POLICY", "TOMBSTONE") or len(fields) != (2 if kind == "POLICY" else 3):
             raise StoreFileError(f"unrecognised line {line!r}")
-        domain = check_field(StoreFileError, "domain", normalize_domain(fields[1]))
+        domain = check_field(StoreFileError, "domain", normalize_domain(fields[0]))
         if domain in self._slots:
             raise StoreFileError(f"duplicate domain {domain}")
-        if fields[0] == "POLICY":
-            record = parse_policy(fields[3])
+        if kind == "POLICY":
+            text = fields[1]
+            # A policy text starts with a directive name, never a digit: a
+            # digit starts the older form's stored-at date, checked and dropped.
+            if text[0].isdigit():
+                stamp, *policy = text.split(None, 1)
+                parse_policy_date(stamp, "stored-at")
+                text = "".join(policy)
+            record = parse_policy(text)
             if record.revoke:
                 raise StoreFileError("a cached policy cannot carry revoke=1")
-            self._slots[domain] = StoredPolicy(
-                domain, record, parse_policy_date(fields[2], "stored_at")
-            )
+            self._slots[domain] = StoredPolicy(domain, record)
         else:
-            valid_from = parse_policy_date(fields[2], "valid_from")
-            valid_to = parse_policy_date(fields[3], "valid_to")
+            valid_from = parse_policy_date(fields[1], "valid_from")
+            valid_to = parse_policy_date(fields[2], "valid_to")
             if valid_from > valid_to:
                 raise StoreFileError("tombstone valid_from is later than valid_to")
             self._slots[domain] = Tombstone(domain, valid_from, valid_to)

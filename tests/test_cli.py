@@ -34,7 +34,6 @@ def world(tmp_path, zone_keys):
             date(2019, 5, 1),
         )
     )
-    zone.add_key(zone_keys.key_id, zone_keys.public_der())
     anchors = TrustAnchorSet()
     anchors.add(TrustAnchor("tls12.test", zone_keys.key_id, zone_keys.public_der()))
 
@@ -584,7 +583,7 @@ STRICT_LINES = (
     "ECDHE-ECDSA-CHACHA20-POLY1305,ECDHE-RSA-CHACHA20-POLY1305,"
     "ECDHE-ECDSA-AES256-GCM-SHA384,ECDHE-RSA-AES256-GCM-SHA384\n"
 )
-CACHED_LINE = f"POLICY tls12.test 01-07-2018 {serialize_policy(POLICY)}\n"
+CACHED_LINE = f"POLICY tls12.test {serialize_policy(POLICY)}\n"
 LIVE_TOMBSTONE = "TOMBSTONE rev.test 01-06-2018 01-06-2019\n"
 
 

@@ -4,9 +4,11 @@ from dataclasses import replace
 from datetime import date, timedelta
 
 import pytest
+from cryptography.hazmat.primitives.asymmetric import rsa
 from hypothesis import given, settings, strategies as st
 
 from dstc.dnssec import (
+    MIN_KEY_BITS,
     Disposition,
     DnsResponse,
     SignedRRset,
@@ -14,6 +16,7 @@ from dstc.dnssec import (
     TrustAnchorSet,
     VerifyStatus,
     ZoneFileError,
+    ZoneKeyPair,
     ZoneStore,
     canonical_form,
     normalize_domain,
@@ -195,11 +198,13 @@ def test_zone_file_round_trip(zone_keys, rrset, now):
     zone.publish(rrset)
     zone.publish(sign_rrset(zone_keys, "other.test", ["x"], INCEPTION, EXPIRATION))
     zone.register_name("bare.test")
-    zone.add_key(zone_keys.key_id, zone_keys.public_der())
 
     text = zone.to_text()
     reloaded = ZoneStore.from_text(text)
     assert reloaded.to_text() == text
+    # Record sets in name order, then the names without one; no KEY lines.
+    kinds = [line.split()[1] for line in text.splitlines()]
+    assert kinds == ["TXT", "SIG", "TXT", "TXT", "SIG", "NAME"]
     assert resolve(reloaded, "bare.test").disposition is Disposition.NO_RECORD
     assert (
         verify_rrset(zone_keys.public_key, reloaded.rrset_for("tls12.test"), now)
@@ -232,7 +237,6 @@ def test_zone_file_unsigned_rrset_round_trip(zone_keys):
     'a.test TXT unquoted',
     "a.test SIG zsk-1 01-05-2018 01-05-2019",       # missing signature field
     "a.test SIG zsk-1 2018-05-01 01-05-2019 AAAA",  # bad date shape
-    "KEY zsk-1",                                    # missing key material
     "a.test SIG zsk-1 01-05-2018 01-05-2019 !!!!",  # invalid base64
     "a.test TXT",                                   # missing value
 ])
@@ -254,7 +258,8 @@ def test_zone_file_names_a_missing_txt_value():
     (lambda zone: zone.attacker_add_txt_value("a b.test", "x"), "a b.test"),
     (lambda zone: zone.register_name("a b.test"), "a b.test"),
     (lambda zone: zone.register_name("#a.test"), "#a.test"),
-    (lambda zone: zone.add_key("zsk 1", b"der"), "zsk 1"),
+    (lambda zone: zone.publish(
+        SignedRRset("a.test", ("x",), b"sig", "zsk 1", INCEPTION, EXPIRATION)), "zsk 1"),
 ], ids=["quote", "newline", "carriage-return", "line-separator", "txt-name-space",
         "name-space", "name-comment", "key-id-space"])
 def test_zone_writer_refuses_what_the_reader_cannot_read(mutate, entry):
@@ -400,9 +405,8 @@ def test_trust_anchor_file_rejects_bad_lines():
 
 @pytest.mark.parametrize("text, message", [
     ('. TXT "x"\n', "line 1: name ''"),
-    ("KEY #k AAAA\n", "line 1: key id '#k'"),
     ('a.test TXT "x"\na.test SIG #k 01-05-2018 01-05-2019 AAAA\n', "line 2: key id '#k'"),
-], ids=["empty-name", "key-id-comment", "sig-key-id-comment"])
+], ids=["empty-name", "sig-key-id-comment"])
 def test_zone_reader_refuses_what_the_writer_cannot_write(text, message):
     with pytest.raises(ZoneFileError, match=f"^{re.escape(message)} cannot be written as one field$"):
         ZoneStore.from_text(text)
@@ -419,11 +423,10 @@ def test_anchor_reader_refuses_what_the_writer_cannot_write(zone_keys, line, mes
 
 
 @pytest.mark.parametrize("reader, lines, message", [
-    (ZoneStore, ["KEY zsk-1 {der}", "KEY zsk-1 {der}"], "duplicate KEY zsk-1"),
     (ZoneStore, ['a.test TXT "x"', "a.test SIG zsk-1 01-05-2018 01-05-2019 AAAA",
                  "A.test. SIG zsk-1 01-05-2018 01-05-2019 AAAA"], "duplicate SIG for a.test"),
     (TrustAnchorSet, ["a.test zsk-1 {der}", "A.test. zsk-2 {der}"], "duplicate anchor for a.test"),
-], ids=["zone-key", "zone-sig", "anchor-apex"])
+], ids=["zone-sig", "anchor-apex"])
 def test_reader_refuses_a_duplicate_key_on_the_line_that_repeats_it(
     zone_keys, reader, lines, message
 ):
@@ -440,6 +443,17 @@ def test_reader_refuses_a_duplicate_key_on_the_line_that_repeats_it(
 def test_zone_file_rejects_inner_quote(text, lineno):
     with pytest.raises(ZoneFileError, match=f"line {lineno}: .*inner quote"):
         ZoneStore.from_text(text)
+
+
+def test_trust_anchor_refuses_a_key_below_the_floor():
+    # A record set signed by this key would verify under the anchor and give Strict/OK.
+    weak = ZoneKeyPair("zsk-weak", rsa.generate_private_key(public_exponent=65537, key_size=1024))
+    der64 = base64.b64encode(weak.public_der()).decode("ascii")
+    message = f"key size 1024 is below the {MIN_KEY_BITS}-bit floor"
+    with pytest.raises(ZoneFileError, match=f"^line 2: {message}$"):
+        TrustAnchorSet.from_text(f"# anchors\nweak.test zsk-weak {der64}\n")
+    with pytest.raises(ZoneFileError, match=f"^{message}$"):
+        TrustAnchor("weak.test", "zsk-weak", weak.public_der())
 
 
 def test_trust_anchor_parses_its_key_once(zone_keys):

@@ -762,8 +762,9 @@ def expired_cache_files(draw):
         return f"TOMBSTONE tls12.test {dates}\n"
     cached = PolicyRecord(valid_from, valid_to, "cached@tls12.test",
                           include_sub_domain=draw(st.booleans()))
-    stored_at = format_policy_date(valid_from)
-    return f"POLICY tls12.test {stored_at} {serialize_policy(cached)}\n"
+    # Also in the older form, whose stored-at date the reader drops.
+    stamp = draw(st.sampled_from(["", f"{format_policy_date(valid_from)} "]))
+    return f"POLICY tls12.test {stamp}{serialize_policy(cached)}\n"
 
 
 @st.composite

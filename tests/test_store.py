@@ -276,10 +276,7 @@ def test_persistence_round_trip(now, tmp_path):
     text = store.to_text()
     reloaded = PolicyStore.from_text(text)
     assert reloaded.to_text() == text
-    # serials are per-process audit counters and not persisted
-    original = [(e.domain, e.record, e.stored_at) for e in store.entries()]
-    restored = [(e.domain, e.record, e.stored_at) for e in reloaded.entries()]
-    assert restored == original
+    assert reloaded.entries() == store.entries()
     assert reloaded.tombstones() == store.tombstones()
 
     path = tmp_path / "store.txt"
@@ -363,8 +360,8 @@ def _dmy(d):
 
 @st.composite
 def cache_slots(draw):
-    """(domain, stored_at, valid_from, valid_to, include_sub, revoked) per
-    slot, on mixed-case domains that differ once lowered, none expired at NOW."""
+    """(domain, valid_from, valid_to, include_sub, revoked) per slot, on
+    mixed-case domains that differ once lowered, none expired at NOW."""
     domains = draw(st.lists(
         st.from_regex(r"[a-dA-D]{1,2}(\.[a-dA-D]{1,2})?\.(test|TEST|Test)", fullmatch=True),
         max_size=12, unique_by=str.lower,
@@ -373,31 +370,29 @@ def cache_slots(draw):
     for domain in domains:
         valid_from = NOW - timedelta(days=draw(st.integers(30, 400)))
         valid_to = NOW + timedelta(days=draw(st.integers(0, 400)))
-        stored_at = NOW - timedelta(days=draw(st.integers(0, 29)))
-        slots.append((domain, stored_at, valid_from, valid_to,
-                      draw(st.booleans()), draw(st.booleans())))
+        slots.append((domain, valid_from, valid_to, draw(st.booleans()), draw(st.booleans())))
     return slots
 
 
 # A tombstone whose domain sorts between two policy domains.
-@example([("a.test", NOW, date(2018, 5, 1), VALID_TO, False, False),
-          ("B.test", NOW, date(2018, 5, 1), VALID_TO, False, True),
-          ("c.test", NOW, date(2018, 5, 1), VALID_TO, True, False)])
+@example([("a.test", date(2018, 5, 1), VALID_TO, False, False),
+          ("B.test", date(2018, 5, 1), VALID_TO, False, True),
+          ("c.test", date(2018, 5, 1), VALID_TO, True, False)])
 @given(cache_slots())
 def test_cache_text_lists_policies_then_tombstones_each_in_domain_order(slots):
     store = PolicyStore()
     policies, tombstones = [], []
-    for domain, stored_at, valid_from, valid_to, sub, revoked in slots:
+    for domain, valid_from, valid_to, sub, revoked in slots:
         name = domain.lower()
         if revoked:
             # A revocation of nothing leaves no tombstone, so store a policy first.
-            store.update(domain, record(valid_from - timedelta(days=1), valid_to), stored_at)
-            store.update(domain, record(valid_from, valid_to, revoke=True), stored_at)
+            store.update(domain, record(valid_from - timedelta(days=1), valid_to), NOW)
+            store.update(domain, record(valid_from, valid_to, revoke=True), NOW)
             tombstones.append((name, f"TOMBSTONE {name} {_dmy(valid_from)} {_dmy(valid_to)}"))
         else:
-            store.update(domain, record(valid_from, valid_to, include_sub_domain=sub), stored_at)
+            store.update(domain, record(valid_from, valid_to, include_sub_domain=sub), NOW)
             policies.append((name, (
-                f"POLICY {name} {_dmy(stored_at)} name=DSTC; validFrom={_dmy(valid_from)}; "
+                f"POLICY {name} name=DSTC; validFrom={_dmy(valid_from)}; "
                 f"validTo={_dmy(valid_to)}; tlsLevel=strict-config; "
                 f"includeSubDomain={int(sub)}; revoke=0; report=admin@tls12.com"
             )))
