@@ -10,8 +10,8 @@ iteration each verify is a verified-answer memo hit (see
 ``dnssec.verify_rrset``): SigVerify times a repeat verify, not an RSA check.
 Likewise, after the first iteration each policy parse in the QueryVerify,
 Enforce and "All 3" rows is a parse-memo hit (see ``policy.parse_policy``),
-each ``resolve`` in the QueryVerify and "All 3" rows returns the zone's kept
-answer (see ``dnssec.resolve``), and each decision in the Enforce and "All 3"
+each ``resolve`` in the QueryVerify and "All 3" rows returns the answer the
+name's slot holds (see ``dnssec.resolve``), and each decision in the Enforce and "All 3"
 rows is an intern hit (see ``enforcement.decide``).
 """
 

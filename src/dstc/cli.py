@@ -37,7 +37,7 @@ from .policy import (
     serialize_policy,
 )
 from .store import PolicyStore
-from .textfile import read_text
+from .textfile import read_file
 
 USAGE_ERROR = 2
 REFUSAL = 1
@@ -250,8 +250,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_connect_sim(args) -> int:
-    profiles, _ = scenarios_mod.parse_scenario_file(
-        read_text(args.profiles, scenarios_mod.ScenarioFileError)
+    profiles, _ = read_file(
+        args.profiles, scenarios_mod.parse_scenario_file, scenarios_mod.ScenarioFileError
     )
     if args.server not in profiles:
         raise scenarios_mod.ScenarioFileError(
@@ -278,8 +278,8 @@ def cmd_attack_sim(args) -> int:
               file=sys.stderr)
         return USAGE_ERROR
     if args.scenario_file:
-        profiles, scenario_list = scenarios_mod.parse_scenario_file(
-            read_text(args.scenario_file, scenarios_mod.ScenarioFileError)
+        profiles, scenario_list = read_file(
+            args.scenario_file, scenarios_mod.parse_scenario_file, scenarios_mod.ScenarioFileError
         )
         report = scenarios_mod.run_scenario_suite(
             scenario_list, profiles, suite_name=os.path.basename(args.scenario_file)
@@ -291,9 +291,7 @@ def cmd_attack_sim(args) -> int:
 
 
 def cmd_survey(args) -> int:
-    profiles = survey_mod.parse_corpus(
-        read_text(args.corpus, survey_mod.CorpusFormatError)
-    )
+    profiles = read_file(args.corpus, survey_mod.parse_corpus, survey_mod.CorpusFormatError)
     report = survey_mod.survey(profiles)
     print(survey_mod.render_report_kv(report) if args.kv
           else survey_mod.render_report_text(report))

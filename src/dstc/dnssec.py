@@ -7,10 +7,11 @@ matters. Chain-of-trust walking is replaced by a trust-anchor set mapping a
 zone apex to the public key a client accepts for that apex and everything
 below it.
 
-The zone store keeps one slot per name. A name without a slot does not
-exist (NXDOMAIN), a slot holding None is a name without TXT data (NODATA,
-RFC 2308 section 2), and any other slot holds the name's one TXT record set.
-The store doubles as the attack surface: ``attacker_*`` methods mutate
+The zone store keeps one slot per name, holding the name's answer. A name
+without a slot does not exist (NXDOMAIN), a NoRecord slot is a name without
+TXT data (NODATA, RFC 2308 section 2), and an Answered slot carries the
+name's one TXT record set. Every write builds the answer, and a query reads
+it. The store doubles as the attack surface: ``attacker_*`` methods mutate
 published record sets without access to the signing key, which is exactly
 what a man-in-the-middle can do to plain DNS traffic.
 
@@ -22,7 +23,8 @@ File formats (UTF-8, line oriented, ``#`` comments allowed):
   trust anchors  <zone apex> <key_id> <base64 DER public key>
 
 Dates are dd-mm-yyyy. A TXT set without a SIG line is kept as an unsigned
-record set; it can never verify. Keys come only from the trust anchors: the
+record set; it can never verify. A set with no TXT values has no form in the
+file, so the writer refuses it. Keys come only from the trust anchors: the
 zone reader skips the ``KEY <key_id> <base64>`` lines of older zone files,
 and the next save drops them.
 """
@@ -51,8 +53,6 @@ _HASH = hashes.SHA256()
 
 # Sentinel validity window for unsigned record sets loaded from zone files.
 _NO_DATE = date.min
-# resolve()'s marker for a name that has no slot in the zone.
-_ABSENT = object()
 
 
 class ZoneFileError(ValueError):
@@ -275,9 +275,9 @@ class DnsResponse:
 class ZoneStore(TextFile):
     """All record sets of one zone, plus the attacker's write access.
 
-    One slot per name: absent is NXDOMAIN, None is NODATA, anything else
-    is the name's TXT record set. ``_answers`` keeps the last answer
-    ``resolve`` built for each name; see there.
+    One slot per name, holding the name's answer: no slot is NXDOMAIN, a
+    NoRecord answer is NODATA, and an Answered one carries the name's TXT
+    record set. Every write passes through ``_set``, which builds the answer.
 
     Single-threaded: callers use a store from one thread at a time, and the
     store takes no lock.
@@ -286,44 +286,39 @@ class ZoneStore(TextFile):
     FILE_ERROR = ZoneFileError
 
     def __init__(self):
-        self._names: dict[str, SignedRRset | None] = {}
-        self._answers: dict[str, DnsResponse] = {}
+        self._names: dict[str, DnsResponse] = {}
 
     # -- owner-side operations
 
     def register_name(self, name: str) -> None:
-        self._names.setdefault(normalize_domain(name), None)
+        if normalize_domain(name) not in self._names:
+            self._set(name, None)
 
     def publish(self, rrset: SignedRRset) -> None:
-        self._file(rrset.owner_name, rrset)
+        self._set(rrset.owner_name, rrset)
 
-    def _file(self, name: str, rrset: SignedRRset) -> None:
-        """Fill the name's slot; the set is copied only to rename its owner."""
+    def _set(self, name: str, rrset: SignedRRset | None) -> None:
+        """Fill the name's slot with its answer: NoRecord for None, else the
+        set, copied only to rename its owner."""
         name = normalize_domain(name)
-        if name != rrset.owner_name:
+        if rrset is not None and name != rrset.owner_name:
             rrset = replace(rrset, owner_name=name)
-        self._names[name] = rrset
+        self._names[name] = DnsResponse(name, _NO_RECORD if rrset is None else _ANSWERED, rrset)
 
     def rrset_for(self, name: str) -> SignedRRset | None:
-        return self._names.get(normalize_domain(name))
+        answer = self._names.get(normalize_domain(name))
+        return None if answer is None else answer.rrset
 
     def _rewrite(self, name: str, edit, create: bool = False) -> None:
         """Write back the name's set as ``replace(set, **edit(set))``. A name
         without a set raises KeyError, unless ``create`` starts an empty unsigned one."""
         name = normalize_domain(name)
-        current = self._names.get(name)
+        current = self.rrset_for(name)
         if current is None:
             if not create:
                 raise KeyError(name)
-            current = SignedRRset(
-                owner_name=name,
-                values=(),
-                signature=b"",
-                key_id="-",
-                inception=_NO_DATE,
-                expiration=_NO_DATE,
-            )
-        self._names[name] = replace(current, **edit(current))
+            current = SignedRRset(name, (), b"", "-", _NO_DATE, _NO_DATE)
+        self._set(name, replace(current, **edit(current)))
 
     # -- attacker operations: record manipulation without the signing key
 
@@ -354,23 +349,24 @@ class ZoneStore(TextFile):
 
     def attacker_drop_rrset(self, name: str) -> None:
         """Suppress the TXT set; the name itself stays resolvable."""
-        name = normalize_domain(name)
-        if name in self._names:
-            self._names[name] = None
+        if normalize_domain(name) in self._names:
+            self._set(name, None)
 
     def attacker_replace_rrset(self, name: str, rrset: SignedRRset) -> None:
         """Substitute a captured record set, e.g. replay an old signed one."""
-        self._file(name, rrset)
+        self._set(name, rrset)
 
     # -- persistence
 
     def to_text(self) -> str:
         lines = []
-        slots = sorted(self._names.items())
+        slots = [(name, answer.rrset) for name, answer in sorted(self._names.items())]
         for name, rrset in slots:
             if rrset is None:
                 continue
             _check_field("name", name)
+            if not rrset.values:
+                raise ZoneFileError(f"{name}: record set has no TXT values")
             for value in rrset.values:
                 if '"' in value or len(f'"{value}"'.splitlines()) > 1:
                     raise ZoneFileError(
@@ -394,7 +390,7 @@ class ZoneStore(TextFile):
         signed: dict[str, dict] = {}  # SIG fields per name, in file order
         parse_lines(text, partial(zone._parse_line, signed), ZoneFileError)
         for name in signed:
-            if not zone._names[name].values:
+            if not zone.rrset_for(name).values:
                 raise ZoneFileError(f"SIG without TXT values for {name}")
         return zone
 
@@ -434,20 +430,12 @@ class ZoneStore(TextFile):
 def resolve(zone: ZoneStore, name: str) -> DnsResponse:
     """Look up a name's TXT record set in the zone.
 
-    Returns Answered with the signed set, NoRecord for a known name without
-    TXT data, and NoSuchDomain otherwise. A name's answer is built once and
-    returned again for as long as its slot holds the very same value, so no
-    write to the slot, whatever its path, can leave a stale answer behind.
+    Returns the name's slot: Answered with the signed set, or NoRecord for a
+    known name without TXT data. A name without a slot gets a fresh
+    NoSuchDomain answer.
     """
     name = normalize_domain(name)
-    rrset = zone._names.get(name, _ABSENT)
-    if rrset is _ABSENT:
-        return DnsResponse(name, _NO_SUCH_DOMAIN)
-    answer = zone._answers.get(name)
-    if answer is None or answer.rrset is not rrset:
-        answer = DnsResponse(name, _NO_RECORD if rrset is None else _ANSWERED, rrset)
-        zone._answers[name] = answer
-    return answer
+    return zone._names.get(name) or DnsResponse(name, _NO_SUCH_DOMAIN)
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,8 @@ corpus files.
 
 Every such file is UTF-8 and line oriented: blank lines and lines starting
 with ``#`` are skipped, and a line that cannot be read is reported as
-``line N: <reason>`` in the reading module's own error class. Names and key
+``line N: <reason>`` in the reading module's own error class, with the
+file's path in front when it is read from a file. Names and key
 ids are single fields, checked by the same rule on read and on write.
 """
 
@@ -61,6 +62,16 @@ def read_text(path: str, error: type[ValueError]) -> str:
         ) from exc
 
 
+def read_file(path: str, parse: Callable[[str], object], error: type[ValueError]):
+    """``parse`` of the text of the file at ``path``. An ``error`` from the
+    read or the parse is raised again as ``error("<path>: ...")``, with the
+    same cause."""
+    try:
+        return parse(read_text(path, error))
+    except error as exc:
+        raise error(f"{path}: {exc}") from exc.__cause__
+
+
 class TextFile:
     """Persistence for a class that defines ``to_text()``, ``FILE_ERROR``,
     the error class of its format, and ``_parse_line(line)``, which reads one
@@ -107,4 +118,4 @@ class TextFile:
 
     @classmethod
     def load(cls, path: str):
-        return cls.from_text(read_text(path, cls.FILE_ERROR))
+        return read_file(path, cls.from_text, cls.FILE_ERROR)

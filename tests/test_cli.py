@@ -351,6 +351,19 @@ def test_verify_corrupt_zone_exit_two(world, capsys, line):
     assert code == 2
 
 
+@pytest.mark.parametrize("fmt", ["zone", "anchors", "store"])
+def test_a_bad_line_is_reported_with_its_file(world, capsys, fmt):
+    bad = world["tmp"] / f"bad-{fmt}.txt"
+    bad.write_text("# one bad line\nbogus\n")
+    files = {**world, fmt: str(bad)}
+    code = main([
+        "verify", "--zone", files["zone"], "--anchors", files["anchors"],
+        "--store", files["store"], "--domain", "tls12.test", "--now", "01-07-2018",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"dstc verify: {bad}: line 2: ")
+
+
 @pytest.mark.parametrize("fmt", ["zone", "anchors", "store", "profiles", "scenario",
                                  "corpus"])
 def test_non_utf8_input_file_exit_two(world, capsys, fmt):

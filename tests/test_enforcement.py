@@ -807,16 +807,14 @@ def _tampered(keys, other, record):
 
 def _other_owner(keys, other, record):
     # A set validly signed for another name under tls12.test's key. ZoneStore
-    # renames every set it files, so the slot is written directly.
-    zone, anchors = build_world(keys, values=[])
-    zone._names["tls12.test"] = sign_rrset(
-        keys, "other.test", [serialize_policy(record)], *SIG_WINDOW
-    )
-    return zone, anchors
+    # renames every set it files, so the answer is built directly.
+    _, anchors = build_world(keys, values=[])
+    rrset = sign_rrset(keys, "other.test", [serialize_policy(record)], *SIG_WINDOW)
+    return DnsResponse("tls12.test", Disposition.ANSWERED, rrset), anchors
 
 
-# Each builder takes (zone keys, other keys, record) and returns the zone and
-# anchors of one crafted answer for tls12.test.
+# Each builder takes (zone keys, other keys, record) and returns the zone, or
+# the answer itself, and the anchors of one crafted answer for tls12.test.
 ANSWERS = {
     "nxdomain": lambda keys, other, record: build_world(keys, values=[]),
     "nodata": _nodata,
@@ -858,6 +856,14 @@ CHECK_TABLE = [
 ]
 
 
+def crafted_answer(answer, keys, other, record):
+    """tls12.test's answer from the named builder, and its anchors."""
+    built, anchors = ANSWERS[answer](keys, other, record)
+    if isinstance(built, ZoneStore):
+        built = resolve(built, "tls12.test")
+    return built, anchors
+
+
 @pytest.mark.parametrize(
     "answer, record, reason, returns_record",
     CHECK_TABLE,
@@ -870,8 +876,8 @@ def test_check_answer_table(zone_keys, other_keys, monkeypatch, answer, record, 
 
     for method in ("update", "observe_absence", "lookup", "get_exact"):
         monkeypatch.setattr(PolicyStore, method, no_store)
-    zone, anchors = ANSWERS[answer](zone_keys, other_keys, record)
-    result = check_answer(resolve(zone, "tls12.test"), anchors, "tls12.test", NOW)
+    response, anchors = crafted_answer(answer, zone_keys, other_keys, record)
+    result = check_answer(response, anchors, "tls12.test", NOW)
     assert result == (reason, record if returns_record else None)
 
 
@@ -893,8 +899,7 @@ def crafted_answers(draw):
 @given(crafted_answers())
 def test_decide_on_an_empty_store_follows_check_answer(zone_keys, other_keys, drawn):
     answer, record = drawn
-    zone, anchors = ANSWERS[answer](zone_keys, other_keys, record)
-    response = resolve(zone, "tls12.test")
+    response, anchors = crafted_answer(answer, zone_keys, other_keys, record)
     reason, checked = check_answer(response, anchors, "tls12.test", NOW)
     decision = decide(response, anchors, PolicyStore(), "tls12.test", NOW)
     if reason is not Reason.OK:

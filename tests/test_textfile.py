@@ -22,7 +22,7 @@ from dstc.policy import PolicyRecord
 from dstc.scenarios import ScenarioFileError, parse_scenario_file
 from dstc.store import PolicyStore, StoreFileError
 from dstc.survey import CorpusFormatError, parse_corpus
-from dstc.textfile import check_field, is_field, parse_lines, read_text
+from dstc.textfile import check_field, is_field, parse_lines, read_file, read_text
 
 # -- the loop itself
 
@@ -72,9 +72,9 @@ _LOADERS = {
     "zone": (ZoneStore.load, ZoneFileError),
     "anchors": (TrustAnchorSet.load, ZoneFileError),
     "cache": (PolicyStore.load, StoreFileError),
-    "scenario": (lambda path: parse_scenario_file(read_text(path, ScenarioFileError)),
+    "scenario": (lambda path: read_file(path, parse_scenario_file, ScenarioFileError),
                  ScenarioFileError),
-    "corpus": (lambda path: parse_corpus(read_text(path, CorpusFormatError)),
+    "corpus": (lambda path: read_file(path, parse_corpus, CorpusFormatError),
                CorpusFormatError),
 }
 
@@ -84,7 +84,8 @@ def test_non_utf8_file_is_a_line_error_of_its_format(tmp_path, fmt):
     load, error = _LOADERS[fmt]
     path = tmp_path / "bad.txt"
     path.write_bytes(b"\xff\n")
-    with pytest.raises(error, match="^line 1: byte 0xff is not UTF-8") as raised:
+    message = f"^{re.escape(str(path))}: line 1: byte 0xff is not UTF-8"
+    with pytest.raises(error, match=message) as raised:
         load(str(path))
     assert isinstance(raised.value.__cause__, UnicodeDecodeError)
 
