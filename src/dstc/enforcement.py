@@ -82,7 +82,6 @@ _FS_PREFIXES = ("ECDHE", "DHE")
 _AE_TOKENS = ("GCM", "CCM", "CCM8", "CHACHA20")
 
 
-@lru_cache(maxsize=4096)
 def normalize_suite_name(name: str) -> str:
     """Fold case, strip a leading ``TLS_`` and map ``_`` to ``-``. This maps no
     IANA name onto its OpenSSL name: ``TLS_ECDHE_RSA_WITH_AES_128_GCM_SHA256``
@@ -202,7 +201,7 @@ class Reason(Enum):
     DROP_ALARM = "DropAlarm"
 
 
-# Enum.MEMBER costs 140-190 ns on 3.10/3.11 (EnumMeta.__getattr__; 42 ns on 3.12), a global 37 ns.
+# Contact-path aliases: no Enum.MEMBER read (README "Kept values").
 _ANSWERED = Disposition.ANSWERED
 _VERIFY_VALID, _VERIFY_INVALID = VerifyStatus.VALID, VerifyStatus.INVALID_SIGNATURE
 _POLICY_EXPIRED, _POLICY_NOT_YET_VALID = PolicyStatus.EXPIRED, PolicyStatus.NOT_YET_VALID
@@ -238,12 +237,8 @@ class PolicyDecision:
             raise ValueError(f"strict mode cannot carry reason {self.reason}")
 
 
-# Room for more decisions than warm-revisit's 6500 distinct ones (one per
-# report address): an LRU intern smaller than a cyclic working set never hits.
-_DECISION_INTERN_SIZE = 1 << 14
-
-
-@lru_cache(maxsize=_DECISION_INTERN_SIZE)
+# Past its bound a cyclic working set never hits (README "Kept values").
+@lru_cache(maxsize=1 << 14)
 def _interned_decision(mode: str, reason: str, report: str | None) -> PolicyDecision:
     return PolicyDecision(Mode(mode), Reason(reason), report)
 

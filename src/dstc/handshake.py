@@ -114,7 +114,7 @@ class HandshakeResult(Enum):
     EXHAUSTED = "Exhausted"
 
 
-# Enum.MEMBER costs 140-190 ns on 3.10/3.11 (EnumMeta.__getattr__; 42 ns on 3.12), a global 37 ns.
+# Contact-path aliases: no Enum.MEMBER read (README "Kept values").
 _DROP = AttackKind.DROP_CLIENT_HELLO
 _FRAGMENT = AttackKind.FRAGMENT_CLIENT_HELLO
 _MODVER = AttackKind.MODIFY_CLIENT_HELLO_VERSION
@@ -166,12 +166,7 @@ def _line(event: tuple) -> str:
     return _LINES[kind].format(*values)
 
 
-# A few distinct outcomes serve all contacts (one in warm-revisit, eleven in
-# attack-churn); the bound only keeps an unusual caller from growing it.
-_OUTCOME_INTERN_SIZE = 1 << 10
-
-
-@lru_cache(maxsize=_OUTCOME_INTERN_SIZE)
+@lru_cache(maxsize=1 << 10)
 def _outcome(
     result: HandshakeResult,
     version: TlsVersion | None,

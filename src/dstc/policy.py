@@ -7,17 +7,10 @@ recognised policy level is ``strict-config``. A TXT value whose ``name``
 directive is missing or not ``DSTC`` is some other record type and is ignored
 rather than rejected.
 
-``parse_policy`` keeps the records of the last ``_PARSE_MEMO_SIZE`` texts it
-parsed. A record depends only on its text and is frozen, so every caller
-(``check_answer`` and the cache reader) shares one instance per text. A text
-that raises is never kept, so it raises afresh, with the same message, on
-every call.
-
-``format_policy_date`` and ``parse_policy_date`` keep their results the same
-way, for the last ``_DATE_MEMO_SIZE`` dates and (text, directive) pairs, so
-every cache, zone and anchor file reader and writer, and the signing input,
-format and parse each date once. A refused date text is never kept either:
-it raises ``MalformedDate`` naming its directive on every call.
+``parse_policy``, ``parse_policy_date`` and ``format_policy_date`` are bounded
+memos of pure results. An input that raises is never kept, so it raises
+afresh, with the same message, on every call. README "Kept values" gives
+each memo's key, bound and measured worth.
 """
 
 from __future__ import annotations
@@ -106,13 +99,7 @@ class MalformedReport(MalformedPolicy):
         self.value = value
 
 
-# A cache file's lines share few dates (validity dates cluster on issuance
-# schedules) and a zone signed in one run shares one inception and one
-# expiration. About 200 B per entry.
-_DATE_MEMO_SIZE = 1 << 12
-
-
-@lru_cache(maxsize=_DATE_MEMO_SIZE)
+@lru_cache(maxsize=1 << 12)
 def parse_policy_date(text: str, directive: str = "date") -> date:
     """Parse a zero-padded dd-mm-yyyy date; any other shape is rejected."""
     m = _DATE_RE.fullmatch(text)
@@ -125,7 +112,7 @@ def parse_policy_date(text: str, directive: str = "date") -> date:
         raise MalformedDate(directive, str(exc)) from exc
 
 
-@lru_cache(maxsize=_DATE_MEMO_SIZE)
+@lru_cache(maxsize=1 << 12)
 def format_policy_date(d: date) -> str:
     return f"{d.day:02d}-{d.month:02d}-{d.year:04d}"
 
@@ -136,7 +123,7 @@ class PolicyStatus(Enum):
     EXPIRED = "Expired"
 
 
-# Enum.MEMBER costs 140-190 ns on 3.10/3.11 (EnumMeta.__getattr__; 42 ns on 3.12), a global 37 ns.
+# Contact-path aliases: no Enum.MEMBER read (README "Kept values").
 _ACTIVE = PolicyStatus.ACTIVE
 _NOT_YET_VALID = PolicyStatus.NOT_YET_VALID
 _EXPIRED = PolicyStatus.EXPIRED
@@ -186,12 +173,8 @@ def parse_policy_flag(value: str, directive: str) -> bool:
     raise BadFlag(directive, value)
 
 
-# An LRU memo smaller than a cyclic working set never hits: warm-revisit
-# revisits 6500 distinct texts. About 310 B per entry beyond the key string.
-_PARSE_MEMO_SIZE = 1 << 14
-
-
-@lru_cache(maxsize=_PARSE_MEMO_SIZE)
+# Past its bound a cyclic working set never hits (README "Kept values").
+@lru_cache(maxsize=1 << 14)
 def parse_policy(txt_value: str) -> PolicyRecord:
     """Parse one TXT value into a PolicyRecord.
 

@@ -47,7 +47,7 @@ class StoreAction(Enum):
     DROP_ALARM = "DropAlarm"
 
 
-# Enum.MEMBER costs 140-190 ns on 3.10/3.11 (EnumMeta.__getattr__; 42 ns on 3.12), a global 37 ns.
+# Contact-path aliases: no Enum.MEMBER read (README "Kept values").
 _STORED_NEW = StoreAction.STORED_NEW
 _REPLACED = StoreAction.REPLACED
 _REJECTED_STALE = StoreAction.REJECTED_STALE

@@ -4,7 +4,7 @@ from datetime import date
 
 import pytest
 from cryptography.hazmat.primitives import serialization
-from cryptography.hazmat.primitives.asymmetric import rsa
+from cryptography.hazmat.primitives.asymmetric import ec, rsa
 
 from dstc.cli import main
 from dstc.dnssec import TrustAnchor, TrustAnchorSet, ZoneStore, sign_rrset
@@ -252,6 +252,17 @@ def test_small_key_file_is_a_usage_error(tmp_path, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["k.pem"]
 
 
+def test_non_rsa_key_file_is_a_usage_error(tmp_path, capsys):
+    (tmp_path / "k.pem").write_bytes(ec.generate_private_key(ec.SECP256R1()).private_bytes(
+        serialization.Encoding.PEM,
+        serialization.PrivateFormat.PKCS8,
+        serialization.NoEncryption(),
+    ))
+    assert main(_sign_args(tmp_path)) == 2
+    assert capsys.readouterr().err == f"dstc sign: {tmp_path / 'k.pem'}: not an RSA private key\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["k.pem"]
+
+
 def test_verify_strict_ok_exit_zero(world, capsys):
     code = main([
         "verify", "--zone", world["zone"], "--anchors", world["anchors"],
@@ -390,6 +401,18 @@ def test_resolve_prints_sig_dates(world, capsys):
     )
 
 
+def test_resolve_prints_an_unsigned_set_without_a_signature(world, capsys):
+    zone = ZoneStore.load(world["zone"])
+    zone.attacker_add_txt_value("forged.test", "v=spf1 -all")
+    zone.save(world["zone"])
+    assert main(["resolve", "--zone", world["zone"], "--name", "forged.test"]) == 0
+    assert capsys.readouterr().out == (
+        "forged.test: Answered\n"
+        '  TXT "v=spf1 -all"\n'
+        "  SIG (none)\n"
+    )
+
+
 def test_connect_sim_established(world, capsys):
     code = main([
         "connect-sim", "--zone", world["zone"], "--anchors", world["anchors"],
@@ -412,6 +435,18 @@ def test_connect_sim_attack_aborts(world, capsys):
     out = capsys.readouterr().out
     assert "attacker: fragmented ClientHello" in out
     assert "outcome: AbortedByClient" in out
+
+
+def test_connect_sim_modified_hello_aborts_a_strict_client(world, capsys):
+    code = main([
+        "connect-sim", "--zone", world["zone"], "--anchors", world["anchors"],
+        "--domain", "tls12.test", "--profiles", world["profiles"],
+        "--server", "strong", "--attack", "modver:1.0", "--now", "01-07-2018",
+    ])
+    assert code == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "attack: modver:TLS1.0" in out
+    assert out[-1] == "outcome: AbortedByClient"
 
 
 def test_connect_sim_refuses_an_attack_argument_it_would_drop(world, capsys):
@@ -530,6 +565,14 @@ def test_survey_golden_stdout_on_generated_corpus(tmp_path, capsys):
     assert capsys.readouterr() == (GOLDEN_SURVEY_KV, "")
 
 
+def test_survey_of_a_corpus_without_tls12_has_no_modal_count(tmp_path, capsys):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("old.test | TLS1.0 | AES128-SHA\n")
+    assert main(["survey", "--corpus", str(corpus)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert "modal suite count              - in 0 servers (0.00% of 0)" in out
+
+
 def test_survey_empty_corpus_exit_two(tmp_path, capsys):
     corpus = tmp_path / "corpus.txt"
     corpus.write_text("# nothing here\n")
@@ -581,6 +624,17 @@ def test_bench_zone_and_anchors_go_together(world, capsys, given, message):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"dstc bench: {message}\n"
+
+
+def test_bench_without_an_anchor_for_the_domain_exit_two(world, zone_keys, capsys):
+    anchors = TrustAnchorSet()
+    anchors.add(TrustAnchor("other.test", zone_keys.key_id, zone_keys.public_der()))
+    anchors.save(world["anchors"])
+    assert main([
+        "bench", "--iterations", "1", "--zone", world["zone"],
+        "--anchors", world["anchors"], "--domain", "tls12.test", "--now", "01-07-2018",
+    ]) == 2
+    assert capsys.readouterr() == ("", "dstc bench: no trust anchor covers tls12.test\n")
 
 
 def test_bench_bad_fixture_exit_two(world, capsys):

@@ -4,7 +4,8 @@ from dataclasses import replace
 from datetime import date, timedelta
 
 import pytest
-from cryptography.hazmat.primitives.asymmetric import rsa
+from cryptography.hazmat.primitives import serialization
+from cryptography.hazmat.primitives.asymmetric import ec, ed25519, rsa
 from hypothesis import given, settings, strategies as st
 
 from dstc.dnssec import (
@@ -239,9 +240,12 @@ def test_zone_file_unsigned_rrset_round_trip(zone_keys):
     "a.test SIG zsk-1 2018-05-01 01-05-2019 AAAA",  # bad date shape
     "a.test SIG zsk-1 01-05-2018 01-05-2019 !!!!",  # invalid base64
     "a.test TXT",                                   # missing value
+    "a.test NAME",                                  # NAME without its -
+    "a.test NAME x y z",
+    "a.test NAME x",
 ])
 def test_zone_file_rejects_corrupt_lines(line):
-    with pytest.raises(ZoneFileError):
+    with pytest.raises(ZoneFileError, match="^line 1: "):
         ZoneStore.from_text(line + "\n")
 
 
@@ -409,8 +413,21 @@ def test_trust_anchor_file_rejects_bad_lines():
     with pytest.raises(ZoneFileError):
         TrustAnchorSet.from_text("example.com zsk-1 bm90LWEta2V5\n")
     # a well-formed key of an algorithm the library does not know
-    with pytest.raises(ZoneFileError, match="line 1: "):
-        TrustAnchorSet.from_text("example.com zsk-1 MAwwBQYDKgMEAwIAAA==\n")
+    with pytest.raises(ZoneFileError, match="^line 1: Unknown key type: 1.2.3.4$"):
+        TrustAnchorSet.from_text("example.com zsk-1 MAswBQYDKgMEAwIAAA==\n")
+
+
+@pytest.mark.parametrize("private_key", [
+    lambda: ec.generate_private_key(ec.SECP256R1()),
+    lambda: ed25519.Ed25519PrivateKey.generate(),
+], ids=["ec-p256", "ed25519"])
+def test_trust_anchor_refuses_a_key_that_is_not_rsa(private_key):
+    der = private_key().public_key().public_bytes(
+        serialization.Encoding.DER, serialization.PublicFormat.SubjectPublicKeyInfo
+    )
+    der64 = base64.b64encode(der).decode("ascii")
+    with pytest.raises(ZoneFileError, match="^line 1: not an RSA public key$"):
+        TrustAnchorSet.from_text(f"example.com zsk-1 {der64}\n")
 
 
 @pytest.mark.parametrize("text, message", [

@@ -214,6 +214,11 @@ def test_capabilities_require_a_strong_suite():
         ClientCapabilities(TlsVersion.TLS12, TlsVersion.TLS10, ("AES128-SHA",))
 
 
+def test_capabilities_refuse_a_floor_above_the_latest_version():
+    with pytest.raises(ValueError, match="^version floor above latest version$"):
+        ClientCapabilities(TlsVersion.TLS11, TlsVersion.TLS12, DEFAULT_CLIENT_SUITES)
+
+
 def test_capabilities_with_floor_at_latest_version():
     caps = ClientCapabilities(TlsVersion.TLS12, TlsVersion.TLS12, DEFAULT_CLIENT_SUITES)
     config = apply(DEFAULT_DECISION, caps)

@@ -94,6 +94,12 @@ def test_scenario_file_error_names_its_line(text):
         parse_scenario_file(text)
 
 
+def test_profile_line_with_a_token_after_fragbug_is_refused():
+    text = "# header\nPROFILE a VERSIONS TLS1.2 SUITES AES128-SHA FRAGBUG X\n"
+    with pytest.raises(ScenarioFileError, match="^line 2: too many PROFILE tokens$"):
+        parse_scenario_file(text)
+
+
 @pytest.mark.parametrize("token", ["drop:x", "drop:", "drop:+2", "drop:\u0662", "drop:1_0",
                                    "drop:0", "modver:9", "modver:"])
 def test_scenario_file_names_a_bad_drop_count(token):
