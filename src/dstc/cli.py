@@ -22,6 +22,7 @@ from .dnssec import (
     TrustAnchorSet,
     ZoneKeyPair,
     ZoneStore,
+    normalize_domain,
     resolve,
     sign_rrset,
 )
@@ -203,7 +204,7 @@ def cmd_sign(args) -> int:
 
 def cmd_resolve(args) -> int:
     response = resolve(ZoneStore.load(args.zone), args.name)
-    print(f"{response.queried_name}: {response.disposition.value}")
+    print(f"{normalize_domain(args.name)}: {response.disposition.value}")
     if response.rrset is not None:
         for value in response.rrset.values:
             print(f'  TXT "{value}"')

@@ -10,10 +10,10 @@ below it.
 The zone store keeps one slot per name, holding the name's answer. A name
 without a slot does not exist (NXDOMAIN), a NoRecord slot is a name without
 TXT data (NODATA, RFC 2308 section 2), and an Answered slot carries the
-name's one TXT record set. Every write builds the answer, and a query reads
-it. The store doubles as the attack surface: ``attacker_*`` methods mutate
-published record sets without access to the signing key, which is exactly
-what a man-in-the-middle can do to plain DNS traffic.
+name's one TXT record set. An answer does not hold the name, so NXDOMAIN and
+NODATA are one shared answer each. The store doubles as the attack surface:
+``attacker_*`` methods mutate published record sets without the signing
+key, exactly as a man-in-the-middle can on plain DNS traffic.
 
 File formats (UTF-8, line oriented, ``#`` comments allowed):
 
@@ -136,6 +136,8 @@ class ZoneKeyPair:
         except (TypeError, UnsupportedAlgorithm) as exc:
             # TypeError: the key is encrypted and no password is given.
             raise ZoneFileError(f"{path}: cannot load private key ({exc})") from exc
+        except ValueError as exc:
+            raise ZoneFileError(f"{path}: not a PEM private key") from exc
         if not isinstance(private, rsa.RSAPrivateKey):
             raise ZoneFileError(f"{path}: not an RSA private key")
         if private.key_size < MIN_KEY_BITS:
@@ -148,6 +150,8 @@ def public_key_from_der(der: bytes) -> rsa.RSAPublicKey:
         key = serialization.load_der_public_key(der)
     except UnsupportedAlgorithm as exc:
         raise ZoneFileError(str(exc)) from exc
+    except ValueError as exc:
+        raise ZoneFileError("not a DER public key") from exc
     if not isinstance(key, rsa.RSAPublicKey):
         raise ZoneFileError("not an RSA public key")
     if key.key_size < MIN_KEY_BITS:
@@ -257,13 +261,10 @@ _INVALID_SIGNATURE = VerifyStatus.INVALID_SIGNATURE
 _SIGNATURE_EXPIRED = VerifyStatus.SIGNATURE_EXPIRED
 _SIGNATURE_NOT_YET_VALID = VerifyStatus.SIGNATURE_NOT_YET_VALID
 _ANSWERED = Disposition.ANSWERED
-_NO_RECORD = Disposition.NO_RECORD
-_NO_SUCH_DOMAIN = Disposition.NO_SUCH_DOMAIN
 
 
 @dataclass(frozen=True, slots=True)
 class DnsResponse:
-    queried_name: str
     disposition: Disposition
     rrset: SignedRRset | None = None
 
@@ -272,12 +273,16 @@ class DnsResponse:
             raise ValueError("rrset must be present exactly when Answered")
 
 
+_NODATA = DnsResponse(Disposition.NO_RECORD)
+_NXDOMAIN = DnsResponse(Disposition.NO_SUCH_DOMAIN)
+
+
 class ZoneStore(TextFile):
     """All record sets of one zone, plus the attacker's write access.
 
-    One slot per name, holding the name's answer: no slot is NXDOMAIN, a
-    NoRecord answer is NODATA, and an Answered one carries the name's TXT
-    record set. Every write passes through ``_set``, which builds the answer.
+    One slot per name, holding the name's answer: no slot is NXDOMAIN, the
+    shared NoRecord answer is NODATA, and an Answered one carries the name's
+    TXT record set. Every write passes through ``_set``, which fills the slot.
 
     Single-threaded: callers use a store from one thread at a time, and the
     store takes no lock.
@@ -298,12 +303,12 @@ class ZoneStore(TextFile):
         self._set(rrset.owner_name, rrset)
 
     def _set(self, name: str, rrset: SignedRRset | None) -> None:
-        """Fill the name's slot with its answer: NoRecord for None, else the
+        """Fill the name's slot with its answer: NODATA for None, else the
         set, copied only to rename its owner."""
         name = normalize_domain(name)
         if rrset is not None and name != rrset.owner_name:
             rrset = replace(rrset, owner_name=name)
-        self._names[name] = DnsResponse(name, _NO_RECORD if rrset is None else _ANSWERED, rrset)
+        self._names[name] = _NODATA if rrset is None else DnsResponse(_ANSWERED, rrset)
 
     def rrset_for(self, name: str) -> SignedRRset | None:
         answer = self._names.get(normalize_domain(name))
@@ -433,11 +438,10 @@ def resolve(zone: ZoneStore, name: str) -> DnsResponse:
     """Look up a name's TXT record set in the zone.
 
     Returns the name's slot: Answered with the signed set, or NoRecord for a
-    known name without TXT data. A name without a slot gets a fresh
-    NoSuchDomain answer.
+    known name without TXT data. A name without a slot gets the shared
+    NoSuchDomain answer; no answer is built.
     """
-    name = normalize_domain(name)
-    return zone._names.get(name) or DnsResponse(name, _NO_SUCH_DOMAIN)
+    return zone._names.get(normalize_domain(name), _NXDOMAIN)
 
 
 @dataclass(frozen=True)

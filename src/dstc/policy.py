@@ -131,11 +131,11 @@ _EXPIRED = PolicyStatus.EXPIRED
 
 @dataclass(frozen=True, slots=True)
 class PolicyRecord:
-    """A parsed strict-TLS policy directive set.
+    """A parsed strict-TLS policy: the directives that can vary.
 
-    Construction runs the value checks ``parse_policy`` relies on (name,
-    tlsLevel, report shape, date order, flags that are ``bool``), so every
-    record serialises to a value the parser accepts.
+    Construction runs the value checks ``parse_policy`` relies on (report
+    shape, flags that are ``bool``, date order), so every record serialises
+    to a value the parser accepts.
     """
 
     valid_from: date
@@ -143,14 +143,8 @@ class PolicyRecord:
     report: str
     include_sub_domain: bool = False
     revoke: bool = False
-    tls_level: str = STRICT_CONFIG
-    name: str = RECORD_NAME
 
     def __post_init__(self):
-        if self.name != RECORD_NAME:
-            raise NotDstc(f"record name must be {RECORD_NAME}, got {self.name!r}")
-        if self.tls_level != STRICT_CONFIG:
-            raise UnknownTlsLevel(self.tls_level)
         if not _REPORT_RE.fullmatch(self.report):
             raise MalformedReport(self.report)
         # serialize_policy writes int(flag); only a bool surely writes 0 or 1.
@@ -209,24 +203,23 @@ def parse_policy(txt_value: str) -> PolicyRecord:
         if directive not in pairs:
             raise MissingDirective(directive)
 
-    # The name=DSTC scan and the duplicate check leave name at RECORD_NAME.
-    return PolicyRecord(
-        valid_from=parse_policy_date(pairs["validFrom"], "validFrom"),
-        valid_to=parse_policy_date(pairs["validTo"], "validTo"),
-        tls_level=pairs["tlsLevel"],
-        include_sub_domain=parse_policy_flag(pairs["includeSubDomain"], "includeSubDomain"),
-        revoke=parse_policy_flag(pairs["revoke"], "revoke"),
-        report=pairs["report"],
-    )
+    # name is fixed above; then dates, flags, tlsLevel and the record's checks.
+    valid_from = parse_policy_date(pairs["validFrom"], "validFrom")
+    valid_to = parse_policy_date(pairs["validTo"], "validTo")
+    include_sub_domain = parse_policy_flag(pairs["includeSubDomain"], "includeSubDomain")
+    revoke = parse_policy_flag(pairs["revoke"], "revoke")
+    if pairs["tlsLevel"] != STRICT_CONFIG:
+        raise UnknownTlsLevel(pairs["tlsLevel"])
+    return PolicyRecord(valid_from, valid_to, pairs["report"], include_sub_domain, revoke)
 
 
 def serialize_policy(record: PolicyRecord) -> str:
     """Render the canonical TXT value: fixed key order, '; ' separators."""
     return _CANONICAL_FORMAT % (
-        record.name,
+        RECORD_NAME,
         format_policy_date(record.valid_from),
         format_policy_date(record.valid_to),
-        record.tls_level,
+        STRICT_CONFIG,
         int(record.include_sub_domain),
         int(record.revoke),
         record.report,

@@ -236,6 +236,15 @@ def test_encrypted_key_is_a_usage_error(tmp_path, capsys, zone_keys):
     assert not (tmp_path / "z.zone").exists()
 
 
+def test_malformed_key_file_is_a_usage_error_naming_it(tmp_path, capsys):
+    (tmp_path / "k.pem").write_bytes(b"junk\n")
+    assert main(_sign_args(tmp_path)) == 2
+    assert capsys.readouterr().err == (
+        f"dstc sign: {tmp_path / 'k.pem'}: not a PEM private key\n"
+    )
+    assert not (tmp_path / "z.zone").exists()
+
+
 def test_small_key_file_is_a_usage_error(tmp_path, capsys):
     # Generated keys are always MIN_KEY_BITS; a key file is the one way a
     # smaller key can still come in.
@@ -399,6 +408,18 @@ def test_resolve_prints_sig_dates(world, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == (
         "  SIG key=zsk-1 inception=01-05-2018 expiration=01-05-2019"
     )
+
+
+@pytest.mark.parametrize("name, first_line", [
+    ("TLS12.Test.", "tls12.test: Answered"),
+    ("quiet.test", "quiet.test: NoRecord"),
+    ("ghost.test", "ghost.test: NoSuchDomain"),
+], ids=["answered", "no-record", "no-such-domain"])
+def test_resolve_names_the_normalised_query_first(world, capsys, name, first_line):
+    with open(world["zone"], "a", encoding="utf-8") as fh:
+        fh.write("quiet.test NAME -\n")
+    assert main(["resolve", "--zone", world["zone"], "--name", name]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == first_line
 
 
 def test_resolve_prints_an_unsigned_set_without_a_signature(world, capsys):

@@ -185,10 +185,9 @@ def test_dropped_rrset_leaves_name_known(zone_keys, rrset):
 
 def test_dns_response_invariant():
     with pytest.raises(ValueError):
-        DnsResponse("a.test", Disposition.ANSWERED, None)
+        DnsResponse(Disposition.ANSWERED, None)
     with pytest.raises(ValueError):
         DnsResponse(
-            "a.test",
             Disposition.NO_RECORD,
             SignedRRset("a.test", ("v",), b"", "-", INCEPTION, EXPIRATION),
         )
@@ -415,6 +414,13 @@ def test_trust_anchor_file_rejects_bad_lines():
     # a well-formed key of an algorithm the library does not know
     with pytest.raises(ZoneFileError, match="^line 1: Unknown key type: 1.2.3.4$"):
         TrustAnchorSet.from_text("example.com zsk-1 MAswBQYDKgMEAwIAAA==\n")
+
+
+@pytest.mark.parametrize("der64", ["bm90LWEta2V5", "MAwwBQYDKgMEAwIAAA=="],
+                         ids=["not-der", "short-der"])
+def test_trust_anchor_names_a_malformed_key_without_library_text(der64):
+    with pytest.raises(ZoneFileError, match="^line 1: not a DER public key$"):
+        TrustAnchorSet.from_text(f"example.com zsk-1 {der64}\n")
 
 
 @pytest.mark.parametrize("private_key", [

@@ -581,9 +581,7 @@ def test_decide_refuses_a_signed_answer_for_another_name(zone_keys):
         Mode.STRICT, Reason.OK, "admin@victim.test"
     )
     cached = fixture.store.to_text()
-    foreign = DnsResponse(
-        "victim.test", Disposition.ANSWERED, fixture.zone.rrset_for("other.test")
-    )
+    foreign = DnsResponse(Disposition.ANSWERED, fixture.zone.rrset_for("other.test"))
     decision = decide(foreign, fixture.anchors, fixture.store, "victim.test", fixture.now)
     assert decision == PolicyDecision(Mode.STRICT, Reason.DROP_ALARM, "admin@victim.test")
     assert fixture.store.to_text() == cached
@@ -815,7 +813,7 @@ def _other_owner(keys, other, record):
     # renames every set it files, so the answer is built directly.
     _, anchors = build_world(keys, values=[])
     rrset = sign_rrset(keys, "other.test", [serialize_policy(record)], *SIG_WINDOW)
-    return DnsResponse("tls12.test", Disposition.ANSWERED, rrset), anchors
+    return DnsResponse(Disposition.ANSWERED, rrset), anchors
 
 
 # Each builder takes (zone keys, other keys, record) and returns the zone, or

@@ -94,6 +94,19 @@ def test_scenario_file_error_names_its_line(text):
         parse_scenario_file(text)
 
 
+@pytest.mark.parametrize("line", [
+    "SCENARIO a CLIENT strict SERVER s ATTACK none EXPECT",
+    "SCENARIO a CLIENT strict SERVER s ATTACK none EXPECT established extra",
+    "SCENARIO a KLIENT strict SERVER s ATTACK none EXPECT established",
+], ids=["nine-tokens", "eleven-tokens", "misspelt-section"])
+def test_scenario_line_without_its_four_sections_is_refused(line):
+    with pytest.raises(
+        ScenarioFileError,
+        match="^line 2: SCENARIO needs CLIENT, SERVER, ATTACK and EXPECT sections$",
+    ):
+        parse_scenario_file(f"# header\n{line}\n")
+
+
 def test_profile_line_with_a_token_after_fragbug_is_refused():
     text = "# header\nPROFILE a VERSIONS TLS1.2 SUITES AES128-SHA FRAGBUG X\n"
     with pytest.raises(ScenarioFileError, match="^line 2: too many PROFILE tokens$"):
