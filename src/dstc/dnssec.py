@@ -471,13 +471,18 @@ class TrustAnchorSet(TextFile):
         self._anchors[normalize_domain(anchor.apex)] = anchor
 
     def lookup(self, domain: str) -> TrustAnchor | None:
-        """Longest-suffix anchor covering the domain, on label boundaries."""
-        labels = normalize_domain(domain).split(".")
-        for i in range(len(labels)):
-            anchor = self._anchors.get(".".join(labels[i:]))
+        """Longest-suffix anchor covering the domain, on label boundaries:
+        the name, then what follows each of its dots in turn."""
+        name = normalize_domain(domain)
+        anchors = self._anchors
+        while True:
+            anchor = anchors.get(name)
             if anchor is not None:
                 return anchor
-        return None
+            dot = name.find(".")
+            if dot < 0:
+                return None
+            name = name[dot + 1:]
 
     def to_text(self) -> str:
         lines = []

@@ -128,6 +128,9 @@ class EffectiveTlsConfig:
     _offered: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # Tuples, so a config run_handshake kept an outcome for cannot change.
+        object.__setattr__(self, "versions", tuple(self.versions))
+        object.__setattr__(self, "ciphersuites", tuple(self.ciphersuites))
         # The offered names as run_handshake compares them, built once.
         offered = frozenset(map(normalize_suite_name, self.ciphersuites))
         object.__setattr__(self, "_offered", offered)
@@ -237,10 +240,15 @@ class PolicyDecision:
             raise ValueError(f"strict mode cannot carry reason {self.reason}")
 
 
+# A miss takes its members from these, not through EnumMeta.__call__.
+_MODES = {mode._value_: mode for mode in Mode}
+_REASONS = {reason._value_: reason for reason in Reason}
+
+
 # Past its bound a cyclic working set never hits (README "Kept values").
 @lru_cache(maxsize=1 << 14)
 def _interned_decision(mode: str, reason: str, report: str | None) -> PolicyDecision:
-    return PolicyDecision(Mode(mode), Reason(reason), report)
+    return PolicyDecision(_MODES[mode], _REASONS[reason], report)
 
 
 def _decision(mode: Mode, reason: Reason, report: str | None) -> PolicyDecision:

@@ -7,12 +7,17 @@ modelled, and deliberately no transcript MAC either: the attacks of interest
 are the ones policy has to catch because the MAC cannot.
 
 Everything here is pure and deterministic: the same (client config, server
-profile, attacker strategy) triple always produces the same transcript.
+profile, attacker strategy) triple always produces the same transcript. The
+profile's slot relies on exactly that: each ``ServerProfile`` keeps the last
+triple it negotiated, and a call with the same config and attacker objects
+returns the kept outcome without negotiating again. Profiles and configs hold
+only immutable values, so an object seen once cannot later ask for another
+outcome.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 
@@ -35,8 +40,14 @@ class ServerProfile:
     supported_versions: frozenset[TlsVersion]
     suite_preference: tuple[str, ...]
     fragmentation_bug: bool = False
+    # The last (client config, attacker, outcome) run_handshake negotiated
+    # with this server, or None (README "Kept values").
+    _last: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # A set or list would leave the kept outcome open to a later change.
+        object.__setattr__(self, "supported_versions", frozenset(self.supported_versions))
+        object.__setattr__(self, "suite_preference", tuple(self.suite_preference))
         if not self.supported_versions:
             raise ValueError("server must support at least one version")
         if not self.suite_preference:
@@ -190,7 +201,25 @@ def run_handshake(
     offer and aborts once the n-th loss exceeds ``STRICT_RETRY_BUDGET``. The
     hello that gets through is then modified, fragmented or negotiated as is.
     The client accepts a ServerHello only for a version it is willing to speak.
+
+    A repeat of the server's last config and attacker, the same objects,
+    returns the outcome in the server's slot. Any other call negotiates and
+    refills the slot with one tuple, so a reader never sees a mixed triple.
     """
+    last = server._last
+    if last is not None and last[0] is client_cfg and last[1] is attacker:
+        return last[2]
+    outcome = _negotiate(client_cfg, server, attacker)
+    object.__setattr__(server, "_last", (client_cfg, attacker, outcome))
+    return outcome
+
+
+def _negotiate(
+    client_cfg: EffectiveTlsConfig,
+    server: ServerProfile,
+    attacker: AttackerStrategy,
+) -> HandshakeOutcome:
+    """``run_handshake`` without the server's slot."""
     versions = client_cfg.versions
     labels = VERSION_LABELS
     drops = attacker.drop_count if attacker.kind is _DROP else 0

@@ -10,6 +10,7 @@ import dis
 import enum
 import itertools
 import types
+from dataclasses import replace
 
 import pytest
 
@@ -36,6 +37,7 @@ CONTACT_FUNCTIONS = [
     enforcement.PolicyDecision.__post_init__,
     enforcement.apply,
     handshake.run_handshake,
+    handshake._negotiate,
     handshake._line,
     handshake.HandshakeOutcome.__post_init__,
 ]
@@ -99,8 +101,11 @@ def test_handshake_transcripts_render_versions_from_the_label_table(monkeypatch)
     expected = [handshake.run_handshake(*case) for case in cases]
     monkeypatch.setattr(TlsVersion, "__format__", _raise)
     monkeypatch.setattr(TlsVersion, "__str__", _raise)
-    # Every outcome is kept by now; render each transcript again under the patch.
+    # Every outcome is kept by now; render each transcript again under the
+    # patch, on fresh profiles whose empty slots make each call negotiate.
     handshake._outcome.cache_clear()
     with pytest.raises(AssertionError):
         f"{TlsVersion.TLS12}"
-    assert [handshake.run_handshake(*case) for case in cases] == expected
+    again = [handshake.run_handshake(cfg, replace(profile), strategy)
+             for cfg, profile, strategy in cases]
+    assert again == expected

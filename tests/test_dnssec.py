@@ -397,6 +397,49 @@ def test_trust_anchor_longest_suffix_lookup(zone_keys, other_keys):
     assert anchors.lookup("notexample.com") is None
 
 
+def _split_join_lookup(anchors, domain):
+    """The walk ``lookup`` made before: split the normalised name into
+    labels, then join and try each suffix, longest first."""
+    labels = normalize_domain(domain).split(".")
+    for i in range(len(labels)):
+        anchor = anchors._anchors.get(".".join(labels[i:]))
+        if anchor is not None:
+            return anchor
+    return None
+
+
+# Empty labels give leading, trailing and doubled dots.
+_WALK_LABELS = st.text(alphabet="aAeElLmMpPxX-", max_size=3)
+_WALK_NAMES = st.builds(
+    lambda head, labels, tail: head + ".".join(labels) + tail,
+    st.sampled_from(["", " ", "."]),
+    st.lists(_WALK_LABELS, max_size=5),
+    st.sampled_from(["", ".", "..", " "]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(name=_WALK_NAMES, others=st.lists(_WALK_NAMES, max_size=4), data=st.data())
+def test_anchor_walk_matches_the_split_join_walk(zone_keys, name, others, data):
+    # Anchors at suffixes of the name, on a label boundary or not, and elsewhere.
+    normalised = normalize_domain(name)
+    cuts = data.draw(st.sets(st.integers(0, len(normalised)), max_size=4))
+    anchors = TrustAnchorSet()
+    for apex in [normalised[cut:] for cut in cuts] + others:
+        anchors.add(TrustAnchor(apex, "zsk-1", zone_keys.public_der()))
+    assert anchors.lookup(name) is _split_join_lookup(anchors, name)
+
+
+def test_an_anchor_off_a_label_boundary_covers_nothing(zone_keys):
+    anchors = TrustAnchorSet()
+    ample = TrustAnchor("ample", "zsk-1", zone_keys.public_der())
+    anchors.add(ample)
+    assert anchors.lookup("example") is None
+    assert anchors.lookup("Ex.Example.") is None
+    assert anchors.lookup("EX.ample.") is ample
+    assert anchors.lookup(".ample") is ample
+
+
 def test_trust_anchor_file_round_trip(zone_keys):
     anchors = TrustAnchorSet()
     anchors.add(TrustAnchor("example.com", "zsk-1", zone_keys.public_der()))

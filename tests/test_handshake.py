@@ -1,5 +1,6 @@
 import itertools
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -443,18 +444,80 @@ PROFILE_CATALOGUE = [
 ]
 
 
+CATALOGUE_CASES = list(itertools.product(
+    (STRICT_CFG, DEFAULT_CFG), PROFILE_CATALOGUE, STRATEGY_CATALOGUE
+))
+
+
 def test_a_cold_and_a_warm_outcome_intern_give_equal_outcomes():
-    cases = list(itertools.product(
-        (STRICT_CFG, DEFAULT_CFG), PROFILE_CATALOGUE, STRATEGY_CATALOGUE
-    ))
+    # Each call gets a fresh profile, whose empty slot makes it negotiate.
     cold = []
-    for case in cases:
+    for cfg, profile, strategy in CATALOGUE_CASES:
         handshake._outcome.cache_clear()
-        cold.append(run_handshake(*case))
-    warm = [run_handshake(*case) for case in cases]
+        cold.append(run_handshake(cfg, replace(profile), strategy))
+    warm = [run_handshake(cfg, replace(profile), strategy)
+            for cfg, profile, strategy in CATALOGUE_CASES]
     assert warm == cold
-    again = [run_handshake(*case) for case in cases]
+    again = [run_handshake(cfg, replace(profile), strategy)
+             for cfg, profile, strategy in CATALOGUE_CASES]
     assert all(outcome is kept for outcome, kept in zip(again, warm))
+
+
+def _negotiated_on_fresh_profiles():
+    return {
+        (cfg, profile, strategy): run_handshake(cfg, replace(profile), strategy)
+        for cfg, profile, strategy in CATALOGUE_CASES
+    }
+
+
+def test_a_repeat_call_returns_the_kept_outcome():
+    fresh = _negotiated_on_fresh_profiles()
+    for profile in PROFILE_CATALOGUE:
+        kept = replace(profile)
+        for cfg, strategy in itertools.product((STRICT_CFG, DEFAULT_CFG), STRATEGY_CATALOGUE):
+            first = run_handshake(cfg, kept, strategy)
+            assert first == fresh[cfg, profile, strategy]
+            # With the intern empty, only the slot can give the same object.
+            handshake._outcome.cache_clear()
+            assert run_handshake(cfg, kept, strategy) is first
+
+
+def test_alternating_configs_and_attackers_on_one_profile_negotiate_afresh():
+    fresh = _negotiated_on_fresh_profiles()
+    pairs = list(itertools.product((STRICT_CFG, DEFAULT_CFG), STRATEGY_CATALOGUE))
+    for profile in PROFILE_CATALOGUE:
+        shared = replace(profile)
+        for (cfg_a, attack_a), (cfg_b, attack_b) in itertools.product(pairs, pairs):
+            for cfg, strategy in ((cfg_a, attack_a), (cfg_b, attack_b), (cfg_a, attack_a)):
+                outcome = run_handshake(cfg, shared, strategy)
+                assert outcome == fresh[cfg, profile, strategy], (profile, cfg, strategy)
+
+
+def test_profiles_that_differ_only_in_their_slot_are_equal():
+    for profile in PROFILE_CATALOGUE:
+        one, other = replace(profile), replace(profile)
+        run_handshake(STRICT_CFG, one, NO_ATTACK)
+        run_handshake(DEFAULT_CFG, other, STRATEGY_CATALOGUE[-1])
+        assert one._last != other._last
+        assert one == other == profile
+        assert hash(one) == hash(other) == hash(profile)
+        assert repr(one) == repr(other) == repr(profile)
+        assert replace(one)._last is None
+        # Filled differently, the two still answer every call alike.
+        for cfg, strategy in itertools.product((DEFAULT_CFG, STRICT_CFG), STRATEGY_CATALOGUE):
+            assert run_handshake(cfg, one, strategy) == run_handshake(cfg, other, strategy)
+
+
+def test_a_profile_and_a_config_built_from_lists_hold_tuples():
+    profile = ServerProfile("x.test", {TlsVersion.TLS12}, list(STRONG))
+    cfg = EffectiveTlsConfig([TlsVersion.TLS12], list(STRONG), False)
+    assert profile.supported_versions == frozenset({TlsVersion.TLS12})
+    assert type(profile.supported_versions) is frozenset
+    assert profile.suite_preference == STRONG
+    assert (cfg.versions, cfg.ciphersuites) == ((TlsVersion.TLS12,), STRONG)
+    assert hash(profile) == hash(server({TlsVersion.TLS12}, STRONG, name="x.test"))
+    assert run_handshake(cfg, profile).result is HandshakeResult.ESTABLISHED
+
 
 def test_strict_never_downgrades_across_catalogue():
     for profile, strategy in itertools.product(PROFILE_CATALOGUE, STRATEGY_CATALOGUE):
