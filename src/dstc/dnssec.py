@@ -5,7 +5,10 @@ covers a canonical byte form of (owner name, type, inception, expiration,
 sorted values), so names compare case-insensitively and value order never
 matters. Chain-of-trust walking is replaced by a trust-anchor set mapping a
 zone apex to the public key a client accepts for that apex and everything
-below it.
+below it. A verify skips the RSA check for a set that already passed it,
+and refuses without RSA a set whose content passed under the same key with
+another signature: PKCS#1 v1.5 signing is deterministic, so one signature
+verifies per key and content (see ``verify_rrset``).
 
 The zone store keeps one slot per name, holding the name's answer. A name
 without a slot does not exist (NXDOMAIN), a NoRecord slot is a name without
@@ -223,22 +226,44 @@ def sign_rrset(
     )
 
 
+# The one signature that passed RSA for each (anchor key, canonical bytes);
+# see verify_rrset. Keyed on the key object's id: the entry holds the key,
+# so the id is not reused while the entry lives. Emptied when full: dropping
+# the oldest entry instead kept the dead sets of older keys alive, and peak
+# RSS on attack-churn rose +5.4 % against +2.5 %.
+_PASSED: dict[tuple[int, bytes], tuple[rsa.RSAPublicKey, bytes]] = {}
+_PASSED_BOUND = 1 << 12
+
+
 def verify_rrset(
     public_key: rsa.RSAPublicKey, rrset: SignedRRset, now: date
 ) -> VerifyStatus:
     """Check the signature and its validity window.
 
     A broken signature wins over a window violation, so tampering is reported
-    as tampering even on an expired set. The RSA check is skipped only for a
-    set that itself passed it under this or an equal key (``replace()`` makes
-    a new set); the window is checked on every call.
+    as tampering even on an expired set. The window is checked on every call;
+    the RSA check is skipped in two cases. A set that itself passed it under
+    this or an equal key (``replace()`` makes a new set) passes again. Else,
+    if a set with the same canonical bytes passed it under this very key
+    object, the signature it passed with is the only one that can: PKCS#1
+    v1.5 signing is deterministic and verifying re-encodes and compares (RFC
+    8017 section 8.2.2). A set carrying that signature passes, and any other
+    is an invalid signature. Only a passed check is kept.
     """
     try:
         canonical = rrset.canonical_bytes()
         passed = rrset._verified_by
         # None is tested first: comparing it with a key object costs about 2 us.
         if passed is None or (passed is not public_key and passed != public_key):
-            public_key.verify(rrset.signature, canonical, _PAD, _HASH)
+            memo_key = (id(public_key), canonical)
+            entry = _PASSED.get(memo_key)
+            if entry is None or entry[0] is not public_key:
+                public_key.verify(rrset.signature, canonical, _PAD, _HASH)
+                if len(_PASSED) >= _PASSED_BOUND:
+                    _PASSED.clear()
+                _PASSED[memo_key] = (public_key, rrset.signature)
+            elif entry[1] != rrset.signature:
+                return _INVALID_SIGNATURE
             object.__setattr__(rrset, "_verified_by", public_key)
     except (_BadSignature, ValueError):
         return _INVALID_SIGNATURE

@@ -1,13 +1,16 @@
 import base64
+import hashlib
 import re
 from dataclasses import replace
 from datetime import date, timedelta
 
 import pytest
-from cryptography.hazmat.primitives import serialization
-from cryptography.hazmat.primitives.asymmetric import ec, ed25519, rsa
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives.asymmetric import ec, ed25519, padding, rsa
 from hypothesis import given, settings, strategies as st
 
+from dstc import dnssec
 from dstc.dnssec import (
     MIN_KEY_BITS,
     Disposition,
@@ -21,6 +24,7 @@ from dstc.dnssec import (
     ZoneStore,
     canonical_form,
     normalize_domain,
+    public_key_from_der,
     resolve,
     sign_rrset,
     verify_rrset,
@@ -742,6 +746,216 @@ def test_memo_never_validates_a_tampered_answer(zone_keys, other_keys, steps):
         tampered, key = _tamper(genuine, other_keys.public_key, *step)
         status = verify_rrset(key or zone_keys.public_key, tampered, _NOW)
         assert status is VerifyStatus.INVALID_SIGNATURE, step
+
+
+# -- the signature memo: one signature per anchor key and signed content
+
+
+_SHA256_OID = bytes.fromhex("0609608648016503040201")
+
+
+def _digest_info(digest: bytes, with_null: bool = True) -> bytes:
+    """DER DigestInfo for SHA-256, with or without NULL algorithm parameters."""
+    algorithm = _SHA256_OID + (b"\x05\x00" if with_null else b"")
+    algorithm = b"\x30" + bytes([len(algorithm)]) + algorithm
+    octets = b"\x04\x20" + digest
+    return b"\x30" + bytes([len(algorithm) + len(octets)]) + algorithm + octets
+
+
+def _raw_sign(keys: ZoneKeyPair, digest_info: bytes) -> bytes:
+    """EMSA-PKCS1-v1_5 pad ``digest_info`` and raise it to the private exponent."""
+    numbers = keys.private_key.private_numbers()
+    n = numbers.public_numbers.n
+    k = (n.bit_length() + 7) // 8
+    encoded = b"\x00\x01" + b"\xff" * (k - 3 - len(digest_info)) + b"\x00" + digest_info
+    return pow(int.from_bytes(encoded, "big"), numbers.d, n).to_bytes(k, "big")
+
+
+def test_pkcs1v15_verifies_one_signature_per_key_and_content(zone_keys):
+    """The premise of the signature memo (RFC 8017 section 8.2.2): signing is
+    deterministic and verifying re-encodes and compares, so once a signature
+    passed for a key and a content, every other byte string is refused. If a
+    library ever accepts a second encoding, this fails before the memo can
+    refuse a signature RSA would pass."""
+    public = zone_keys.public_key
+    n = public.public_numbers().n
+    k = (n.bit_length() + 7) // 8
+
+    def sign(data):
+        return zone_keys.private_key.sign(data, padding.PKCS1v15(), hashes.SHA256())
+
+    data = b"memo premise"
+    signature = sign(data)
+    # The raw construction is the library's own encoding.
+    assert _raw_sign(zone_keys, _digest_info(hashlib.sha256(data).digest())) == signature
+    assert sign(data) == signature
+    refused = [
+        (data, _raw_sign(zone_keys, _digest_info(hashlib.sha256(data).digest(), False))),
+        (data, b"\x00" + signature),
+    ]
+    # s + n is the same residue; it must still fit in k bytes. A signature
+    # with a leading zero byte gives the stripped form.
+    plus_n = stripped = None
+    for i in range(1 << 13):
+        if plus_n is not None and stripped is not None:
+            break
+        candidate = b"memo premise %d" % i
+        sig = sign(candidate)
+        value = int.from_bytes(sig, "big")
+        if plus_n is None and value + n < 1 << (8 * k):
+            plus_n = (candidate, (value + n).to_bytes(k, "big"))
+            assert pow(value + n, 65537, n) == pow(value, 65537, n)
+        if stripped is None and sig[0] == 0:
+            stripped = (candidate, sig[1:])
+    assert plus_n is not None and stripped is not None
+    refused += [plus_n, stripped]
+    for content, other in refused:
+        assert other != sign(content)
+        with pytest.raises((InvalidSignature, ValueError)):
+            public.verify(other, content, padding.PKCS1v15(), hashes.SHA256())
+
+
+def _flipped(rrset, index=0, mask=0x01):
+    sig = bytearray(rrset.signature)
+    sig[index] ^= mask
+    return replace(rrset, signature=bytes(sig))
+
+
+def test_a_forged_copy_of_a_passed_set_runs_no_rsa(zone_keys, rrset, now):
+    key = CountingKey(zone_keys.public_key)
+    assert verify_rrset(key, rrset, now) is VerifyStatus.VALID
+    assert key.calls == 1
+    for index in (0, 1, len(rrset.signature) // 2, len(rrset.signature) - 1):
+        forged = _flipped(rrset, index)
+        assert verify_rrset(key, forged, now) is VerifyStatus.INVALID_SIGNATURE
+        # tampering still wins over a window violation
+        assert (
+            verify_rrset(key, forged, EXPIRATION + timedelta(days=1))
+            is VerifyStatus.INVALID_SIGNATURE
+        )
+    for signature in (b"", rrset.signature[:-1], rrset.signature + b"\x00"):
+        forged = replace(rrset, signature=signature)
+        assert verify_rrset(key, forged, now) is VerifyStatus.INVALID_SIGNATURE
+    # a fresh copy of the genuine set passes without RSA, window still checked
+    assert verify_rrset(key, replace(rrset), now) is VerifyStatus.VALID
+    assert (
+        verify_rrset(key, replace(rrset), INCEPTION - timedelta(days=1))
+        is VerifyStatus.SIGNATURE_NOT_YET_VALID
+    )
+    assert key.calls == 1
+
+
+def test_a_forged_copy_seen_before_the_genuine_set_runs_rsa(zone_keys, rrset, now):
+    key = CountingKey(zone_keys.public_key)
+    for calls in (1, 2):
+        # a failed check is never kept
+        assert verify_rrset(key, _flipped(rrset), now) is VerifyStatus.INVALID_SIGNATURE
+        assert key.calls == calls
+    assert verify_rrset(key, replace(rrset), now) is VerifyStatus.VALID
+    assert key.calls == 3
+    assert verify_rrset(key, _flipped(rrset), now) is VerifyStatus.INVALID_SIGNATURE
+    assert key.calls == 3
+
+
+def test_an_equal_key_parsed_separately_runs_rsa_once(zone_keys, rrset, now):
+    first = CountingKey(zone_keys.public_key)
+    second = CountingKey(public_key_from_der(zone_keys.public_der()))
+    # interleaved: each key object keeps an entry of its own
+    for _ in range(2):
+        for key in (first, second):
+            assert verify_rrset(key, replace(rrset), now) is VerifyStatus.VALID
+            assert verify_rrset(key, _flipped(rrset), now) is VerifyStatus.INVALID_SIGNATURE
+            assert key.calls == 1
+
+
+class AcceptingKey(CountingKey):
+    """Counts the RSA checks and passes each one, so no set needs signing."""
+
+    def __init__(self):
+        super().__init__(None)
+
+    def verify(self, *args):
+        self.calls += 1
+
+
+def test_the_signature_memo_is_bounded_and_forgets_its_oldest_entry(now):
+    key = AcceptingKey()
+    bound = dnssec._PASSED_BOUND
+    sets = [
+        SignedRRset(f"n{i}.bound.test", ("v",), b"sig", "k", INCEPTION, EXPIRATION)
+        for i in range(bound + 1)
+    ]
+    for rrset in sets:
+        assert verify_rrset(key, rrset, now) is VerifyStatus.VALID
+        assert len(dnssec._PASSED) <= bound
+    assert key.calls == bound + 1
+    # the newest entry answers without RSA, a forged copy included
+    assert verify_rrset(key, replace(sets[-1]), now) is VerifyStatus.VALID
+    assert (
+        verify_rrset(key, replace(sets[-1], signature=b"forged"), now)
+        is VerifyStatus.INVALID_SIGNATURE
+    )
+    assert key.calls == bound + 1
+    # the oldest was dropped: RSA runs again
+    assert verify_rrset(key, replace(sets[0]), now) is VerifyStatus.VALID
+    assert key.calls == bound + 2
+
+
+def _status_without_memo(public_key, rrset, now):
+    """verify_rrset's status with RSA run on every call."""
+    try:
+        public_key.verify(
+            rrset.signature, rrset.canonical_bytes(), padding.PKCS1v15(), hashes.SHA256()
+        )
+    except (InvalidSignature, ValueError):
+        return VerifyStatus.INVALID_SIGNATURE
+    if now < rrset.inception:
+        return VerifyStatus.SIGNATURE_NOT_YET_VALID
+    if now > rrset.expiration:
+        return VerifyStatus.SIGNATURE_EXPIRED
+    return VerifyStatus.VALID
+
+
+_CONTENTS = (("abcd",), ("abcd", "efgh"))
+_memo_steps = st.lists(
+    st.tuples(
+        st.integers(0, 2),  # verifying key: the first, the first parsed again, the second
+        st.integers(0, 1),  # signing key
+        st.integers(0, 1),  # content
+        st.one_of(
+            st.none(),  # the genuine set
+            st.tuples(st.just("signature"), st.integers(0, 255), st.integers(1, 255)),
+            st.tuples(st.just("values"), st.none(), st.none()),  # the other content
+        ),
+        st.sampled_from([INCEPTION - timedelta(days=1), _NOW, EXPIRATION + timedelta(days=1)]),
+    ),
+    min_size=1,
+    max_size=16,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_memo_steps)
+def test_the_signature_memo_gives_the_statuses_of_rsa_on_every_call(
+    zone_keys, other_keys, steps
+):
+    # Key objects of this example's own, so the memo starts empty for them.
+    verifiers = [public_key_from_der(keys.public_der())
+                 for keys in (zone_keys, zone_keys, other_keys)]
+    genuine = {
+        (signer, content): sign_rrset(keys, "diff.test", values, INCEPTION, EXPIRATION)
+        for signer, keys in enumerate((zone_keys, other_keys))
+        for content, values in enumerate(_CONTENTS)
+    }
+    for verifier, signer, content, change, when in steps:
+        rrset = genuine[signer, content]
+        if change is not None and change[0] == "signature":
+            rrset = _flipped(rrset, change[1], change[2])
+        elif change is not None:
+            rrset = replace(rrset, values=_CONTENTS[1 - content])
+        key = verifiers[verifier]
+        expected = _status_without_memo(key, rrset, when)
+        assert verify_rrset(key, rrset, when) is expected, (verifier, signer, content, change)
 
 
 # -- canonical bytes kept on the record set
