@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import base64
 import os
-import struct
 from dataclasses import dataclass, field, replace
 from datetime import date
 from enum import Enum
@@ -82,19 +81,12 @@ def canonical_form(
     """
     if not owner_name:
         raise ValueError("owner name must be non-empty")
-    head = b"|".join(
-        (
-            normalize_domain(owner_name).encode("ascii"),
-            b"TXT",
-            format_policy_date(inception).encode("ascii"),
-            format_policy_date(expiration).encode("ascii"),
-        )
-    )
-    body = b"".join(
-        struct.pack(">I", len(raw)) + raw
-        for raw in sorted(v.encode("utf-8") for v in values)
-    )
-    return head + b"|" + body
+    head = (
+        f"{normalize_domain(owner_name)}|TXT|{format_policy_date(inception)}"
+        f"|{format_policy_date(expiration)}|"
+    ).encode("ascii")
+    raws = sorted([v.encode("utf-8") for v in values])
+    return head + b"".join([len(raw).to_bytes(4, "big") + raw for raw in raws])
 
 
 @dataclass
@@ -228,11 +220,22 @@ def sign_rrset(
 
 # The one signature that passed RSA for each (anchor key, canonical bytes);
 # see verify_rrset. Keyed on the key object's id: the entry holds the key,
-# so the id is not reused while the entry lives. Emptied when full: dropping
-# the oldest entry instead kept the dead sets of older keys alive, and peak
-# RSS on attack-churn rose +5.4 % against +2.5 %.
+# so the id is not reused while the entry lives. When full, the entries of
+# other key objects go first, and only a memo that this key's entries alone
+# fill is emptied: dropping the oldest entry instead kept the dead sets of
+# older keys alive, and peak RSS on attack-churn rose +5.4 % against +2.5 %.
 _PASSED: dict[tuple[int, bytes], tuple[rsa.RSAPublicKey, bytes]] = {}
 _PASSED_BOUND = 1 << 12
+
+
+def _make_room(public_key: rsa.RSAPublicKey) -> None:
+    """Drop the entries of every key object but this one, or all of them if
+    this key's entries fill the memo."""
+    others = [memo_key for memo_key, entry in _PASSED.items() if entry[0] is not public_key]
+    if not others:
+        _PASSED.clear()
+    for memo_key in others:
+        del _PASSED[memo_key]
 
 
 def verify_rrset(
@@ -260,7 +263,7 @@ def verify_rrset(
             if entry is None or entry[0] is not public_key:
                 public_key.verify(rrset.signature, canonical, _PAD, _HASH)
                 if len(_PASSED) >= _PASSED_BOUND:
-                    _PASSED.clear()
+                    _make_room(public_key)
                 _PASSED[memo_key] = (public_key, rrset.signature)
             elif entry[1] != rrset.signature:
                 return _INVALID_SIGNATURE

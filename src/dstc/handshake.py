@@ -8,11 +8,12 @@ are the ones policy has to catch because the MAC cannot.
 
 Everything here is pure and deterministic: the same (client config, server
 profile, attacker strategy) triple always produces the same transcript. The
-profile's slot relies on exactly that: each ``ServerProfile`` keeps the last
-triple it negotiated, and a call with the same config and attacker objects
-returns the kept outcome without negotiating again. Profiles and configs hold
-only immutable values, so an object seen once cannot later ask for another
-outcome.
+profile's table relies on exactly that: each ``ServerProfile`` keeps the
+(config, attacker, outcome) triples it negotiated, up to ``_KEPT_BOUND`` of
+them, and a call with a config and an attacker that are the objects of one
+kept triple returns its outcome without negotiating again. Profiles and
+configs hold only immutable values, so an object seen once cannot later ask
+for another outcome.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ from .enforcement import VERSION_LABELS, EffectiveTlsConfig, TlsVersion, normali
 # a lost hello before giving up; the offered version never changes.
 STRICT_RETRY_BUDGET = 1
 
+# Triples a server's table keeps: the two configs a ClientCapabilities hands
+# out, times the four attack kinds. A new triple past it drops the oldest.
+_KEPT_BOUND = 8
+
 
 @dataclass(frozen=True)
 class ServerProfile:
@@ -40,9 +45,10 @@ class ServerProfile:
     supported_versions: frozenset[TlsVersion]
     suite_preference: tuple[str, ...]
     fragmentation_bug: bool = False
-    # The last (client config, attacker, outcome) run_handshake negotiated
-    # with this server, or None (README "Kept values").
-    _last: tuple | None = field(default=None, init=False, repr=False, compare=False)
+    # The (client config, attacker, outcome) triples run_handshake negotiated
+    # with this server, newest first, laid end to end in one flat tuple
+    # (README "Kept values").
+    _kept: tuple = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # A set or list would leave the kept outcome open to a later change.
@@ -202,15 +208,22 @@ def run_handshake(
     hello that gets through is then modified, fragmented or negotiated as is.
     The client accepts a ServerHello only for a version it is willing to speak.
 
-    A repeat of the server's last config and attacker, the same objects,
-    returns the outcome in the server's slot. Any other call negotiates and
-    refills the slot with one tuple, so a reader never sees a mixed triple.
+    A config and an attacker that are the objects of a triple in the
+    server's table return that triple's outcome; the newest triple is tried
+    first, so a revisit pays two identity checks. Any other call negotiates
+    and puts its triple first, dropping the oldest past ``_KEPT_BOUND``. The
+    table is replaced by one new tuple, so a reader never sees a mixed triple.
     """
-    last = server._last
-    if last is not None and last[0] is client_cfg and last[1] is attacker:
-        return last[2]
+    kept = server._kept
+    if kept and kept[0] is client_cfg and kept[1] is attacker:
+        return kept[2]
+    for i in range(3, len(kept), 3):
+        if kept[i] is client_cfg and kept[i + 1] is attacker:
+            return kept[i + 2]
     outcome = _negotiate(client_cfg, server, attacker)
-    object.__setattr__(server, "_last", (client_cfg, attacker, outcome))
+    object.__setattr__(
+        server, "_kept", (client_cfg, attacker, outcome) + kept[:3 * _KEPT_BOUND - 3]
+    )
     return outcome
 
 
@@ -219,7 +232,7 @@ def _negotiate(
     server: ServerProfile,
     attacker: AttackerStrategy,
 ) -> HandshakeOutcome:
-    """``run_handshake`` without the server's slot."""
+    """``run_handshake`` without the server's table."""
     versions = client_cfg.versions
     labels = VERSION_LABELS
     drops = attacker.drop_count if attacker.kind is _DROP else 0

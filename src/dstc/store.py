@@ -140,13 +140,19 @@ class PolicyStore(TextFile):
     def lookup(self, domain: str, now: date) -> StoredPolicy | None:
         """Governing entry for a domain: itself, else the nearest ancestor
         whose record opted its subdomains in. Expired entries never govern.
+        The ancestors are what follows each of the name's dots in turn.
         """
-        labels = normalize_domain(domain).split(".")
-        for i in range(len(labels)):
-            slot = self._slot(".".join(labels[i:]), now)
-            if isinstance(slot, StoredPolicy) and (i == 0 or slot.record.include_sub_domain):
+        name = normalize_domain(domain)
+        own = True
+        while True:
+            slot = self._slot(name, now)
+            if isinstance(slot, StoredPolicy) and (own or slot.record.include_sub_domain):
                 return slot
-        return None
+            dot = name.find(".")
+            if dot < 0:
+                return None
+            name = name[dot + 1:]
+            own = False
 
     def get_exact(self, domain: str, now: date) -> StoredPolicy | None:
         slot = self._slot(normalize_domain(domain), now)

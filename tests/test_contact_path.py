@@ -102,7 +102,7 @@ def test_handshake_transcripts_render_versions_from_the_label_table(monkeypatch)
     monkeypatch.setattr(TlsVersion, "__format__", _raise)
     monkeypatch.setattr(TlsVersion, "__str__", _raise)
     # Every outcome is kept by now; render each transcript again under the
-    # patch, on fresh profiles whose empty slots make each call negotiate.
+    # patch, on fresh profiles whose empty tables make each call negotiate.
     handshake._outcome.cache_clear()
     with pytest.raises(AssertionError):
         f"{TlsVersion.TLS12}"

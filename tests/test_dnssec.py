@@ -1,6 +1,7 @@
 import base64
 import hashlib
 import re
+import struct
 from dataclasses import replace
 from datetime import date, timedelta
 
@@ -11,6 +12,7 @@ from cryptography.hazmat.primitives.asymmetric import ec, ed25519, padding, rsa
 from hypothesis import given, settings, strategies as st
 
 from dstc import dnssec
+from dstc.policy import format_policy_date
 from dstc.dnssec import (
     MIN_KEY_BITS,
     Disposition,
@@ -68,6 +70,60 @@ def test_canonical_form_unambiguous_value_boundaries():
     a = canonical_form("example.com", ["ab", "c"], INCEPTION, EXPIRATION)
     b = canonical_form("example.com", ["a", "bc"], INCEPTION, EXPIRATION)
     assert a != b
+
+
+def _canonical_form_before(owner_name, values, inception, expiration):
+    """The build ``canonical_form`` made before: a joined head, then each
+    value packed with struct, sorted over a generator."""
+    if not owner_name:
+        raise ValueError("owner name must be non-empty")
+    head = b"|".join(
+        (
+            normalize_domain(owner_name).encode("ascii"),
+            b"TXT",
+            format_policy_date(inception).encode("ascii"),
+            format_policy_date(expiration).encode("ascii"),
+        )
+    )
+    body = b"".join(
+        struct.pack(">I", len(raw)) + raw
+        for raw in sorted(v.encode("utf-8") for v in values)
+    )
+    return head + b"|" + body
+
+
+def _built(build, *args):
+    try:
+        return build(*args)
+    except Exception as exc:  # the class is compared, not the message
+        return type(exc)
+
+
+_OWNERS = st.one_of(
+    st.builds(
+        lambda head, labels, tail: head + ".".join(labels) + tail,
+        st.sampled_from(["", " ", "\t"]),
+        st.lists(st.text(alphabet="aBcDxY-9", min_size=1, max_size=4), min_size=1, max_size=3),
+        st.sampled_from(["", ".", " ", ". "]),
+    ),
+    st.sampled_from(["", "ex\u00e4mple.test", "\u0441\u0430\u0439\u0442.test", ".", " "]),
+)
+_VALUE_POOL = ["", "v=spf1 -all", "name=DSTC", "caf\u00e9", "\u2603", "a|b"]
+_VALUES = st.lists(st.one_of(st.sampled_from(_VALUE_POOL), st.text(max_size=6)), max_size=3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(owner=_OWNERS, values=_VALUES, inception=st.dates(), expiration=st.dates())
+def test_canonical_form_gives_the_bytes_of_the_earlier_build(owner, values, inception, expiration):
+    args = (owner, values, inception, expiration)
+    assert _built(canonical_form, *args) == _built(_canonical_form_before, *args)
+
+
+@pytest.mark.parametrize("owner", ["", "ex\u00e4mple.test"])
+def test_canonical_form_refuses_an_owner_as_before(owner):
+    refused = _built(_canonical_form_before, owner, VALUES, INCEPTION, EXPIRATION)
+    assert isinstance(refused, type) and issubclass(refused, ValueError)
+    assert _built(canonical_form, owner, VALUES, INCEPTION, EXPIRATION) is refused
 
 
 def test_sign_verify_round_trip(zone_keys, rrset, now):
@@ -899,6 +955,30 @@ def test_the_signature_memo_is_bounded_and_forgets_its_oldest_entry(now):
     # the oldest was dropped: RSA runs again
     assert verify_rrset(key, replace(sets[0]), now) is VerifyStatus.VALID
     assert key.calls == bound + 2
+
+
+def test_a_full_signature_memo_drops_the_entries_of_other_keys_first(now, monkeypatch):
+    # Two keys take turns, one pass each, over more than half the bound of
+    # sets: every pass checks each genuine set, then refuses a forged copy.
+    monkeypatch.setattr(dnssec, "_PASSED", {})
+    keys = (AcceptingKey(), AcceptingKey())
+    sets = [
+        SignedRRset(f"n{i}.turns.test", ("v",), b"sig", "k", INCEPTION, EXPIRATION)
+        for i in range(dnssec._PASSED_BOUND // 2 + 100)
+    ]
+    checks = []
+    for turn in range(4):
+        key = keys[turn % 2]
+        before = key.calls
+        for rrset in sets:
+            assert verify_rrset(key, replace(rrset), now) is VerifyStatus.VALID
+        for rrset in sets:
+            forged = replace(rrset, signature=b"forged")
+            assert verify_rrset(key, forged, now) is VerifyStatus.INVALID_SIGNATURE
+        checks.append(key.calls - before)
+        assert len(dnssec._PASSED) <= dnssec._PASSED_BOUND
+        assert all(entry[0] is key for entry in dnssec._PASSED.values())
+    assert checks == [len(sets)] * 4
 
 
 def _status_without_memo(public_key, rrset, now):

@@ -3,7 +3,7 @@ import re
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dstc import handshake
 from dstc.enforcement import (
@@ -450,7 +450,7 @@ CATALOGUE_CASES = list(itertools.product(
 
 
 def test_a_cold_and_a_warm_outcome_intern_give_equal_outcomes():
-    # Each call gets a fresh profile, whose empty slot makes it negotiate.
+    # Each call gets a fresh profile, whose empty table makes it negotiate.
     cold = []
     for cfg, profile, strategy in CATALOGUE_CASES:
         handshake._outcome.cache_clear()
@@ -477,7 +477,7 @@ def test_a_repeat_call_returns_the_kept_outcome():
         for cfg, strategy in itertools.product((STRICT_CFG, DEFAULT_CFG), STRATEGY_CATALOGUE):
             first = run_handshake(cfg, kept, strategy)
             assert first == fresh[cfg, profile, strategy]
-            # With the intern empty, only the slot can give the same object.
+            # With the intern empty, only the table can give the same object.
             handshake._outcome.cache_clear()
             assert run_handshake(cfg, kept, strategy) is first
 
@@ -497,15 +497,79 @@ def test_profiles_that_differ_only_in_their_slot_are_equal():
     for profile in PROFILE_CATALOGUE:
         one, other = replace(profile), replace(profile)
         run_handshake(STRICT_CFG, one, NO_ATTACK)
-        run_handshake(DEFAULT_CFG, other, STRATEGY_CATALOGUE[-1])
-        assert one._last != other._last
+        # One triple in one table, a full table in the other.
+        for strategy in STRATEGY_CATALOGUE:
+            run_handshake(DEFAULT_CFG, other, strategy)
+        assert len(one._kept) == 3 and len(other._kept) == 3 * handshake._KEPT_BOUND
         assert one == other == profile
         assert hash(one) == hash(other) == hash(profile)
         assert repr(one) == repr(other) == repr(profile)
-        assert replace(one)._last is None
+        assert replace(other)._kept == ()
         # Filled differently, the two still answer every call alike.
         for cfg, strategy in itertools.product((DEFAULT_CFG, STRICT_CFG), STRATEGY_CATALOGUE):
             assert run_handshake(cfg, one, strategy) == run_handshake(cfg, other, strategy)
+
+
+_PAIRS = list(itertools.product((STRICT_CFG, DEFAULT_CFG), STRATEGY_CATALOGUE))
+
+
+# Every pair twice in turn, then in reverse: each call past the bound evicts.
+@example(profile=PROFILE_CATALOGUE[4],
+         picks=[*range(len(_PAIRS)), *range(len(_PAIRS)), *reversed(range(len(_PAIRS)))])
+@settings(max_examples=200, deadline=None)
+@given(profile=st.sampled_from(PROFILE_CATALOGUE),
+       picks=st.lists(st.integers(0, len(_PAIRS) - 1), max_size=60))
+def test_any_interleaving_on_one_profile_gives_the_negotiated_outcome(profile, picks):
+    shared = replace(profile)
+    for pick in picks:
+        cfg, strategy = _PAIRS[pick]
+        outcome = run_handshake(cfg, shared, strategy)
+        assert outcome == handshake._negotiate(cfg, replace(profile), strategy), (cfg, strategy)
+        kept = shared._kept
+        assert len(kept) <= 3 * handshake._KEPT_BOUND
+        assert any(kept[i] is cfg and kept[i + 1] is strategy for i in range(0, len(kept), 3))
+
+
+def test_the_table_keeps_the_newest_triples_up_to_its_bound(monkeypatch):
+    negotiated = []
+    negotiate = handshake._negotiate
+
+    def counting(cfg, server, strategy):
+        negotiated.append((cfg, strategy))
+        return negotiate(cfg, server, strategy)
+
+    monkeypatch.setattr(handshake, "_negotiate", counting)
+    bound = handshake._KEPT_BOUND
+    shared = replace(PROFILE_CATALOGUE[3])
+    first = {pair: run_handshake(pair[0], shared, pair[1]) for pair in _PAIRS[:bound]}
+    assert negotiated == _PAIRS[:bound]
+    # The newest triple comes first, and every kept pair answers from the table.
+    assert shared._kept[:2] == _PAIRS[bound - 1]
+    for pair in reversed(_PAIRS[:bound]):
+        assert run_handshake(pair[0], shared, pair[1]) is first[pair]
+    assert len(negotiated) == bound
+    # One more pair drops the oldest triple, and only that one.
+    run_handshake(_PAIRS[bound][0], shared, _PAIRS[bound][1])
+    assert len(shared._kept) == 3 * bound
+    for pair in _PAIRS[1:bound + 1]:
+        run_handshake(pair[0], shared, pair[1])
+    assert len(negotiated) == bound + 1
+    run_handshake(_PAIRS[0][0], shared, _PAIRS[0][1])
+    assert negotiated[-1] == _PAIRS[0] and len(negotiated) == bound + 2
+
+
+def test_an_equal_config_that_is_another_object_negotiates_again(monkeypatch):
+    calls = []
+    negotiate = handshake._negotiate
+    monkeypatch.setattr(handshake, "_negotiate", lambda *args: calls.append(args) or negotiate(*args))
+    shared = replace(PROFILE_CATALOGUE[0])
+    twin = replace(STRICT_CFG)
+    assert twin == STRICT_CFG and twin is not STRICT_CFG
+    kept = run_handshake(STRICT_CFG, shared, NO_ATTACK)
+    assert run_handshake(twin, shared, NO_ATTACK) == kept
+    assert len(calls) == 2
+    assert run_handshake(STRICT_CFG, shared, NO_ATTACK) is kept
+    assert len(calls) == 2
 
 
 def test_a_profile_and_a_config_built_from_lists_hold_tuples():

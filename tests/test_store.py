@@ -4,10 +4,11 @@ from dataclasses import replace
 from datetime import date, timedelta
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from dstc.dnssec import normalize_domain
 from dstc.policy import MalformedReport, PolicyRecord, UnknownTlsLevel, serialize_policy
-from dstc.store import PolicyStore, StoreAction, StoreFileError
+from dstc.store import PolicyStore, StoreAction, StoreFileError, StoredPolicy
 
 NOW = date(2018, 7, 1)
 VALID_TO = date(2019, 5, 1)
@@ -352,6 +353,59 @@ def test_load_rejects_an_unknown_kind_with_tombstone_fields():
 def test_load_error_names_the_unrecognised_line():
     with pytest.raises(StoreFileError, match=r"line 4: unrecognised line 'BOGUS x'"):
         PolicyStore.from_text("\n# cache\n\nBOGUS x\n")
+
+
+def _split_join_lookup(store, domain, now):
+    """The walk ``lookup`` made before: split the normalised name into
+    labels, then join and try each suffix, longest first."""
+    labels = normalize_domain(domain).split(".")
+    for i in range(len(labels)):
+        slot = store._slot(".".join(labels[i:]), now)
+        if isinstance(slot, StoredPolicy) and (i == 0 or slot.record.include_sub_domain):
+            return slot
+    return None
+
+
+# Empty labels give leading, trailing and doubled dots.
+_WALK_NAMES = st.builds(
+    lambda head, labels, tail: head + ".".join(labels) + tail,
+    st.sampled_from(["", " ", "."]),
+    st.lists(st.text(alphabet="aAbBxX-", max_size=3), max_size=5),
+    st.sampled_from(["", ".", "..", " "]),
+)
+# What a suffix holds: an opted-in policy, a policy for itself only, an
+# expired opted-in policy, or a tombstone.
+_HELD = st.sampled_from(["sub", "own", "expired", "tombstone"])
+_EARLIER = date(2018, 1, 1)
+
+
+def _hold(store, name, held):
+    if held == "expired":
+        store.update(name, record(_EARLIER, date(2018, 2, 1), include_sub_domain=True), _EARLIER)
+    else:
+        store.update(name, record(include_sub_domain=held == "sub"), NOW)
+    if held == "tombstone":
+        store.update(name, record(date(2018, 6, 1), revoke=True), NOW)
+
+
+@example(name="a.B..x.", held={2: "own", 4: "sub"}, elsewhere=[])
+@example(name=".a.b.", held={0: "sub", 2: "sub", 4: "sub"}, elsewhere=["b"])
+@settings(max_examples=300, deadline=None)
+@given(name=_WALK_NAMES, held=st.dictionaries(st.integers(0, 16), _HELD, max_size=6),
+       elsewhere=st.lists(_WALK_NAMES, max_size=3))
+def test_lookup_walk_matches_the_split_join_walk(name, held, elsewhere):
+    # Slots at suffixes of the name, on a label boundary or not, and elsewhere.
+    normalised = normalize_domain(name)
+    stores = PolicyStore(), PolicyStore()
+    for store in stores:
+        for cut, kind in held.items():
+            _hold(store, normalised[cut:], kind)
+        for other in elsewhere:
+            _hold(store, other, "sub")
+    walked, joined = stores
+    assert walked.lookup(name, NOW) == _split_join_lookup(joined, name, NOW)
+    # Both walks drop the same expired slots on the way.
+    assert walked._slots == joined._slots
 
 
 # -- the cache file's line order ---------------------------------------------
