@@ -62,7 +62,15 @@ class ZoneFileError(ValueError):
 
 
 def normalize_domain(name: str) -> str:
-    return name.strip().rstrip(".").lower()
+    """The name without surrounding whitespace and trailing dots, in lower
+    case. A name that is already normal comes back as the very object passed
+    in (for a plain ``str``), so the zone, the signed sets, the cache and the
+    anchor walk keep one string per name, and its hash is computed once."""
+    name = name.strip().rstrip(".")
+    lower = name.lower()
+    # == rather than str.islower(), which is slower and false for a name
+    # without a cased letter.
+    return name if lower == name else lower
 
 
 _check_field = partial(check_field, ZoneFileError)

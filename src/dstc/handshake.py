@@ -33,7 +33,7 @@ STRICT_RETRY_BUDGET = 1
 _KEPT_BOUND = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServerProfile:
     """A server's negotiable surface.
 

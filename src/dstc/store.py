@@ -60,7 +60,7 @@ class StoreFileError(ValueError):
     """A persistence file could not be loaded."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StoredPolicy:
     domain: str
     record: PolicyRecord
@@ -74,7 +74,7 @@ class StoredPolicy:
         return self.record.valid_to
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tombstone:
     """Marker left by a revocation; blocks replays until valid_to passes."""
 

@@ -253,12 +253,14 @@ def generate_corpus() -> list[ServerProfile]:
         + [frozenset({TlsVersion.TLS12, TlsVersion.TLS10})] * skipped_prev
     )
 
+    # Each distinct suite list is built once and shared by its servers.
+    other_suites = [_mixed_suites(count) for count in _OTHER_COUNTS]
+    weak_suites = WEAK_POOL[:8]
     suite_plan = (
         [_mixed_suites(MODAL_COUNT)] * MODAL_SERVERS
-        + [_mixed_suites(_OTHER_COUNTS[i % len(_OTHER_COUNTS)])
-           for i in range(FSAE_MIXED - MODAL_SERVERS)]
+        + [other_suites[i % len(other_suites)] for i in range(FSAE_MIXED - MODAL_SERVERS)]
         + [STRONG_POOL[:6]] * strong_only
-        + [WEAK_POOL[:8]] * weak_only
+        + [weak_suites] * weak_only
     )
 
     rng = random.Random(_SEED)
@@ -279,7 +281,7 @@ def generate_corpus() -> list[ServerProfile]:
             ServerProfile(
                 f"site{LATEST + j:04d}.example",
                 legacy_versions[j % len(legacy_versions)],
-                WEAK_POOL[:8],
+                weak_suites,
             )
         )
     rng.shuffle(profiles)

@@ -9,10 +9,11 @@ import pytest
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes, serialization
 from cryptography.hazmat.primitives.asymmetric import ec, ed25519, padding, rsa
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dstc import dnssec
-from dstc.policy import format_policy_date
+from dstc.policy import PolicyRecord, format_policy_date, serialize_policy
+from dstc.store import PolicyStore
 from dstc.dnssec import (
     MIN_KEY_BITS,
     Disposition,
@@ -441,6 +442,63 @@ def test_rewriting_a_missing_set_raises_key_error_and_changes_nothing(change, te
 
 def test_normalize_domain():
     assert normalize_domain("WWW.Example.COM.") == "www.example.com"
+
+
+class _Name(str):
+    """A str subclass, as a caller may pass one."""
+
+
+_ANY_NAMES = st.one_of(
+    st.text(max_size=12),
+    st.builds(
+        lambda head, body, tail: head + body + tail,
+        st.sampled_from(["", " ", "\t", "\n "]),
+        # Upper and lower case, dots, digits and letters whose lower case
+        # differs in length (U+0130) or has no case at all (U+4E2D).
+        st.text(alphabet="aBcZ.-9\u00c4\u00e4\u0130\u03a3\u4e2d", max_size=8),
+        st.sampled_from(["", ".", "..", " ", ". "]),
+    ),
+)
+
+
+@example(name="")
+@example(name=_Name(""))
+@example(name=_Name("Example.COM."))
+@example(name=_Name("example.com"))
+@settings(max_examples=300, deadline=None)
+@given(name=st.one_of(_ANY_NAMES, _ANY_NAMES.map(_Name)))
+def test_normalize_domain_strips_and_lower_cases_any_text(name):
+    normal = normalize_domain(name)
+    assert normal == name.strip().rstrip(".").lower()
+    assert type(normal) is str
+
+
+@pytest.mark.parametrize("parts", [("tls12", ".test"), ("site0001", ".example"),
+                                   ("caf\u00e9", ".test"), ("\u4e2d", ".test"), ("123", "")])
+def test_an_already_normal_name_comes_back_as_itself(parts):
+    name = "".join(parts)  # built at run time, so no literal is shared by accident
+    assert normalize_domain(name) is name
+
+
+def test_one_name_object_is_every_copy_of_the_name_the_client_keeps(zone_keys, now):
+    name = "".join(("tls12", ".test"))
+    record = PolicyRecord(valid_from=INCEPTION, valid_to=EXPIRATION, report="admin@tls12.test")
+    zone = ZoneStore()
+    zone.register_name(name)
+    rrset = sign_rrset(zone_keys, name, [serialize_policy(record)], INCEPTION, EXPIRATION)
+    zone.publish(rrset)
+    store = PolicyStore()
+    store.update(name, record, now)
+    anchors = TrustAnchorSet()
+    anchors.add(TrustAnchor(name, zone_keys.key_id, zone_keys.public_der()))
+
+    (zone_key,) = zone._names
+    (slot_key,) = store._slots
+    (anchor_key,) = anchors._anchors
+    assert rrset.owner_name is name
+    assert zone_key is name and resolve(zone, name).rrset is rrset
+    assert slot_key is name and store.get_exact(name, now).domain is name
+    assert anchor_key is name
 
 
 def test_trust_anchor_longest_suffix_lookup(zone_keys, other_keys):

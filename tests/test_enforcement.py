@@ -337,6 +337,14 @@ def test_decide_happy_path(zone_keys, now):
     assert store.get_exact("tls12.test", now) is not None
 
 
+def test_decide_accepts_a_query_spelled_otherwise_than_its_lower_case_owner(zone_keys, now):
+    # check_answer compares the names as given first; they differ here.
+    zone, anchors = build_world(zone_keys)
+    decision, store = run_decide(zone, anchors, domain="TLS12.Test.")
+    assert decision == PolicyDecision(Mode.STRICT, Reason.OK, "admin@tls12.test")
+    assert [entry.domain for entry in store.entries()] == ["tls12.test"]
+
+
 def test_decide_tampered_value(zone_keys):
     zone, anchors = build_world(zone_keys)
     zone.attacker_modify_txt_value("tls12.test", 0, serialize_policy(POLICY) + " ")

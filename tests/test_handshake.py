@@ -501,9 +501,16 @@ def test_profiles_that_differ_only_in_their_slot_are_equal():
         for strategy in STRATEGY_CATALOGUE:
             run_handshake(DEFAULT_CFG, other, strategy)
         assert len(one._kept) == 3 and len(other._kept) == 3 * handshake._KEPT_BOUND
+        # Slotted: no attribute dict, and the value is its four fields alone.
+        assert not hasattr(one, "__dict__")
+        fields = (profile.domain, profile.supported_versions, profile.suite_preference,
+                  profile.fragmentation_bug)
         assert one == other == profile
-        assert hash(one) == hash(other) == hash(profile)
-        assert repr(one) == repr(other) == repr(profile)
+        assert hash(one) == hash(other) == hash(profile) == hash(fields)
+        assert repr(one) == repr(other) == repr(profile) == (
+            "ServerProfile(domain=%r, supported_versions=%r, suite_preference=%r, "
+            "fragmentation_bug=%r)" % fields
+        )
         assert replace(other)._kept == ()
         # Filled differently, the two still answer every call alike.
         for cfg, strategy in itertools.product((DEFAULT_CFG, STRICT_CFG), STRATEGY_CATALOGUE):

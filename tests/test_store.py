@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dstc.dnssec import normalize_domain
 from dstc.policy import MalformedReport, PolicyRecord, UnknownTlsLevel, serialize_policy
-from dstc.store import PolicyStore, StoreAction, StoreFileError, StoredPolicy
+from dstc.store import PolicyStore, StoreAction, StoreFileError, StoredPolicy, Tombstone
 
 NOW = date(2018, 7, 1)
 VALID_TO = date(2019, 5, 1)
@@ -70,6 +70,22 @@ def test_revocation_deletes_and_leaves_tombstone(now):
     assert action is StoreAction.REVOKED_DELETED
     assert store.get_exact("tls12.test", now) is None
     assert len(store.tombstones()) == 1
+
+
+def test_slot_values_are_slotted_and_compare_by_their_fields_alone():
+    policy = StoredPolicy("tls12.test", record())
+    tombstone = Tombstone("tls12.test", date(2018, 5, 1), VALID_TO)
+    for value, fields in ((policy, ("tls12.test", record())),
+                          (tombstone, ("tls12.test", date(2018, 5, 1), VALID_TO))):
+        assert not hasattr(value, "__dict__")
+        assert value == replace(value) and value != replace(value, domain="other.test")
+        assert hash(value) == hash(replace(value)) == hash(fields)
+    assert (policy.valid_from, policy.valid_to) == (date(2018, 5, 1), VALID_TO)
+    assert repr(policy) == f"StoredPolicy(domain='tls12.test', record={record()!r})"
+    assert repr(tombstone) == (
+        "Tombstone(domain='tls12.test', valid_from=datetime.date(2018, 5, 1), "
+        "valid_to=datetime.date(2019, 5, 1))"
+    )
 
 
 def test_revocation_of_nothing_is_unchanged(now):

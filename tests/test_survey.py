@@ -1,9 +1,20 @@
+import hashlib
+from dataclasses import replace
 from decimal import Decimal, ROUND_HALF_UP
 
 import pytest
 
-from dstc.enforcement import SuiteLabel, TlsVersion, classify_ciphersuite
-from dstc.handshake import ServerProfile
+from dstc.enforcement import (
+    DEFAULT_CLIENT,
+    Mode,
+    PolicyDecision,
+    Reason,
+    SuiteLabel,
+    TlsVersion,
+    apply,
+    classify_ciphersuite,
+)
+from dstc.handshake import AttackerStrategy, HandshakeResult, ServerProfile, run_handshake
 from dstc.survey import (
     CorpusFormatError,
     EmptyCorpus,
@@ -165,8 +176,16 @@ def test_generated_percentages_match_decimal_oracle():
     assert report.fsae_mixed_pct == oracle(6483, 6888)
 
 
+# SHA-256 of the rendered generated corpus, as every earlier generator built it.
+CORPUS_SHA256 = "fd1089b78c1058dc20ca1c2075ed6e25385686ef2c8b17c6e2a9b2b469f56786"
+
+
 def test_generated_corpus_is_deterministic():
-    assert render_corpus(generate_corpus()) == render_corpus(generate_corpus())
+    corpus = generate_corpus()
+    assert render_corpus(corpus) == render_corpus(generate_corpus())
+    assert hashlib.sha256(render_corpus(corpus).encode()).hexdigest() == CORPUS_SHA256
+    # Each of the ten distinct suite lists is one tuple, shared by its servers.
+    assert len({id(p.suite_preference) for p in corpus}) <= 10
 
 
 def test_generated_corpus_survives_file_round_trip(tmp_path):
@@ -181,3 +200,33 @@ def test_generator_pools_are_correctly_labelled():
 
     assert all(classify_ciphersuite(s) is SuiteLabel.FS_AE for s in STRONG_POOL)
     assert all(classify_ciphersuite(s) is not SuiteLabel.FS_AE for s in WEAK_POOL)
+
+
+HELLO_ATTACKS = [AttackerStrategy.parse(token)
+                 for token in ("drop:1", "drop:2", "fragment", "modver:TLS1.0")]
+
+
+def test_the_strict_client_establishes_with_exactly_the_servers_the_survey_counts():
+    """The paper's benefit claim end to end: the servers the survey counts
+    as TLS 1.2 with an FS+AE suite are the ones a strict client reaches, and
+    no hello attack gets it below TLS 1.2 or onto a suite that is not FS+AE."""
+    corpus = generate_corpus()
+    strict = apply(PolicyDecision(Mode.STRICT, Reason.OK), DEFAULT_CLIENT)
+    counted = [survey([p]).fsae_any_count == 1 for p in corpus]
+    established = [run_handshake(strict, p).result is HandshakeResult.ESTABLISHED
+                   for p in corpus]
+    assert established == counted
+    assert sum(established) == survey(corpus).fsae_any_count == 6500
+    # One lost hello is within the strict retry budget: the same servers.
+    assert [run_handshake(strict, p, HELLO_ATTACKS[0]).result is HandshakeResult.ESTABLISHED
+            for p in corpus] == established
+
+    # The fragmentation attack needs the server's bug; every attack runs on both.
+    buggy = [replace(p, fragmentation_bug=True) for p in corpus]
+    for attack in HELLO_ATTACKS:
+        for servers in (corpus, buggy):
+            for p in servers:
+                outcome = run_handshake(strict, p, attack)
+                if outcome.result is HandshakeResult.ESTABLISHED:
+                    assert outcome.negotiated_version is TlsVersion.TLS12, (p, attack)
+                    assert classify_ciphersuite(outcome.negotiated_suite) is SuiteLabel.FS_AE
