@@ -125,15 +125,11 @@ class EffectiveTlsConfig:
     versions: tuple[TlsVersion, ...]
     ciphersuites: tuple[str, ...]
     fallback_enabled: bool
-    _offered: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Tuples, so a config run_handshake kept an outcome for cannot change.
         object.__setattr__(self, "versions", tuple(self.versions))
         object.__setattr__(self, "ciphersuites", tuple(self.ciphersuites))
-        # The offered names as run_handshake compares them, built once.
-        offered = frozenset(map(normalize_suite_name, self.ciphersuites))
-        object.__setattr__(self, "_offered", offered)
 
 
 @dataclass(frozen=True)

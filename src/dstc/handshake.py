@@ -115,11 +115,12 @@ class AttackerStrategy:
 NO_ATTACK = AttackerStrategy(AttackKind.NONE)
 
 
-def _first_common_suite(server: ServerProfile, offered: frozenset[str]) -> str | None:
+def _first_common_suite(server: ServerProfile, offered: tuple[str, ...]) -> str | None:
     """The server's first preferred suite the client offered, names compared
     after normalisation, or None."""
+    names = set(map(normalize_suite_name, offered))
     for suite in server.suite_preference:
-        if normalize_suite_name(suite) in offered:
+        if normalize_suite_name(suite) in names:
             return suite
     return None
 
@@ -266,7 +267,7 @@ def _negotiate(
     version = _TLS10 if forced else min(offer, max(server.supported_versions))
     if not forced and version not in server.supported_versions:
         return _outcome(_ABORTED_BY_SERVER, None, None, (*events, ("no-version",)))
-    suite = _first_common_suite(server, client_cfg._offered)
+    suite = _first_common_suite(server, client_cfg.ciphersuites)
     events.append(("server-hello", labels[version], suite or "(none)"))
     if version not in versions:
         return _outcome(

@@ -9,6 +9,7 @@ A scenario file is line oriented (``#`` comments, blank lines allowed):
 The built-in suites wire the whole stack together: a zone is signed, the
 client decides per domain from the DNS answer, and the resulting hello
 configuration is driven against a server, possibly through an attacker.
+File and built-in rows share one builder, and one key signs every fixture.
 
   table2    three-server feasibility matrix (registered strong server,
             registered legacy server, unregistered legacy server)
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from datetime import date
-from functools import partial
+from functools import cache, partial
 
 from .dnssec import (
     ZoneKeyPair,
@@ -51,7 +52,7 @@ from .handshake import (
 )
 from .policy import PolicyRecord, serialize_policy
 from .store import PolicyStore
-from .textfile import parse_lines
+from .textfile import list_tokens, parse_lines
 
 
 class ScenarioFileError(ValueError):
@@ -172,9 +173,8 @@ def _parse_profile(fields: list[str]) -> ServerProfile:
         fragbug = True
     elif len(fields) != 6:
         raise ScenarioFileError("too many PROFILE tokens")
-    versions = frozenset(TlsVersion.parse(tok) for tok in fields[3].split(","))
-    suites = tuple(s for s in fields[5].split(",") if s)
-    return ServerProfile(fields[1], versions, suites, fragbug)
+    versions = frozenset(map(TlsVersion.parse, list_tokens(fields[3])))
+    return ServerProfile(fields[1], versions, list_tokens(fields[5]), fragbug)
 
 
 def _parse_scenario(fields: list[str]) -> Scenario:
@@ -214,26 +214,28 @@ def run_scenario_suite(
             raise UnknownScenarioReference(
                 f"scenario {scenario.name!r} references unknown profile {scenario.server!r}"
             )
-        outcome = run_handshake(
-            apply(CLIENT_TOKENS[scenario.client_policy], DEFAULT_CLIENT),
-            profiles[scenario.server],
-            scenario.attack,
-        )
-        rows.append(_row(scenario.name, scenario.expect, outcome))
+        rows.append(_row(scenario.name, scenario.expect, CLIENT_TOKENS[scenario.client_policy],
+                         profiles[scenario.server], scenario.attack))
     return SuiteReport(suite_name, tuple(rows))
 
 
-def _row(name: str, expect: Expectation, outcome: HandshakeOutcome,
-         decision: PolicyDecision | None = None, mode: Mode | None = None) -> ScenarioRow:
-    """Report one handshake; with a decision, it must also have taken ``mode``."""
+def _row(name: str, expect: Expectation, decision: PolicyDecision, server: ServerProfile,
+         attack: AttackerStrategy, mode: Mode | None = None) -> ScenarioRow:
+    """Apply the decision, run its handshake and report it; with a mode, the
+    decision must also have taken it, and the row shows the decision."""
+    outcome = run_handshake(apply(decision, DEFAULT_CLIENT), server, attack)
     return ScenarioRow(
         name=name,
         expected=expect.describe(),
         actual=_outcome_token(outcome),
-        passed=expect.matches(outcome) and (decision is None or decision.mode is mode),
+        passed=expect.matches(outcome) and (mode is None or decision.mode is mode),
         transcript=outcome.transcript,
-        decision=None if decision is None else f"{decision.mode.value}/{decision.reason.value}",
+        decision=None if mode is None else _decision_token(decision),
     )
+
+
+def _decision_token(decision: PolicyDecision) -> str:
+    return f"{decision.mode.value}/{decision.reason.value}"
 
 
 def _outcome_token(outcome: HandshakeOutcome) -> str:
@@ -282,11 +284,15 @@ class SignedFixture:
         return decide(resolve(self.zone, domain), self.anchors, self.store, domain, self.now)
 
 
-def build_fixture(
-    registered: dict[str, PolicyRecord], keys: ZoneKeyPair | None = None
-) -> SignedFixture:
-    """Sign the given records into a zone under one trust-anchored key."""
-    keys = keys or ZoneKeyPair.generate("zsk-1")
+@cache
+def fixture_keys() -> ZoneKeyPair:
+    """The one key that signs every fixture in a process (RSA generation is slow)."""
+    return ZoneKeyPair.generate("zsk-1")
+
+
+def build_fixture(registered: dict[str, PolicyRecord]) -> SignedFixture:
+    """Sign the given records into a zone under the trust-anchored fixture key."""
+    keys = fixture_keys()
     zone = ZoneStore()
     anchors = TrustAnchorSet()
     for domain, record in registered.items():
@@ -360,18 +366,14 @@ DOWNGRADE_SUITES = {
 }
 
 
-def run_downgrade_suite(name: str, keys: ZoneKeyPair | None = None) -> SuiteReport:
+def run_downgrade_suite(name: str) -> SuiteReport:
     """Sign the suite's registered domains, then decide, apply and handshake per row."""
     registered, table = DOWNGRADE_SUITES[name]
-    fixture = build_fixture(
-        {domain: fixture_policy(report=f"admin@{domain}") for domain in registered},
-        keys=keys,
-    )
-    rows = []
-    for row_name, domain, server, attack, expect, mode in table:
-        decision = fixture.decide_for(domain)
-        outcome = run_handshake(apply(decision, DEFAULT_CLIENT), server, attack)
-        rows.append(_row(row_name, expect, outcome, decision, mode))
+    fixture = build_fixture({d: fixture_policy(report=f"admin@{d}") for d in registered})
+    rows = [
+        _row(row_name, expect, fixture.decide_for(domain), server, attack, mode)
+        for row_name, domain, server, attack, expect, mode in table
+    ]
     return SuiteReport(name, tuple(rows))
 
 
@@ -428,23 +430,21 @@ _FORGERY_SUITE = (
 )
 
 
-def run_forgery(keys: ZoneKeyPair | None = None) -> SuiteReport:
+def run_forgery() -> SuiteReport:
     """Record-forgery matrix: each manipulation, then the client's decision."""
-    keys = keys or ZoneKeyPair.generate("zsk-1")
     rows = []
     for row_name, domain, expected, steps in _FORGERY_SUITE:
-        fixture = build_fixture({"tls12.test": _REGISTERED_POLICY}, keys=keys)
+        fixture = build_fixture({"tls12.test": _REGISTERED_POLICY})
         first = fixture.zone.rrset_for(domain)
         transcript = []
         for text, change in steps:
             if change is None:
-                decision = fixture.decide_for(domain)
-                actual = f"{decision.mode.value}/{decision.reason.value}"
+                actual = _decision_token(fixture.decide_for(domain))
                 text = f"{text}: {actual}"
             elif callable(change):
                 change(fixture.zone, domain, first)
             else:
-                fixture.zone.publish(sign_rrset(keys, domain, change, *SIGNATURE_DAYS))
+                fixture.zone.publish(sign_rrset(fixture_keys(), domain, change, *SIGNATURE_DAYS))
             transcript.append(text)
         rows.append(ScenarioRow(row_name, expected, actual, actual == expected, tuple(transcript)))
     return SuiteReport("forgery", tuple(rows))
@@ -456,7 +456,7 @@ BUILTIN_SUITES = {
 }
 
 
-def run_builtin_suite(name: str, keys: ZoneKeyPair | None = None) -> SuiteReport:
+def run_builtin_suite(name: str) -> SuiteReport:
     if name not in BUILTIN_SUITES:
         raise UnknownScenarioReference(f"unknown built-in suite {name!r}")
-    return BUILTIN_SUITES[name](keys=keys)
+    return BUILTIN_SUITES[name]()

@@ -25,7 +25,7 @@ from decimal import Decimal, ROUND_HALF_UP
 
 from .enforcement import SuiteLabel, TlsVersion, classify_ciphersuite
 from .handshake import ServerProfile
-from .textfile import parse_lines
+from .textfile import list_tokens, parse_lines
 
 
 class EmptyCorpus(ValueError):
@@ -54,11 +54,8 @@ def parse_corpus(text: str) -> list[ServerProfile]:
         if len(parts) != 3:
             raise CorpusFormatError("expected '<domain> | <versions> | <suites>'")
         domain, versions_part, suites_part = parts
-        versions = frozenset(
-            TlsVersion.parse(tok) for tok in versions_part.split(",") if tok.strip()
-        )
-        suites = tuple(s.strip() for s in suites_part.split(",") if s.strip())
-        profiles.append(ServerProfile(domain, versions, suites))
+        versions = frozenset(map(TlsVersion.parse, list_tokens(versions_part)))
+        profiles.append(ServerProfile(domain, versions, list_tokens(suites_part)))
 
     parse_lines(text, parse_line, CorpusFormatError)
     return profiles

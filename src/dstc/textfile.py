@@ -5,7 +5,8 @@ Every such file is UTF-8 and line oriented: blank lines and lines starting
 with ``#`` are skipped, and a line that cannot be read is reported as
 ``line N: <reason>`` in the reading module's own error class, with the
 file's path in front when it is read from a file. Names and key
-ids are single fields, checked by the same rule on read and on write.
+ids are single fields, checked by the same rule on read and on write, and
+every comma list is read by ``list_tokens``.
 """
 
 from __future__ import annotations
@@ -26,6 +27,11 @@ def check_field(error: type[ValueError], kind: str, text: str) -> str:
     if not is_field(text):
         raise error(f"{kind} {text!r} cannot be written as one field")
     return text
+
+
+def list_tokens(text: str) -> list[str]:
+    """The comma list's tokens, stripped, empty ones skipped: ``"a, ,b,"`` -> a, b."""
+    return [token for token in map(str.strip, text.split(",")) if token]
 
 
 def parse_lines(

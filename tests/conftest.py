@@ -3,12 +3,13 @@ from datetime import date
 import pytest
 
 from dstc.dnssec import ZoneKeyPair
+from dstc.scenarios import fixture_keys
 
 
 @pytest.fixture(scope="session")
 def zone_keys():
-    # RSA generation is the slow part of the suite; share one pair.
-    return ZoneKeyPair.generate("zsk-1")
+    # RSA generation is the slow part of the suite; share the fixtures' pair.
+    return fixture_keys()
 
 
 @pytest.fixture(scope="session")

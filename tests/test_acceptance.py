@@ -120,7 +120,7 @@ def test_c2_policy_table_semantics(capsys):
 
 def test_c3_forgery_matrix(zone_keys, capsys):
     """C3: the six record-forgery attacks are each defeated as specified."""
-    report = run_builtin_suite("forgery", keys=zone_keys)
+    report = run_builtin_suite("forgery")
     failures = [f"{row.name}: {row.actual} != {row.expected}"
                 for row in report.rows if not row.passed]
     ok = not failures and len(report.rows) == 6
@@ -133,7 +133,7 @@ def test_c4_downgrade_scenarios(zone_keys, capsys):
     """C4: poodle and fragment suites downgrade default, abort strict."""
     failures = []
     for suite in ("poodle", "fragment"):
-        report = run_builtin_suite(suite, keys=zone_keys)
+        report = run_builtin_suite(suite)
         rows = {row.name: row for row in report.rows}
         downgraded = rows[f"{suite}-default-downgraded"]
         aborted = rows[f"{suite}-strict-aborted"]
@@ -193,7 +193,7 @@ def test_c6_survey_reproduction(capsys):
 def test_c7_performance_envelope(zone_keys, capsys):
     """C7: 500-iteration bench stays inside the 50ms-per-iteration envelope."""
     fixture = build_fixture(
-        {"tls12.test": fixture_policy(report="admin@tls12.test")}, keys=zone_keys
+        {"tls12.test": fixture_policy(report="admin@tls12.test")}
     )
     report = run_bench(fixture.zone, fixture.anchors, "tls12.test", fixture.now, 500)
     rows = {row.name: row for row in report.rows}

@@ -11,7 +11,7 @@ from dstc.store import PolicyStore
 @pytest.fixture(scope="module")
 def fixture(zone_keys):
     return build_fixture(
-        {"tls12.test": fixture_policy(report="admin@tls12.test")}, keys=zone_keys
+        {"tls12.test": fixture_policy(report="admin@tls12.test")}
     )
 
 
@@ -43,7 +43,7 @@ def test_rejects_zero_iterations(fixture):
 
 
 def test_query_verify_skips_values_that_are_not_dstc(zone_keys):
-    fixture = build_fixture({}, keys=zone_keys)
+    fixture = build_fixture({})
     policy = serialize_policy(fixture_policy(report="admin@multi.test"))
     fixture.zone.publish(
         sign_rrset(zone_keys, "multi.test", [policy, "v=spf1 -all"], *SIGNATURE_DAYS)

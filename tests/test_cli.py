@@ -1,6 +1,7 @@
 import os
 import stat
 from datetime import date
+from pathlib import Path
 
 import pytest
 from cryptography.hazmat.primitives import serialization
@@ -520,6 +521,46 @@ def test_attack_sim_scenario_file(world, tmp_path, capsys):
     )
     assert main(["attack-sim", "--scenario-file", str(scenario)]) == 0
     assert "[PASS] s2" in capsys.readouterr().out
+
+
+# README's scenario-file example and its whole report, captured before file
+# rows and built-in rows shared one builder. File rows show no decision.
+README_SCENARIO_FILE = """\
+PROFILE strong VERSIONS TLS1.2,TLS1.1,TLS1.0 SUITES ECDHE-RSA-AES128-GCM-SHA256,AES128-SHA
+PROFILE buggy  VERSIONS TLS1.2,TLS1.0 SUITES ECDHE-RSA-AES128-GCM-SHA256,AES128-SHA FRAGBUG
+SCENARIO downgrade CLIENT default SERVER strong ATTACK drop:2 EXPECT established
+SCENARIO detected  CLIENT strict  SERVER strong ATTACK drop:2 EXPECT aborted
+"""
+
+GOLDEN_README_SCENARIO_REPORT = """\
+suite scenarios.txt: 2 scenario(s)
+[PASS] downgrade: expected=Established actual=Established@TLS1.0 suite=ECDHE-RSA-AES128-GCM-SHA256
+    client: ClientHello version=TLS1.2 suites=14
+    attacker: dropped ClientHello (1 of 2)
+    client: fallback TLS1.2 -> TLS1.1
+    client: ClientHello version=TLS1.1 suites=14
+    attacker: dropped ClientHello (2 of 2)
+    client: fallback TLS1.1 -> TLS1.0
+    client: ClientHello version=TLS1.0 suites=14
+    server: ServerHello version=TLS1.0 suite=ECDHE-RSA-AES128-GCM-SHA256
+    established: version=TLS1.0 suite=ECDHE-RSA-AES128-GCM-SHA256
+[PASS] detected: expected=AbortedByClient|AbortedByServer actual=AbortedByClient
+    client: ClientHello version=TLS1.2 suites=6
+    attacker: dropped ClientHello (1 of 2)
+    client: retry same version TLS1.2 (1 of 1)
+    client: ClientHello version=TLS1.2 suites=6
+    attacker: dropped ClientHello (2 of 2)
+    client: abort (hello lost and fallback disabled)
+"""
+
+
+def test_attack_sim_readme_scenario_file_golden(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    assert README_SCENARIO_FILE in readme
+    scenario = tmp_path / "scenarios.txt"
+    scenario.write_text(README_SCENARIO_FILE)
+    assert main(["attack-sim", "--scenario-file", str(scenario)]) == 0
+    assert capsys.readouterr().out == GOLDEN_README_SCENARIO_REPORT
 
 
 def test_attack_sim_failed_expectation_exits_one(tmp_path, capsys):

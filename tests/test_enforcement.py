@@ -582,8 +582,7 @@ def test_decide_refuses_a_signed_answer_for_another_name(zone_keys):
             "other.test": fixture_policy(
                 valid_from=date(2018, 6, 1), report="admin@other.test", revoke=True
             ),
-        },
-        keys=zone_keys,
+        }
     )
     assert fixture.decide_for("victim.test") == PolicyDecision(
         Mode.STRICT, Reason.OK, "admin@victim.test"

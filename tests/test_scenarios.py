@@ -5,12 +5,16 @@ from pathlib import Path
 
 import pytest
 
+from dstc.dnssec import ZoneKeyPair
 from dstc.enforcement import TlsVersion
 from dstc.handshake import AttackKind
 from dstc.scenarios import (
     BUILTIN_SUITES,
     ScenarioFileError,
     UnknownScenarioReference,
+    build_fixture,
+    fixture_keys,
+    fixture_policy,
     parse_scenario_file,
     run_builtin_suite,
     run_scenario_suite,
@@ -132,7 +136,7 @@ def test_duplicate_scenario_names_rejected():
 
 
 def test_builtin_table2(zone_keys):
-    report = run_builtin_suite("table2", keys=zone_keys)
+    report = run_builtin_suite("table2")
     assert report.all_passed, report.render()
     assert [row.name for row in report.rows] == [
         "tls12-registered-strong",
@@ -149,7 +153,7 @@ def test_builtin_table2(zone_keys):
 
 
 def test_builtin_poodle(zone_keys):
-    report = run_builtin_suite("poodle", keys=zone_keys)
+    report = run_builtin_suite("poodle")
     assert report.all_passed, report.render()
     by_name = {row.name: row for row in report.rows}
     default, strict = by_name["poodle-default-downgraded"], by_name["poodle-strict-aborted"]
@@ -160,7 +164,7 @@ def test_builtin_poodle(zone_keys):
 
 
 def test_builtin_fragment(zone_keys):
-    report = run_builtin_suite("fragment", keys=zone_keys)
+    report = run_builtin_suite("fragment")
     assert report.all_passed, report.render()
     by_name = {row.name: row for row in report.rows}
     default, strict = by_name["fragment-default-downgraded"], by_name["fragment-strict-aborted"]
@@ -171,7 +175,7 @@ def test_builtin_fragment(zone_keys):
 
 
 def test_builtin_forgery(zone_keys):
-    report = run_builtin_suite("forgery", keys=zone_keys)
+    report = run_builtin_suite("forgery")
     assert report.all_passed, report.render()
     expected = {
         "add-unregistered-policy": "Default/InvalidSignature",
@@ -225,7 +229,7 @@ FORGERY_GOLDEN = [
     ids=[row[0] for row in FORGERY_GOLDEN],
 )
 def test_forgery_row_golden(zone_keys, index, name, expected, actual, transcript):
-    rows = run_builtin_suite("forgery", keys=zone_keys).rows
+    rows = run_builtin_suite("forgery").rows
     assert len(rows) == len(FORGERY_GOLDEN)
     row = rows[index]
     assert (row.name, row.expected, row.actual, row.transcript) == (
@@ -316,7 +320,23 @@ suite forgery: 6 scenario(s)
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_SUITE_REPORTS))
 def test_builtin_suite_report_golden(zone_keys, name):
-    assert run_builtin_suite(name, keys=zone_keys).render() == GOLDEN_SUITE_REPORTS[name]
+    assert run_builtin_suite(name).render() == GOLDEN_SUITE_REPORTS[name]
+
+
+def test_every_fixture_of_a_process_is_signed_by_one_key(zone_keys, monkeypatch):
+    calls = []
+
+    def generate(cls, key_id):
+        calls.append(key_id)
+        return zone_keys  # so the cache refills with the key the other tests share
+
+    monkeypatch.setattr(ZoneKeyPair, "generate", classmethod(generate))
+    fixture_keys.cache_clear()
+    reports = [run() for run in BUILTIN_SUITES.values()]
+    fixture = build_fixture({"tls12.test": fixture_policy()})
+    assert calls == ["zsk-1"]
+    assert all(report.all_passed for report in reports)
+    assert fixture.anchors.lookup("tls12.test").public_key_der == zone_keys.public_der()
 
 
 def test_unknown_builtin_suite():
@@ -325,7 +345,7 @@ def test_unknown_builtin_suite():
 
 
 def test_suite_report_render(zone_keys):
-    text = run_builtin_suite("table2", keys=zone_keys).render()
+    text = run_builtin_suite("table2").render()
     assert "[PASS]" in text
     assert "ClientHello" in text  # transcripts included
 

@@ -18,11 +18,12 @@ from hypothesis import given, settings, strategies as st
 
 from dstc import textfile
 from dstc.dnssec import TrustAnchorSet, ZoneFileError, ZoneStore
+from dstc.enforcement import TlsVersion
 from dstc.policy import PolicyRecord
 from dstc.scenarios import ScenarioFileError, parse_scenario_file
 from dstc.store import PolicyStore, StoreFileError
 from dstc.survey import CorpusFormatError, parse_corpus
-from dstc.textfile import check_field, is_field, parse_lines, read_file, read_text
+from dstc.textfile import check_field, is_field, list_tokens, parse_lines, read_file, read_text
 
 # -- the loop itself
 
@@ -64,6 +65,41 @@ def test_field_rule(text, ok):
     else:
         with pytest.raises(ZoneFileError, match=re.escape(f"name {text!r} cannot")):
             check_field(ZoneFileError, "name", text)
+
+
+# -- comma lists: one token rule for PROFILE lines and corpus lines
+
+_LIST_READERS = {
+    "profile": (lambda versions, suites: parse_scenario_file(
+        f"PROFILE a VERSIONS {versions} SUITES {suites}\n")[0]["a"], ScenarioFileError),
+    "corpus": (lambda versions, suites: parse_corpus(f"a | {versions} | {suites}\n")[0],
+               CorpusFormatError),
+}
+
+
+@pytest.mark.parametrize("reader", list(_LIST_READERS))
+@pytest.mark.parametrize("versions, suites, message", [
+    ("TLS1.2", "AES128-SHA", None),
+    ("TLS1.2,", "AES128-SHA", None),
+    (",TLS1.2,,1.2", ",AES128-SHA,,", None),
+    (",", "AES128-SHA", "server must support at least one version"),
+    ("TLS1.2", ",,", "server must prefer at least one suite"),
+    ("TLS1.2,TLS9", "AES128-SHA", "unknown TLS version 'TLS9'"),
+])
+def test_comma_list_rule_is_the_same_in_every_reader(reader, versions, suites, message):
+    parse, error = _LIST_READERS[reader]
+    if message is not None:
+        with pytest.raises(error, match=re.escape(f"line 1: {message}")):
+            parse(versions, suites)
+        return
+    profile = parse(versions, suites)
+    assert profile.supported_versions == frozenset({TlsVersion.TLS12})
+    assert profile.suite_preference == ("AES128-SHA",)
+
+
+def test_list_tokens_strips_and_skips_empty_tokens():
+    assert list_tokens(" a, ,b ,\tc,") == ["a", "b", "c"]
+    assert list_tokens(" , ") == []
 
 
 # -- reading: bytes that are not UTF-8 are a line error of the format
