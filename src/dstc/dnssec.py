@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import base64
 import os
+import weakref
 from dataclasses import dataclass, field, replace
 from datetime import date
 from enum import Enum
@@ -62,11 +63,18 @@ class ZoneFileError(ValueError):
 
 
 def normalize_domain(name: str) -> str:
-    """The name without surrounding whitespace and trailing dots, in lower
-    case. A name that is already normal comes back as the very object passed
-    in (for a plain ``str``), so the zone, the signed sets, the cache and the
-    anchor walk keep one string per name, and its hash is computed once."""
-    name = name.strip().rstrip(".")
+    """The name without leading whitespace and without trailing whitespace
+    and dots, stripped together until neither is left, in lower case, so a
+    normal name normalises to itself. A name that is already normal comes
+    back as the very object passed in (for a plain ``str``), so the zone, the
+    signed sets, the cache and the anchor walk keep one string per name, and
+    its hash is computed once."""
+    name = name.strip()
+    bare = name.rstrip(".")
+    # Loops only when dots were stripped: "a.test. ." leaves "a.test. ".
+    while bare != name:
+        name = bare.rstrip()
+        bare = name.rstrip(".")
     lower = name.lower()
     # == rather than str.islower(), which is slower and false for a name
     # without a cased letter.
@@ -227,23 +235,47 @@ def sign_rrset(
 
 
 # The one signature that passed RSA for each (anchor key, canonical bytes);
-# see verify_rrset. Keyed on the key object's id: the entry holds the key,
-# so the id is not reused while the entry lives. When full, the entries of
-# other key objects go first, and only a memo that this key's entries alone
-# fill is emptied: dropping the oldest entry instead kept the dead sets of
-# older keys alive, and peak RSS on attack-churn rose +5.4 % against +2.5 %.
-_PASSED: dict[tuple[int, bytes], tuple[rsa.RSAPublicKey, bytes]] = {}
+# see verify_rrset. One table per key object, keyed on its id and holding the
+# key, so the id is not reused while the table lives. A TrustAnchor drops its
+# key's table when it goes (see TrustAnchor), so a key no anchor hands out
+# holds no entries. The bound counts the entries of all tables: when full,
+# the other keys' tables go first, and only a memo that this key's table
+# alone fills is emptied. A finalizer can drop a table at any allocation, so
+# the memo is only ever walked over a snapshot.
+_PASSED: dict[int, tuple[rsa.RSAPublicKey, dict[bytes, bytes]]] = {}
 _PASSED_BOUND = 1 << 12
 
 
+def _forget(public_key: rsa.RSAPublicKey) -> None:
+    """Drop the key's table; a TrustAnchor's finalizer."""
+    _PASSED.pop(id(public_key), None)
+
+
 def _make_room(public_key: rsa.RSAPublicKey) -> None:
-    """Drop the entries of every key object but this one, or all of them if
-    this key's entries fill the memo."""
-    others = [memo_key for memo_key, entry in _PASSED.items() if entry[0] is not public_key]
+    """Drop the table of every key object but this one, or all of them if
+    this key's table fills the memo."""
+    others = [key_id for key_id in list(_PASSED) if key_id != id(public_key)]
     if not others:
         _PASSED.clear()
-    for memo_key in others:
-        del _PASSED[memo_key]
+    for key_id in others:
+        _PASSED.pop(key_id, None)
+
+
+def _remember(public_key: rsa.RSAPublicKey, canonical: bytes, signature: bytes) -> None:
+    """Keep the signature that passed RSA in the key's table, making room
+    first if the memo is full."""
+    entry = _PASSED.get(id(public_key))
+    # Most often this key's table is the only one: its length is the count.
+    if entry is not None and len(_PASSED) == 1:
+        full = len(entry[1]) >= _PASSED_BOUND
+    else:
+        full = sum([len(table) for _, table in list(_PASSED.values())]) >= _PASSED_BOUND
+    if full:
+        _make_room(public_key)
+        entry = _PASSED.get(id(public_key))
+    if entry is None:
+        entry = _PASSED[id(public_key)] = (public_key, {})
+    entry[1][canonical] = signature
 
 
 def verify_rrset(
@@ -266,14 +298,13 @@ def verify_rrset(
         passed = rrset._verified_by
         # None is tested first: comparing it with a key object costs about 2 us.
         if passed is None or (passed is not public_key and passed != public_key):
-            memo_key = (id(public_key), canonical)
-            entry = _PASSED.get(memo_key)
-            if entry is None or entry[0] is not public_key:
+            # A table at this id is this key's: the table holds its key.
+            entry = _PASSED.get(id(public_key))
+            signature = None if entry is None else entry[1].get(canonical)
+            if signature is None:
                 public_key.verify(rrset.signature, canonical, _PAD, _HASH)
-                if len(_PASSED) >= _PASSED_BOUND:
-                    _make_room(public_key)
-                _PASSED[memo_key] = (public_key, rrset.signature)
-            elif entry[1] != rrset.signature:
+                _remember(public_key, canonical, rrset.signature)
+            elif signature != rrset.signature:
                 return _INVALID_SIGNATURE
             object.__setattr__(rrset, "_verified_by", public_key)
     except (_BadSignature, ValueError):
@@ -482,14 +513,20 @@ def resolve(zone: ZoneStore, name: str) -> DnsResponse:
 
 @dataclass(frozen=True)
 class TrustAnchor:
+    """The public key a client accepts for a zone apex and every name below
+    it. The key is parsed once, at construction, so a bad key fails there.
+    The signature memo's table for the key lives as long as the anchor: when
+    the anchor goes, so does the table."""
+
     apex: str
     key_id: str
     public_key_der: bytes
     _key: rsa.RSAPublicKey = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        # Parsed once here, so a bad key fails at construction.
-        object.__setattr__(self, "_key", public_key_from_der(self.public_key_der))
+        key = public_key_from_der(self.public_key_der)
+        object.__setattr__(self, "_key", key)
+        weakref.finalize(self, _forget, key).atexit = False
 
     def public_key(self) -> rsa.RSAPublicKey:
         return self._key

@@ -158,6 +158,24 @@ def test_sign_resolve_verify_flow(tmp_path, capsys):
     assert len(TrustAnchorSet.load(anchors).to_text().splitlines()) == 1
 
 
+def test_an_owner_with_a_spaced_trailing_dot_signs_and_verifies(tmp_path, capsys):
+    zone = tmp_path / "z.zone"
+    anchors = str(tmp_path / "a.txt")
+    assert main([
+        "sign", "--zone", str(zone), "--domain", "a.test. .",
+        "--policy-txt", serialize_policy(POLICY), "--key", str(tmp_path / "k.pem"),
+        "--generate-key", "--inception", "01-05-2018", "--expiration", "01-05-2019",
+        "--anchors-out", anchors,
+    ]) == 0
+    assert {line.split()[0] for line in zone.read_text().splitlines()} == {"a.test"}
+    capsys.readouterr()
+    assert main([
+        "verify", "--zone", str(zone), "--anchors", anchors,
+        "--domain", "a.test", "--now", "01-07-2018",
+    ]) == 0
+    assert "decision: mode=Strict reason=OK report=admin@tls12.test" in capsys.readouterr().out
+
+
 def test_sign_requires_existing_or_generated_key(tmp_path, capsys):
     code = main([
         "sign", "--zone", str(tmp_path / "z.zone"), "--domain", "a.test",

@@ -1,4 +1,5 @@
 import base64
+import gc
 import hashlib
 import re
 import struct
@@ -12,6 +13,7 @@ from cryptography.hazmat.primitives.asymmetric import ec, ed25519, padding, rsa
 from hypothesis import example, given, settings, strategies as st
 
 from dstc import dnssec
+from dstc.enforcement import Mode, Reason, decide
 from dstc.policy import PolicyRecord, format_policy_date, serialize_policy
 from dstc.store import PolicyStore
 from dstc.dnssec import (
@@ -465,12 +467,37 @@ _ANY_NAMES = st.one_of(
 @example(name=_Name(""))
 @example(name=_Name("Example.COM."))
 @example(name=_Name("example.com"))
+@example(name="a.test. .")
+@example(name="A.Test.\u00a0. \t")
 @settings(max_examples=300, deadline=None)
 @given(name=st.one_of(_ANY_NAMES, _ANY_NAMES.map(_Name)))
 def test_normalize_domain_strips_and_lower_cases_any_text(name):
     normal = normalize_domain(name)
-    assert normal == name.strip().rstrip(".").lower()
+    # re's \s is str.strip()'s whitespace; trailing whitespace and dots go together.
+    assert normal == re.sub(r"[\s.]+\Z", "", name.strip()).lower()
     assert type(normal) is str
+
+
+@example(name="a.test. .")
+@example(name="a.test .\u00a0.")
+@settings(max_examples=300, deadline=None)
+@given(name=st.text(alphabet="aBcZ.\t\n\r\x0b\x0c \u00a0", max_size=12))
+def test_normalize_domain_is_a_fixed_point(name):
+    # ``is`` implies n(n(x)) == n(x), and the normal name comes back as itself.
+    normal = normalize_domain(name)
+    assert normalize_domain(normal) is normal
+
+
+def test_an_owner_with_a_spaced_trailing_dot_verifies_under_its_normal_name(zone_keys, now):
+    record = PolicyRecord(valid_from=INCEPTION, valid_to=EXPIRATION, report="admin@a.test")
+    zone = ZoneStore()
+    rrset = sign_rrset(zone_keys, "a.test. .", [serialize_policy(record)], INCEPTION, EXPIRATION)
+    assert rrset.owner_name == "a.test"
+    zone.publish(rrset)
+    anchors = TrustAnchorSet()
+    anchors.add(TrustAnchor("a.test", zone_keys.key_id, zone_keys.public_der()))
+    decision = decide(resolve(zone, "a.test"), anchors, PolicyStore(), "a.test", now)
+    assert (decision.mode, decision.reason) == (Mode.STRICT, Reason.OK)
 
 
 @pytest.mark.parametrize("parts", [("tls12", ".test"), ("site0001", ".example"),
@@ -992,6 +1019,11 @@ class AcceptingKey(CountingKey):
         self.calls += 1
 
 
+def _memo_entries():
+    """The signature memo's entries, over the tables of all keys."""
+    return sum(len(table) for _, table in dnssec._PASSED.values())
+
+
 def test_the_signature_memo_is_bounded_and_forgets_its_oldest_entry(now):
     key = AcceptingKey()
     bound = dnssec._PASSED_BOUND
@@ -1001,7 +1033,7 @@ def test_the_signature_memo_is_bounded_and_forgets_its_oldest_entry(now):
     ]
     for rrset in sets:
         assert verify_rrset(key, rrset, now) is VerifyStatus.VALID
-        assert len(dnssec._PASSED) <= bound
+        assert _memo_entries() <= bound
     assert key.calls == bound + 1
     # the newest entry answers without RSA, a forged copy included
     assert verify_rrset(key, replace(sets[-1]), now) is VerifyStatus.VALID
@@ -1034,9 +1066,85 @@ def test_a_full_signature_memo_drops_the_entries_of_other_keys_first(now, monkey
             forged = replace(rrset, signature=b"forged")
             assert verify_rrset(key, forged, now) is VerifyStatus.INVALID_SIGNATURE
         checks.append(key.calls - before)
-        assert len(dnssec._PASSED) <= dnssec._PASSED_BOUND
+        assert _memo_entries() <= dnssec._PASSED_BOUND
         assert all(entry[0] is key for entry in dnssec._PASSED.values())
     assert checks == [len(sets)] * 4
+
+
+def _anchor_keys(monkeypatch, make_key):
+    """Give every TrustAnchor built from now on a key of ``make_key()``, on
+    an empty memo."""
+    monkeypatch.setattr(dnssec, "_PASSED", {})
+    monkeypatch.setattr(dnssec, "public_key_from_der", lambda der: make_key())
+
+
+def _anchored(zone_keys):
+    anchors = TrustAnchorSet()
+    anchors.add(TrustAnchor("test", zone_keys.key_id, zone_keys.public_der()))
+    return anchors
+
+
+def test_a_key_table_goes_with_the_last_anchor_that_holds_it(zone_keys, rrset, now, monkeypatch):
+    _anchor_keys(monkeypatch, lambda: CountingKey(zone_keys.public_key))
+    live, dropped = _anchored(zone_keys), _anchored(zone_keys)
+    live_key = live.lookup("tls12.test").public_key()
+    dropped_key = dropped.lookup("tls12.test").public_key()
+    for key in (live_key, dropped_key):
+        assert verify_rrset(key, replace(rrset), now) is VerifyStatus.VALID
+        assert key.calls == 1
+    assert set(dnssec._PASSED) == {id(live_key), id(dropped_key)}
+    del dropped
+    gc.collect()
+    # the key object itself is still held here; only its anchor is gone
+    assert set(dnssec._PASSED) == {id(live_key)}
+    assert verify_rrset(live_key, replace(rrset), now) is VerifyStatus.VALID
+    assert verify_rrset(live_key, _flipped(rrset), now) is VerifyStatus.INVALID_SIGNATURE
+    assert live_key.calls == 1
+
+
+def test_replacing_an_apex_anchor_drops_the_old_key_table(zone_keys, rrset, now, monkeypatch):
+    _anchor_keys(monkeypatch, lambda: CountingKey(zone_keys.public_key))
+    anchors = _anchored(zone_keys)
+    old_key = anchors.lookup("tls12.test").public_key()
+    assert verify_rrset(old_key, replace(rrset), now) is VerifyStatus.VALID
+    assert set(dnssec._PASSED) == {id(old_key)}
+    anchors.add(TrustAnchor("test", zone_keys.key_id, zone_keys.public_der()))
+    assert dnssec._PASSED == {}
+    new_key = anchors.lookup("tls12.test").public_key()
+    assert new_key is not old_key
+    assert verify_rrset(new_key, replace(rrset), now) is VerifyStatus.VALID
+    assert set(dnssec._PASSED) == {id(new_key)}
+
+
+def test_a_rekey_round_finds_no_dead_entries_to_make_room_for(zone_keys, now, monkeypatch):
+    # Two rounds each fill more than half the memo under a new anchor, as
+    # attack-churn re-keys every pass: dead entries would fill it in round 2.
+    _anchor_keys(monkeypatch, AcceptingKey)
+    made_room = []
+    make_room = dnssec._make_room
+
+    def counted(key):
+        made_room.append(key)
+        make_room(key)
+
+    monkeypatch.setattr(dnssec, "_make_room", counted)
+    sets = [
+        SignedRRset(f"n{i}.rekey.test", ("v",), b"sig", "k", INCEPTION, EXPIRATION)
+        for i in range(dnssec._PASSED_BOUND // 2 + 100)
+    ]
+    for _ in range(2):
+        anchors = _anchored(zone_keys)
+        gc.collect()
+        assert dnssec._PASSED == {}
+        key = anchors.lookup("n0.rekey.test").public_key()
+        for rrset in sets:
+            assert verify_rrset(key, replace(rrset), now) is VerifyStatus.VALID
+            forged = replace(rrset, signature=b"forged")
+            assert verify_rrset(key, forged, now) is VerifyStatus.INVALID_SIGNATURE
+        assert key.calls == len(sets)
+        assert made_room == []
+        assert set(dnssec._PASSED) == {id(key)}
+        assert _memo_entries() == len(sets)
 
 
 def _status_without_memo(public_key, rrset, now):
