@@ -5,10 +5,10 @@ covers a canonical byte form of (owner name, type, inception, expiration,
 sorted values), so names compare case-insensitively and value order never
 matters. Chain-of-trust walking is replaced by a trust-anchor set mapping a
 zone apex to the public key a client accepts for that apex and everything
-below it. A verify skips the RSA check for a set that already passed it,
-and refuses without RSA a set whose content passed under the same key with
+below it. A verify skips the RSA check for a set that already passed it, and
+refuses without RSA a set whose content passed under the same anchor with
 another signature: PKCS#1 v1.5 signing is deterministic, so one signature
-verifies per key and content (see ``verify_rrset``).
+verifies per key and content. The anchor holds that memo (``verify_rrset``).
 
 The zone store keeps one slot per name, holding the name's answer. A name
 without a slot does not exist (NXDOMAIN), a NoRecord slot is a name without
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import base64
 import os
-import weakref
 from dataclasses import dataclass, field, replace
 from datetime import date
 from enum import Enum
@@ -234,76 +233,35 @@ def sign_rrset(
     )
 
 
-# The one signature that passed RSA for each (anchor key, canonical bytes);
-# see verify_rrset. One table per key object, keyed on its id and holding the
-# key, so the id is not reused while the table lives. A TrustAnchor drops its
-# key's table when it goes (see TrustAnchor), so a key no anchor hands out
-# holds no entries. The bound counts the entries of all tables: when full,
-# the other keys' tables go first, and only a memo that this key's table
-# alone fills is emptied. A finalizer can drop a table at any allocation, so
-# the memo is only ever walked over a snapshot.
-_PASSED: dict[int, tuple[rsa.RSAPublicKey, dict[bytes, bytes]]] = {}
+# A TrustAnchor's signature table is emptied when it holds this many entries.
 _PASSED_BOUND = 1 << 12
 
 
-def _forget(public_key: rsa.RSAPublicKey) -> None:
-    """Drop the key's table; a TrustAnchor's finalizer."""
-    _PASSED.pop(id(public_key), None)
-
-
-def _make_room(public_key: rsa.RSAPublicKey) -> None:
-    """Drop the table of every key object but this one, or all of them if
-    this key's table fills the memo."""
-    others = [key_id for key_id in list(_PASSED) if key_id != id(public_key)]
-    if not others:
-        _PASSED.clear()
-    for key_id in others:
-        _PASSED.pop(key_id, None)
-
-
-def _remember(public_key: rsa.RSAPublicKey, canonical: bytes, signature: bytes) -> None:
-    """Keep the signature that passed RSA in the key's table, making room
-    first if the memo is full."""
-    entry = _PASSED.get(id(public_key))
-    # Most often this key's table is the only one: its length is the count.
-    if entry is not None and len(_PASSED) == 1:
-        full = len(entry[1]) >= _PASSED_BOUND
-    else:
-        full = sum([len(table) for _, table in list(_PASSED.values())]) >= _PASSED_BOUND
-    if full:
-        _make_room(public_key)
-        entry = _PASSED.get(id(public_key))
-    if entry is None:
-        entry = _PASSED[id(public_key)] = (public_key, {})
-    entry[1][canonical] = signature
-
-
-def verify_rrset(
-    public_key: rsa.RSAPublicKey, rrset: SignedRRset, now: date
-) -> VerifyStatus:
-    """Check the signature and its validity window.
+def verify_rrset(anchor: TrustAnchor, rrset: SignedRRset, now: date) -> VerifyStatus:
+    """Check the signature under the anchor's key, and its validity window.
 
     A broken signature wins over a window violation, so tampering is reported
     as tampering even on an expired set. The window is checked on every call;
     the RSA check is skipped in two cases. A set that itself passed it under
-    this or an equal key (``replace()`` makes a new set) passes again. Else,
-    if a set with the same canonical bytes passed it under this very key
-    object, the signature it passed with is the only one that can: PKCS#1
-    v1.5 signing is deterministic and verifying re-encodes and compares (RFC
-    8017 section 8.2.2). A set carrying that signature passes, and any other
-    is an invalid signature. Only a passed check is kept.
+    this very key object (``replace()`` makes a new set) passes again. Else,
+    if a set with the same canonical bytes passed it under this anchor, the
+    signature it passed with is the only one that can: PKCS#1 v1.5 signing is
+    deterministic and verifying re-encodes and compares (RFC 8017 section
+    8.2.2). A set carrying that signature passes, and any other is an invalid
+    signature. Only a passed check is kept, in the anchor's table.
     """
+    public_key = anchor.public_key()
     try:
         canonical = rrset.canonical_bytes()
         passed = rrset._verified_by
-        # None is tested first: comparing it with a key object costs about 2 us.
-        if passed is None or (passed is not public_key and passed != public_key):
-            # A table at this id is this key's: the table holds its key.
-            entry = _PASSED.get(id(public_key))
-            signature = None if entry is None else entry[1].get(canonical)
+        if passed is not public_key:
+            table = anchor._passed
+            signature = table.get(canonical)
             if signature is None:
                 public_key.verify(rrset.signature, canonical, _PAD, _HASH)
-                _remember(public_key, canonical, rrset.signature)
+                if len(table) >= _PASSED_BOUND:
+                    table.clear()
+                table[canonical] = rrset.signature
             elif signature != rrset.signature:
                 return _INVALID_SIGNATURE
             object.__setattr__(rrset, "_verified_by", public_key)
@@ -515,18 +473,20 @@ def resolve(zone: ZoneStore, name: str) -> DnsResponse:
 class TrustAnchor:
     """The public key a client accepts for a zone apex and every name below
     it. The key is parsed once, at construction, so a bad key fails there.
-    The signature memo's table for the key lives as long as the anchor: when
-    the anchor goes, so does the table."""
+    The anchor holds the signature memo for its key (see ``verify_rrset``),
+    so the memo lives exactly as long as the anchor."""
 
     apex: str
     key_id: str
     public_key_der: bytes
     _key: rsa.RSAPublicKey = field(init=False, repr=False, compare=False)
+    _passed: dict[bytes, bytes] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         key = public_key_from_der(self.public_key_der)
         object.__setattr__(self, "_key", key)
-        weakref.finalize(self, _forget, key).atexit = False
 
     def public_key(self) -> rsa.RSAPublicKey:
         return self._key

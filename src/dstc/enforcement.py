@@ -282,7 +282,7 @@ def check_answer(
     anchor = anchors.lookup(domain)
     if anchor is None or anchor.key_id != rrset.key_id:
         return _REASON_INVALID_SIGNATURE, None
-    status = verify_rrset(anchor.public_key(), rrset, now)
+    status = verify_rrset(anchor, rrset, now)
     if status is _VERIFY_INVALID:
         return _REASON_INVALID_SIGNATURE, None
     if status is not _VERIFY_VALID:

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import re
 import struct
+import weakref
 from dataclasses import replace
 from datetime import date, timedelta
 
@@ -29,7 +30,6 @@ from dstc.dnssec import (
     ZoneStore,
     canonical_form,
     normalize_domain,
-    public_key_from_der,
     resolve,
     sign_rrset,
     verify_rrset,
@@ -43,6 +43,20 @@ VALUES = ["name=DSTC; rest=stub", "v=spf1 -all"]
 @pytest.fixture
 def rrset(zone_keys):
     return sign_rrset(zone_keys, "tls12.test", VALUES, INCEPTION, EXPIRATION)
+
+
+def _anchor_of(keys):
+    return TrustAnchor("test", keys.key_id, keys.public_der())
+
+
+@pytest.fixture
+def zone_anchor(zone_keys):
+    return _anchor_of(zone_keys)
+
+
+@pytest.fixture
+def other_anchor(other_keys):
+    return _anchor_of(other_keys)
 
 
 def test_canonical_form_ignores_value_order():
@@ -129,29 +143,29 @@ def test_canonical_form_refuses_an_owner_as_before(owner):
     assert _built(canonical_form, owner, VALUES, INCEPTION, EXPIRATION) is refused
 
 
-def test_sign_verify_round_trip(zone_keys, rrset, now):
-    assert verify_rrset(zone_keys.public_key, rrset, now) is VerifyStatus.VALID
+def test_sign_verify_round_trip(zone_anchor, rrset, now):
+    assert verify_rrset(zone_anchor, rrset, now) is VerifyStatus.VALID
 
 
-def test_wrong_key_rejected(other_keys, rrset, now):
+def test_wrong_key_rejected(other_anchor, rrset, now):
     assert (
-        verify_rrset(other_keys.public_key, rrset, now)
+        verify_rrset(other_anchor, rrset, now)
         is VerifyStatus.INVALID_SIGNATURE
     )
 
 
-def test_signature_window(zone_keys, rrset):
+def test_signature_window(zone_anchor, rrset):
     assert (
-        verify_rrset(zone_keys.public_key, rrset, date(2019, 5, 2))
+        verify_rrset(zone_anchor, rrset, date(2019, 5, 2))
         is VerifyStatus.SIGNATURE_EXPIRED
     )
     assert (
-        verify_rrset(zone_keys.public_key, rrset, date(2018, 4, 30))
+        verify_rrset(zone_anchor, rrset, date(2018, 4, 30))
         is VerifyStatus.SIGNATURE_NOT_YET_VALID
     )
     # window boundaries are inclusive
-    assert verify_rrset(zone_keys.public_key, rrset, INCEPTION) is VerifyStatus.VALID
-    assert verify_rrset(zone_keys.public_key, rrset, EXPIRATION) is VerifyStatus.VALID
+    assert verify_rrset(zone_anchor, rrset, INCEPTION) is VerifyStatus.VALID
+    assert verify_rrset(zone_anchor, rrset, EXPIRATION) is VerifyStatus.VALID
 
 
 def test_signing_rejects_inverted_window(zone_keys):
@@ -159,31 +173,31 @@ def test_signing_rejects_inverted_window(zone_keys):
         sign_rrset(zone_keys, "a.test", ["x"], EXPIRATION, INCEPTION)
 
 
-def test_signature_tamper_sweep(zone_keys, rrset, now):
+def test_signature_tamper_sweep(zone_anchor, rrset, now):
     # flipping any single signature byte must break verification
     for index in range(len(rrset.signature)):
         sig = bytearray(rrset.signature)
         sig[index] ^= 0x01
         tampered = replace(rrset, signature=bytes(sig))
         assert (
-            verify_rrset(zone_keys.public_key, tampered, now)
+            verify_rrset(zone_anchor, tampered, now)
             is VerifyStatus.INVALID_SIGNATURE
         ), f"byte {index}"
 
 
-def test_value_tamper_sweep(zone_keys, now):
+def test_value_tamper_sweep(zone_anchor, zone_keys, now):
     rrset = sign_rrset(zone_keys, "t.test", ["abcd"], INCEPTION, EXPIRATION)
     for index in range(4):
         value = bytearray(b"abcd")
         value[index] ^= 0x01
         tampered = replace(rrset, values=(value.decode(),))
         assert (
-            verify_rrset(zone_keys.public_key, tampered, now)
+            verify_rrset(zone_anchor, tampered, now)
             is VerifyStatus.INVALID_SIGNATURE
         )
 
 
-def test_add_modify_delete_all_break_the_signature(zone_keys, now):
+def test_add_modify_delete_all_break_the_signature(zone_anchor, zone_keys, now):
     # the three record-level manipulations, via the attacker API
     def fresh_zone():
         zone = ZoneStore()
@@ -193,38 +207,38 @@ def test_add_modify_delete_all_break_the_signature(zone_keys, now):
     zone = fresh_zone()
     zone.attacker_add_txt_value("t.test", "injected")
     assert (
-        verify_rrset(zone_keys.public_key, zone.rrset_for("t.test"), now)
+        verify_rrset(zone_anchor, zone.rrset_for("t.test"), now)
         is VerifyStatus.INVALID_SIGNATURE
     )
 
     zone = fresh_zone()
     zone.attacker_modify_txt_value("t.test", 0, "changed")
     assert (
-        verify_rrset(zone_keys.public_key, zone.rrset_for("t.test"), now)
+        verify_rrset(zone_anchor, zone.rrset_for("t.test"), now)
         is VerifyStatus.INVALID_SIGNATURE
     )
 
     zone = fresh_zone()
     zone.attacker_delete_txt_value("t.test", 1)
     assert (
-        verify_rrset(zone_keys.public_key, zone.rrset_for("t.test"), now)
+        verify_rrset(zone_anchor, zone.rrset_for("t.test"), now)
         is VerifyStatus.INVALID_SIGNATURE
     )
 
 
-def test_signature_cannot_be_transplanted(zone_keys, rrset, now):
+def test_signature_cannot_be_transplanted(zone_anchor, rrset, now):
     # a valid signature re-used for another owner name does not verify
     zone = ZoneStore()
     zone.attacker_replace_rrset("victim.test", rrset)
     assert (
-        verify_rrset(zone_keys.public_key, zone.rrset_for("victim.test"), now)
+        verify_rrset(zone_anchor, zone.rrset_for("victim.test"), now)
         is VerifyStatus.INVALID_SIGNATURE
     )
 
 
-def test_rrset_value_order_does_not_matter_for_verification(zone_keys, rrset, now):
+def test_rrset_value_order_does_not_matter_for_verification(zone_anchor, rrset, now):
     shuffled = replace(rrset, values=tuple(reversed(rrset.values)))
-    assert verify_rrset(zone_keys.public_key, shuffled, now) is VerifyStatus.VALID
+    assert verify_rrset(zone_anchor, shuffled, now) is VerifyStatus.VALID
 
 
 def test_resolve_dispositions(zone_keys, rrset):
@@ -256,7 +270,7 @@ def test_dns_response_invariant():
         )
 
 
-def test_zone_file_round_trip(zone_keys, rrset, now):
+def test_zone_file_round_trip(zone_anchor, zone_keys, rrset, now):
     zone = ZoneStore()
     zone.publish(rrset)
     zone.publish(sign_rrset(zone_keys, "other.test", ["x"], INCEPTION, EXPIRATION))
@@ -270,18 +284,18 @@ def test_zone_file_round_trip(zone_keys, rrset, now):
     assert kinds == ["TXT", "SIG", "TXT", "TXT", "SIG", "NAME"]
     assert resolve(reloaded, "bare.test").disposition is Disposition.NO_RECORD
     assert (
-        verify_rrset(zone_keys.public_key, reloaded.rrset_for("tls12.test"), now)
+        verify_rrset(zone_anchor, reloaded.rrset_for("tls12.test"), now)
         is VerifyStatus.VALID
     )
 
 
-def test_publish_files_a_record_set_under_its_normalised_owner(zone_keys, rrset, now):
+def test_publish_files_a_record_set_under_its_normalised_owner(zone_anchor, rrset, now):
     zone = ZoneStore()
     zone.publish(replace(rrset, owner_name="TLS12.Test."))
     answer = resolve(zone, "tls12.test")
     assert answer.disposition is Disposition.ANSWERED
     assert answer.rrset.owner_name == "tls12.test"
-    assert verify_rrset(zone_keys.public_key, answer.rrset, now) is VerifyStatus.VALID
+    assert verify_rrset(zone_anchor, answer.rrset, now) is VerifyStatus.VALID
     text = zone.to_text()
     assert ZoneStore.from_text(text).to_text() == text
 
@@ -370,7 +384,7 @@ def test_zone_file_rejects_sig_without_txt():
     lambda txt, sig: ["TLS12.test. NAME -", sig] + txt,
     lambda txt, sig: txt + [sig, "tls12.test NAME -"],
 ], ids=["txt-first", "sig-first", "sig-between", "name-then-sig-first", "name-last"])
-def test_zone_reader_builds_the_same_set_in_any_line_order(zone_keys, rrset, now, order):
+def test_zone_reader_builds_the_same_set_in_any_line_order(zone_anchor, rrset, now, order):
     written = ZoneStore()
     written.publish(rrset)
     text = written.to_text()
@@ -378,7 +392,7 @@ def test_zone_reader_builds_the_same_set_in_any_line_order(zone_keys, rrset, now
     zone = ZoneStore.from_text("\n".join(order(txt, sig)) + "\n")
     loaded = zone.rrset_for("tls12.test")
     assert loaded == rrset
-    assert verify_rrset(zone_keys.public_key, loaded, now) is VerifyStatus.VALID
+    assert verify_rrset(zone_anchor, loaded, now) is VerifyStatus.VALID
     assert zone.to_text() == text
 
 
@@ -719,36 +733,48 @@ class CountingKey:
         return self.key.verify(*args)
 
 
-def test_memo_skips_rsa_only_for_an_unchanged_answer(zone_keys, now):
-    key = CountingKey(zone_keys.public_key)
+def _anchor_keys(monkeypatch, make_key):
+    """Give every TrustAnchor built from now on a key of ``make_key()``."""
+    monkeypatch.setattr(dnssec, "public_key_from_der", lambda der: make_key())
+
+
+def _counting_anchor(monkeypatch, keys):
+    """An anchor for ``keys`` whose key counts the RSA checks it runs."""
+    _anchor_keys(monkeypatch, lambda: CountingKey(keys.public_key))
+    return _anchor_of(keys)
+
+
+def test_memo_skips_rsa_only_for_an_unchanged_answer(zone_keys, now, monkeypatch):
+    anchor = _counting_anchor(monkeypatch, zone_keys)
+    key = anchor.public_key()
     rrset = sign_rrset(zone_keys, "memo-count.test", VALUES, INCEPTION, EXPIRATION)
-    assert verify_rrset(key, rrset, now) is VerifyStatus.VALID
-    assert verify_rrset(key, rrset, now) is VerifyStatus.VALID
+    assert verify_rrset(anchor, rrset, now) is VerifyStatus.VALID
+    assert verify_rrset(anchor, rrset, now) is VerifyStatus.VALID
     assert key.calls == 1
 
     tampered = replace(rrset, values=("changed",))
-    assert verify_rrset(key, tampered, now) is VerifyStatus.INVALID_SIGNATURE
+    assert verify_rrset(anchor, tampered, now) is VerifyStatus.INVALID_SIGNATURE
     assert key.calls == 2
     # a failed check leaves the slot holding the genuine answer
-    assert verify_rrset(key, rrset, now) is VerifyStatus.VALID
+    assert verify_rrset(anchor, rrset, now) is VerifyStatus.VALID
     assert key.calls == 2
 
 
-def test_memo_hit_rejects_every_signature_byte_flip(zone_keys, rrset, now):
-    assert verify_rrset(zone_keys.public_key, rrset, now) is VerifyStatus.VALID
+def test_memo_hit_rejects_every_signature_byte_flip(zone_anchor, rrset, now):
+    assert verify_rrset(zone_anchor, rrset, now) is VerifyStatus.VALID
     for index in range(len(rrset.signature)):
         sig = bytearray(rrset.signature)
         sig[index] ^= 0x01
         tampered = replace(rrset, signature=bytes(sig))
         assert (
-            verify_rrset(zone_keys.public_key, tampered, now)
+            verify_rrset(zone_anchor, tampered, now)
             is VerifyStatus.INVALID_SIGNATURE
         ), f"byte {index}"
-    assert verify_rrset(zone_keys.public_key, rrset, now) is VerifyStatus.VALID
+    assert verify_rrset(zone_anchor, rrset, now) is VerifyStatus.VALID
 
 
-def test_memo_hit_rejects_changed_value_owner_or_date(zone_keys, rrset, now):
-    assert verify_rrset(zone_keys.public_key, rrset, now) is VerifyStatus.VALID
+def test_memo_hit_rejects_changed_value_owner_or_date(zone_anchor, rrset, now):
+    assert verify_rrset(zone_anchor, rrset, now) is VerifyStatus.VALID
     day = timedelta(days=1)
     for tampered in (
         replace(rrset, values=rrset.values[:1]),
@@ -759,37 +785,36 @@ def test_memo_hit_rejects_changed_value_owner_or_date(zone_keys, rrset, now):
         replace(rrset, expiration=EXPIRATION + day),
     ):
         assert (
-            verify_rrset(zone_keys.public_key, tampered, now)
+            verify_rrset(zone_anchor, tampered, now)
             is VerifyStatus.INVALID_SIGNATURE
         ), tampered
 
 
-def test_memo_hit_rejects_another_key(zone_keys, other_keys, rrset, now):
-    assert verify_rrset(zone_keys.public_key, rrset, now) is VerifyStatus.VALID
+def test_memo_hit_rejects_another_key(zone_anchor, other_anchor, zone_keys, rrset, now):
+    assert verify_rrset(zone_anchor, rrset, now) is VerifyStatus.VALID
     assert (
-        verify_rrset(other_keys.public_key, rrset, now)
+        verify_rrset(other_anchor, rrset, now)
         is VerifyStatus.INVALID_SIGNATURE
     )
     # an equal key parsed separately is the same key
-    reparsed = TrustAnchor("tls12.test", "zsk-1", zone_keys.public_der()).public_key()
-    assert verify_rrset(reparsed, rrset, now) is VerifyStatus.VALID
+    assert verify_rrset(_anchor_of(zone_keys), rrset, now) is VerifyStatus.VALID
 
 
-def test_memo_hit_still_checks_the_window(zone_keys, rrset, now):
-    assert verify_rrset(zone_keys.public_key, rrset, now) is VerifyStatus.VALID
+def test_memo_hit_still_checks_the_window(zone_anchor, rrset, now):
+    assert verify_rrset(zone_anchor, rrset, now) is VerifyStatus.VALID
     assert (
-        verify_rrset(zone_keys.public_key, rrset, EXPIRATION + timedelta(days=1))
+        verify_rrset(zone_anchor, rrset, EXPIRATION + timedelta(days=1))
         is VerifyStatus.SIGNATURE_EXPIRED
     )
     assert (
-        verify_rrset(zone_keys.public_key, rrset, INCEPTION - timedelta(days=1))
+        verify_rrset(zone_anchor, rrset, INCEPTION - timedelta(days=1))
         is VerifyStatus.SIGNATURE_NOT_YET_VALID
     )
     # a broken signature still wins over a window violation
     sig = bytes([rrset.signature[0] ^ 0x01]) + rrset.signature[1:]
     assert (
         verify_rrset(
-            zone_keys.public_key,
+            zone_anchor,
             replace(rrset, signature=sig),
             EXPIRATION + timedelta(days=1),
         )
@@ -797,8 +822,9 @@ def test_memo_hit_still_checks_the_window(zone_keys, rrset, now):
     )
 
 
-def test_memo_keeps_a_restored_answer_verified(zone_keys, now):
-    key = CountingKey(zone_keys.public_key)
+def test_memo_keeps_a_restored_answer_verified(zone_keys, now, monkeypatch):
+    anchor = _counting_anchor(monkeypatch, zone_keys)
+    key = anchor.public_key()
     zone = ZoneStore()
     zone.publish(sign_rrset(zone_keys, "restored.test", VALUES, INCEPTION, EXPIRATION))
     original = zone.rrset_for("restored.test")
@@ -808,38 +834,40 @@ def test_memo_keeps_a_restored_answer_verified(zone_keys, now):
     for answer, calls in ((original, 1), (newer, 2), (original, 2)):
         zone.attacker_replace_rrset("restored.test", answer)
         rrset = resolve(zone, "restored.test").rrset
-        assert verify_rrset(key, rrset, now) is VerifyStatus.VALID
+        assert verify_rrset(anchor, rrset, now) is VerifyStatus.VALID
         assert key.calls == calls
 
 
-def test_replace_files_the_captured_set_or_a_renamed_copy(zone_keys, rrset, now):
+def test_replace_files_the_captured_set_or_a_renamed_copy(
+    zone_anchor, zone_keys, rrset, now, monkeypatch
+):
     zone = ZoneStore()
-    assert verify_rrset(zone_keys.public_key, rrset, now) is VerifyStatus.VALID
+    assert verify_rrset(zone_anchor, rrset, now) is VerifyStatus.VALID
     zone.attacker_replace_rrset("TLS12.test.", rrset)
     assert zone.rrset_for("tls12.test") is rrset
     zone.attacker_replace_rrset("victim.test", rrset)
     moved = zone.rrset_for("victim.test")
     assert moved == replace(rrset, owner_name="victim.test")
     # the copy carries no memo of the original's check
-    key = CountingKey(zone_keys.public_key)
-    assert verify_rrset(key, moved, now) is VerifyStatus.INVALID_SIGNATURE
-    assert key.calls == 1
+    anchor = _counting_anchor(monkeypatch, zone_keys)
+    assert verify_rrset(anchor, moved, now) is VerifyStatus.INVALID_SIGNATURE
+    assert anchor.public_key().calls == 1
 
 
-def test_a_set_built_from_a_list_cannot_change_after_verifying(zone_keys, rrset, now):
+def test_a_set_built_from_a_list_cannot_change_after_verifying(zone_anchor, rrset, now):
     values = list(rrset.values)
     built = SignedRRset(
         rrset.owner_name, values, rrset.signature, rrset.key_id, INCEPTION, EXPIRATION
     )
-    assert verify_rrset(zone_keys.public_key, built, now) is VerifyStatus.VALID
+    assert verify_rrset(zone_anchor, built, now) is VerifyStatus.VALID
     values.append("injected")
     assert built.values == rrset.values and hash(built) == hash(rrset)
     with pytest.raises(AttributeError):
         built.values.append("injected")
     # a fresh set holding the changed values fails; the built one kept the signed values
     fresh = replace(rrset, values=tuple(values))
-    assert verify_rrset(zone_keys.public_key, fresh, now) is VerifyStatus.INVALID_SIGNATURE
-    assert verify_rrset(zone_keys.public_key, built, now) is VerifyStatus.VALID
+    assert verify_rrset(zone_anchor, fresh, now) is VerifyStatus.INVALID_SIGNATURE
+    assert verify_rrset(zone_anchor, built, now) is VerifyStatus.VALID
 
 
 _NOW = date(2018, 7, 1)
@@ -853,8 +881,8 @@ _tampers = st.one_of(
 )
 
 
-def _tamper(rrset, other_key, kind, where, mask):
-    key = None
+def _tamper(rrset, other_anchor, kind, where, mask):
+    anchor = None
     if kind == "signature":
         sig = bytearray(rrset.signature)
         sig[where] ^= mask
@@ -870,8 +898,8 @@ def _tamper(rrset, other_key, kind, where, mask):
     elif kind == "expiration":
         rrset = replace(rrset, expiration=rrset.expiration + timedelta(days=where))
     else:
-        key = other_key
-    return rrset, key
+        anchor = other_anchor
+    return rrset, anchor
 
 
 @settings(max_examples=60, deadline=None)
@@ -879,13 +907,14 @@ def _tamper(rrset, other_key, kind, where, mask):
 def test_memo_never_validates_a_tampered_answer(zone_keys, other_keys, steps):
     # None is the genuine answer; everything else is one tampered variant
     genuine = sign_rrset(zone_keys, "prop.test", ["abcd"], INCEPTION, EXPIRATION)
+    zone_anchor, other_anchor = _anchor_of(zone_keys), _anchor_of(other_keys)
     for step in steps:
         if step is None:
-            status = verify_rrset(zone_keys.public_key, genuine, _NOW)
+            status = verify_rrset(zone_anchor, genuine, _NOW)
             assert status is VerifyStatus.VALID
             continue
-        tampered, key = _tamper(genuine, other_keys.public_key, *step)
-        status = verify_rrset(key or zone_keys.public_key, tampered, _NOW)
+        tampered, anchor = _tamper(genuine, other_anchor, *step)
+        status = verify_rrset(anchor or zone_anchor, tampered, _NOW)
         assert status is VerifyStatus.INVALID_SIGNATURE, step
 
 
@@ -962,51 +991,66 @@ def _flipped(rrset, index=0, mask=0x01):
     return replace(rrset, signature=bytes(sig))
 
 
-def test_a_forged_copy_of_a_passed_set_runs_no_rsa(zone_keys, rrset, now):
-    key = CountingKey(zone_keys.public_key)
-    assert verify_rrset(key, rrset, now) is VerifyStatus.VALID
+def test_a_forged_copy_of_a_passed_set_runs_no_rsa(zone_keys, rrset, now, monkeypatch):
+    anchor = _counting_anchor(monkeypatch, zone_keys)
+    key = anchor.public_key()
+    assert verify_rrset(anchor, rrset, now) is VerifyStatus.VALID
     assert key.calls == 1
     for index in (0, 1, len(rrset.signature) // 2, len(rrset.signature) - 1):
         forged = _flipped(rrset, index)
-        assert verify_rrset(key, forged, now) is VerifyStatus.INVALID_SIGNATURE
+        assert verify_rrset(anchor, forged, now) is VerifyStatus.INVALID_SIGNATURE
         # tampering still wins over a window violation
         assert (
-            verify_rrset(key, forged, EXPIRATION + timedelta(days=1))
+            verify_rrset(anchor, forged, EXPIRATION + timedelta(days=1))
             is VerifyStatus.INVALID_SIGNATURE
         )
     for signature in (b"", rrset.signature[:-1], rrset.signature + b"\x00"):
         forged = replace(rrset, signature=signature)
-        assert verify_rrset(key, forged, now) is VerifyStatus.INVALID_SIGNATURE
+        assert verify_rrset(anchor, forged, now) is VerifyStatus.INVALID_SIGNATURE
     # a fresh copy of the genuine set passes without RSA, window still checked
-    assert verify_rrset(key, replace(rrset), now) is VerifyStatus.VALID
+    assert verify_rrset(anchor, replace(rrset), now) is VerifyStatus.VALID
     assert (
-        verify_rrset(key, replace(rrset), INCEPTION - timedelta(days=1))
+        verify_rrset(anchor, replace(rrset), INCEPTION - timedelta(days=1))
         is VerifyStatus.SIGNATURE_NOT_YET_VALID
     )
     assert key.calls == 1
 
 
-def test_a_forged_copy_seen_before_the_genuine_set_runs_rsa(zone_keys, rrset, now):
-    key = CountingKey(zone_keys.public_key)
+def test_a_forged_copy_seen_before_the_genuine_set_runs_rsa(zone_keys, rrset, now, monkeypatch):
+    anchor = _counting_anchor(monkeypatch, zone_keys)
+    key = anchor.public_key()
     for calls in (1, 2):
         # a failed check is never kept
-        assert verify_rrset(key, _flipped(rrset), now) is VerifyStatus.INVALID_SIGNATURE
+        assert verify_rrset(anchor, _flipped(rrset), now) is VerifyStatus.INVALID_SIGNATURE
         assert key.calls == calls
-    assert verify_rrset(key, replace(rrset), now) is VerifyStatus.VALID
+    assert verify_rrset(anchor, replace(rrset), now) is VerifyStatus.VALID
     assert key.calls == 3
-    assert verify_rrset(key, _flipped(rrset), now) is VerifyStatus.INVALID_SIGNATURE
+    assert verify_rrset(anchor, _flipped(rrset), now) is VerifyStatus.INVALID_SIGNATURE
     assert key.calls == 3
 
 
-def test_an_equal_key_parsed_separately_runs_rsa_once(zone_keys, rrset, now):
-    first = CountingKey(zone_keys.public_key)
-    second = CountingKey(public_key_from_der(zone_keys.public_der()))
-    # interleaved: each key object keeps an entry of its own
+def test_an_equal_key_parsed_separately_runs_rsa_once(zone_keys, rrset, now, monkeypatch):
+    first = _counting_anchor(monkeypatch, zone_keys)
+    second = _anchor_of(zone_keys)
+    assert first.public_key() is not second.public_key()
+    # interleaved: each anchor keeps an entry of its own
     for _ in range(2):
-        for key in (first, second):
-            assert verify_rrset(key, replace(rrset), now) is VerifyStatus.VALID
-            assert verify_rrset(key, _flipped(rrset), now) is VerifyStatus.INVALID_SIGNATURE
-            assert key.calls == 1
+        for anchor in (first, second):
+            assert verify_rrset(anchor, replace(rrset), now) is VerifyStatus.VALID
+            assert verify_rrset(anchor, _flipped(rrset), now) is VerifyStatus.INVALID_SIGNATURE
+            assert anchor.public_key().calls == 1
+
+
+def test_a_set_verified_under_one_anchor_runs_rsa_once_under_an_equal_one(
+    zone_keys, rrset, now, monkeypatch
+):
+    first = _counting_anchor(monkeypatch, zone_keys)
+    second = _anchor_of(zone_keys)
+    assert verify_rrset(first, rrset, now) is VerifyStatus.VALID
+    # the set's own memo names the first anchor's key object, not an equal one
+    assert verify_rrset(second, rrset, now) is VerifyStatus.VALID
+    assert verify_rrset(second, rrset, now) is VerifyStatus.VALID
+    assert (first.public_key().calls, second.public_key().calls) == (1, 1)
 
 
 class AcceptingKey(CountingKey):
@@ -1019,132 +1063,89 @@ class AcceptingKey(CountingKey):
         self.calls += 1
 
 
-def _memo_entries():
-    """The signature memo's entries, over the tables of all keys."""
-    return sum(len(table) for _, table in dnssec._PASSED.values())
-
-
-def test_the_signature_memo_is_bounded_and_forgets_its_oldest_entry(now):
-    key = AcceptingKey()
+def test_the_signature_memo_is_bounded_and_forgets_its_oldest_entry(zone_keys, now, monkeypatch):
+    _anchor_keys(monkeypatch, AcceptingKey)
+    anchor = _anchor_of(zone_keys)
+    key = anchor.public_key()
     bound = dnssec._PASSED_BOUND
     sets = [
         SignedRRset(f"n{i}.bound.test", ("v",), b"sig", "k", INCEPTION, EXPIRATION)
         for i in range(bound + 1)
     ]
     for rrset in sets:
-        assert verify_rrset(key, rrset, now) is VerifyStatus.VALID
-        assert _memo_entries() <= bound
+        assert verify_rrset(anchor, rrset, now) is VerifyStatus.VALID
+        assert len(anchor._passed) <= bound
     assert key.calls == bound + 1
     # the newest entry answers without RSA, a forged copy included
-    assert verify_rrset(key, replace(sets[-1]), now) is VerifyStatus.VALID
+    assert verify_rrset(anchor, replace(sets[-1]), now) is VerifyStatus.VALID
     assert (
-        verify_rrset(key, replace(sets[-1], signature=b"forged"), now)
+        verify_rrset(anchor, replace(sets[-1], signature=b"forged"), now)
         is VerifyStatus.INVALID_SIGNATURE
     )
     assert key.calls == bound + 1
     # the oldest was dropped: RSA runs again
-    assert verify_rrset(key, replace(sets[0]), now) is VerifyStatus.VALID
+    assert verify_rrset(anchor, replace(sets[0]), now) is VerifyStatus.VALID
     assert key.calls == bound + 2
-
-
-def test_a_full_signature_memo_drops_the_entries_of_other_keys_first(now, monkeypatch):
-    # Two keys take turns, one pass each, over more than half the bound of
-    # sets: every pass checks each genuine set, then refuses a forged copy.
-    monkeypatch.setattr(dnssec, "_PASSED", {})
-    keys = (AcceptingKey(), AcceptingKey())
-    sets = [
-        SignedRRset(f"n{i}.turns.test", ("v",), b"sig", "k", INCEPTION, EXPIRATION)
-        for i in range(dnssec._PASSED_BOUND // 2 + 100)
-    ]
-    checks = []
-    for turn in range(4):
-        key = keys[turn % 2]
-        before = key.calls
-        for rrset in sets:
-            assert verify_rrset(key, replace(rrset), now) is VerifyStatus.VALID
-        for rrset in sets:
-            forged = replace(rrset, signature=b"forged")
-            assert verify_rrset(key, forged, now) is VerifyStatus.INVALID_SIGNATURE
-        checks.append(key.calls - before)
-        assert _memo_entries() <= dnssec._PASSED_BOUND
-        assert all(entry[0] is key for entry in dnssec._PASSED.values())
-    assert checks == [len(sets)] * 4
-
-
-def _anchor_keys(monkeypatch, make_key):
-    """Give every TrustAnchor built from now on a key of ``make_key()``, on
-    an empty memo."""
-    monkeypatch.setattr(dnssec, "_PASSED", {})
-    monkeypatch.setattr(dnssec, "public_key_from_der", lambda der: make_key())
 
 
 def _anchored(zone_keys):
     anchors = TrustAnchorSet()
-    anchors.add(TrustAnchor("test", zone_keys.key_id, zone_keys.public_der()))
+    anchors.add(_anchor_of(zone_keys))
     return anchors
 
 
-def test_a_key_table_goes_with_the_last_anchor_that_holds_it(zone_keys, rrset, now, monkeypatch):
+def test_a_dropped_anchor_set_keeps_no_anchor_or_table_alive(zone_keys, rrset, now, monkeypatch):
     _anchor_keys(monkeypatch, lambda: CountingKey(zone_keys.public_key))
     live, dropped = _anchored(zone_keys), _anchored(zone_keys)
-    live_key = live.lookup("tls12.test").public_key()
-    dropped_key = dropped.lookup("tls12.test").public_key()
-    for key in (live_key, dropped_key):
-        assert verify_rrset(key, replace(rrset), now) is VerifyStatus.VALID
-        assert key.calls == 1
-    assert set(dnssec._PASSED) == {id(live_key), id(dropped_key)}
-    del dropped
+    for anchors in (live, dropped):
+        anchor = anchors.lookup("tls12.test")
+        assert verify_rrset(anchor, replace(rrset), now) is VerifyStatus.VALID
+        assert len(anchor._passed) == 1
+    gone = weakref.ref(dropped.lookup("tls12.test"))
+    del anchors, anchor, dropped
     gc.collect()
-    # the key object itself is still held here; only its anchor is gone
-    assert set(dnssec._PASSED) == {id(live_key)}
-    assert verify_rrset(live_key, replace(rrset), now) is VerifyStatus.VALID
-    assert verify_rrset(live_key, _flipped(rrset), now) is VerifyStatus.INVALID_SIGNATURE
-    assert live_key.calls == 1
+    assert gone() is None
+    # the live anchor's table is untouched
+    anchor = live.lookup("tls12.test")
+    assert verify_rrset(anchor, replace(rrset), now) is VerifyStatus.VALID
+    assert verify_rrset(anchor, _flipped(rrset), now) is VerifyStatus.INVALID_SIGNATURE
+    assert anchor.public_key().calls == 1
 
 
 def test_replacing_an_apex_anchor_drops_the_old_key_table(zone_keys, rrset, now, monkeypatch):
     _anchor_keys(monkeypatch, lambda: CountingKey(zone_keys.public_key))
     anchors = _anchored(zone_keys)
-    old_key = anchors.lookup("tls12.test").public_key()
-    assert verify_rrset(old_key, replace(rrset), now) is VerifyStatus.VALID
-    assert set(dnssec._PASSED) == {id(old_key)}
-    anchors.add(TrustAnchor("test", zone_keys.key_id, zone_keys.public_der()))
-    assert dnssec._PASSED == {}
-    new_key = anchors.lookup("tls12.test").public_key()
-    assert new_key is not old_key
-    assert verify_rrset(new_key, replace(rrset), now) is VerifyStatus.VALID
-    assert set(dnssec._PASSED) == {id(new_key)}
+    old = anchors.lookup("tls12.test")
+    assert verify_rrset(old, replace(rrset), now) is VerifyStatus.VALID
+    assert len(old._passed) == 1
+    gone = weakref.ref(old)
+    del old
+    anchors.add(_anchor_of(zone_keys))
+    gc.collect()
+    assert gone() is None
+    new = anchors.lookup("tls12.test")
+    assert new._passed == {}
+    assert verify_rrset(new, replace(rrset), now) is VerifyStatus.VALID
+    assert new.public_key().calls == 1 and len(new._passed) == 1
 
 
-def test_a_rekey_round_finds_no_dead_entries_to_make_room_for(zone_keys, now, monkeypatch):
-    # Two rounds each fill more than half the memo under a new anchor, as
-    # attack-churn re-keys every pass: dead entries would fill it in round 2.
+def test_each_rekey_round_runs_one_rsa_check_per_set(zone_keys, now, monkeypatch):
+    # Two rounds each fill more than half a table under a new anchor, as
+    # attack-churn re-keys every pass: no round empties its table.
     _anchor_keys(monkeypatch, AcceptingKey)
-    made_room = []
-    make_room = dnssec._make_room
-
-    def counted(key):
-        made_room.append(key)
-        make_room(key)
-
-    monkeypatch.setattr(dnssec, "_make_room", counted)
     sets = [
         SignedRRset(f"n{i}.rekey.test", ("v",), b"sig", "k", INCEPTION, EXPIRATION)
         for i in range(dnssec._PASSED_BOUND // 2 + 100)
     ]
     for _ in range(2):
-        anchors = _anchored(zone_keys)
-        gc.collect()
-        assert dnssec._PASSED == {}
-        key = anchors.lookup("n0.rekey.test").public_key()
+        anchor = _anchored(zone_keys).lookup("n0.rekey.test")
+        assert anchor._passed == {}
         for rrset in sets:
-            assert verify_rrset(key, replace(rrset), now) is VerifyStatus.VALID
+            assert verify_rrset(anchor, replace(rrset), now) is VerifyStatus.VALID
             forged = replace(rrset, signature=b"forged")
-            assert verify_rrset(key, forged, now) is VerifyStatus.INVALID_SIGNATURE
-        assert key.calls == len(sets)
-        assert made_room == []
-        assert set(dnssec._PASSED) == {id(key)}
-        assert _memo_entries() == len(sets)
+            assert verify_rrset(anchor, forged, now) is VerifyStatus.INVALID_SIGNATURE
+        assert anchor.public_key().calls == len(sets)
+        assert len(anchor._passed) == len(sets)
 
 
 def _status_without_memo(public_key, rrset, now):
@@ -1165,7 +1166,7 @@ def _status_without_memo(public_key, rrset, now):
 _CONTENTS = (("abcd",), ("abcd", "efgh"))
 _memo_steps = st.lists(
     st.tuples(
-        st.integers(0, 2),  # verifying key: the first, the first parsed again, the second
+        st.integers(0, 2),  # verifying anchor: the first key, it parsed again, the second
         st.integers(0, 1),  # signing key
         st.integers(0, 1),  # content
         st.one_of(
@@ -1185,9 +1186,8 @@ _memo_steps = st.lists(
 def test_the_signature_memo_gives_the_statuses_of_rsa_on_every_call(
     zone_keys, other_keys, steps
 ):
-    # Key objects of this example's own, so the memo starts empty for them.
-    verifiers = [public_key_from_der(keys.public_der())
-                 for keys in (zone_keys, zone_keys, other_keys)]
+    # Anchors of this example's own, so each table starts empty.
+    verifiers = [_anchor_of(keys) for keys in (zone_keys, zone_keys, other_keys)]
     genuine = {
         (signer, content): sign_rrset(keys, "diff.test", values, INCEPTION, EXPIRATION)
         for signer, keys in enumerate((zone_keys, other_keys))
@@ -1199,9 +1199,9 @@ def test_the_signature_memo_gives_the_statuses_of_rsa_on_every_call(
             rrset = _flipped(rrset, change[1], change[2])
         elif change is not None:
             rrset = replace(rrset, values=_CONTENTS[1 - content])
-        key = verifiers[verifier]
-        expected = _status_without_memo(key, rrset, when)
-        assert verify_rrset(key, rrset, when) is expected, (verifier, signer, content, change)
+        anchor = verifiers[verifier]
+        expected = _status_without_memo(anchor.public_key(), rrset, when)
+        assert verify_rrset(anchor, rrset, when) is expected, (verifier, signer, content, change)
 
 
 # -- canonical bytes kept on the record set
@@ -1219,17 +1219,17 @@ _ATTACKER_CHANGES = [
 
 @pytest.mark.parametrize("change", [c for _, c in _ATTACKER_CHANGES],
                          ids=[n for n, _ in _ATTACKER_CHANGES])
-def test_attacker_change_after_a_verified_answer_is_invalid(zone_keys, now, change):
+def test_attacker_change_after_a_verified_answer_is_invalid(zone_anchor, zone_keys, now, change):
     zone = ZoneStore()
     zone.publish(sign_rrset(zone_keys, "kept.test", VALUES, INCEPTION, EXPIRATION))
     genuine = zone.rrset_for("kept.test")
     genuine.canonical_bytes()
-    assert verify_rrset(zone_keys.public_key, genuine, now) is VerifyStatus.VALID
+    assert verify_rrset(zone_anchor, genuine, now) is VerifyStatus.VALID
     change(zone, "kept.test")
     tampered = zone.rrset_for("victim.test") or zone.rrset_for("kept.test")
     assert tampered is not genuine
     assert (
-        verify_rrset(zone_keys.public_key, tampered, now)
+        verify_rrset(zone_anchor, tampered, now)
         is VerifyStatus.INVALID_SIGNATURE
     )
 
@@ -1255,13 +1255,13 @@ def test_replace_gets_fresh_canonical_bytes(rrset):
     assert "_canonical" not in repr(rrset)
 
 
-def test_refused_canonical_form_is_never_kept(zone_keys, rrset, now):
+def test_refused_canonical_form_is_never_kept(zone_anchor, rrset, now):
     unnamed = replace(rrset, owner_name="")
     for _ in range(2):
         with pytest.raises(ValueError):
             unnamed.canonical_bytes()
         assert (
-            verify_rrset(zone_keys.public_key, unnamed, now)
+            verify_rrset(zone_anchor, unnamed, now)
             is VerifyStatus.INVALID_SIGNATURE
         )
 
