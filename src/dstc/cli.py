@@ -221,8 +221,8 @@ def cmd_resolve(args) -> int:
 def _decided(args):
     """Decide for ``args.domain`` on the zone, the anchors and the ``--store``
     cache, print the decision and its config, and yield both. Once the block
-    completes, the cache is written back without its expired slots; a block
-    that raises writes nothing."""
+    completes, the cache is written back whole, expired slots included; a
+    block that raises, or a refused query name, writes nothing."""
     zone = ZoneStore.load(args.zone)
     anchors = TrustAnchorSet.load(args.anchors)
     store = _load_or_new(PolicyStore, args.store)
@@ -241,7 +241,6 @@ def _decided(args):
             print(f"report: attack indicators for {args.domain} should be reported to {target}")
     yield decision, config
     if args.store:
-        store.drop_expired(now)
         store.save(args.store)
 
 

@@ -325,7 +325,12 @@ def decide(
     falls back to default with the specific reason, except where the cache
     says the domain must be strict: then the failure is surfaced as a drop
     alarm and strict stays in force.
+
+    A query name over 253 characters once normalised, longer than DNS allows
+    (RFC 1035 §2.3.4), raises ``ValueError``; only a long name is normalised.
     """
+    if len(domain) > 253 and len(normalize_domain(domain)) > 253:
+        raise ValueError("query name is longer than 253 characters")
     reason, record = check_answer(response, anchors, domain, now)
     if reason is not _REASON_OK:
         # No usable record: a live entry of the domain's own raises the

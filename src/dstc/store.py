@@ -7,9 +7,9 @@ back in, and the absence of a record for a domain with a live cached policy
 is flagged as a dropping attack instead of silently downgrading.
 
 A domain's slot holds either its policy or its tombstone, and one expiry rule
-covers both: once the slot's validTo has passed, the next read drops it and
-the domain counts as never seen. ``drop_expired`` applies the rule to every
-slot at once, so a save does not write expired lines back.
+covers both: once the slot's validTo has passed, it governs nothing. No read
+writes, so an expired slot stays, and is saved, until a stored record
+overwrites it: a clock set forward and then back finds the cache as it was.
 
 Persistence format (UTF-8, line oriented):
 
@@ -96,12 +96,10 @@ class PolicyStore(TextFile):
         self._slots: dict[str, StoredPolicy | Tombstone] = {}
 
     def _slot(self, domain: str, now: date) -> StoredPolicy | Tombstone | None:
-        """The domain's slot, dropped first if its validTo has passed."""
+        """The domain's slot, or ``None`` once its validTo has passed. The
+        expired slot itself stays in place: a read never writes."""
         slot = self._slots.get(domain)
-        if slot is not None and now > slot.valid_to:
-            del self._slots[domain]
-            return None
-        return slot
+        return None if slot is None or now > slot.valid_to else slot
 
     # -- core update rules
 
@@ -158,15 +156,12 @@ class PolicyStore(TextFile):
         slot = self._slot(normalize_domain(domain), now)
         return slot if isinstance(slot, StoredPolicy) else None
 
-    def drop_expired(self, now: date) -> None:
-        """Drop every slot whose validTo has passed, so a save sheds them."""
-        for domain in list(self._slots):
-            self._slot(domain, now)
-
     def entries(self) -> tuple[StoredPolicy, ...]:
+        """Every cached policy in domain order, expired ones included."""
         return self._sorted(StoredPolicy)
 
     def tombstones(self) -> tuple[Tombstone, ...]:
+        """Every tombstone in domain order, expired ones included."""
         return self._sorted(Tombstone)
 
     def _sorted(self, kind: type) -> tuple:

@@ -340,6 +340,47 @@ def test_verify_drop_alarm_across_invocations(world, capsys):
     assert "should be reported to admin@tls12.test" in out
 
 
+def test_a_clock_set_forward_and_back_keeps_the_drop_alarm(world, capsys, zone_keys):
+    zone = ZoneStore()
+    policy = PolicyRecord(date(2018, 5, 1), date(2019, 5, 1), "a@p.test")
+    zone.publish(sign_rrset(zone_keys, "p.test", [serialize_policy(policy)],
+                            date(2018, 5, 1), date(2019, 5, 1)))
+    zone.save(world["zone"])
+    anchors = TrustAnchorSet()
+    anchors.add(TrustAnchor("p.test", zone_keys.key_id, zone_keys.public_der()))
+    anchors.save(world["anchors"])
+    dropped = world["tmp"] / "dropped.zone"
+    dropped.write_text("p.test NAME -\n")
+    argv = ["verify", "--anchors", world["anchors"], "--domain", "p.test",
+            "--store", world["store"]]
+
+    assert main([*argv, "--zone", world["zone"], "--now", "01-07-2018"]) == 0
+    assert "decision: mode=Strict reason=OK report=a@p.test\n" in capsys.readouterr().out
+    assert main([*argv, "--zone", str(dropped), "--now", "01-01-2031"]) == 0
+    assert "decision: mode=Default reason=NoRecord report=-\n" in capsys.readouterr().out
+    assert main([*argv, "--zone", str(dropped), "--now", "01-07-2018"]) == 1
+    out = capsys.readouterr().out
+    assert "decision: mode=Strict reason=DropAlarm report=a@p.test\n" in out
+    assert "report: attack indicators for p.test should be reported to a@p.test\n" in out
+
+
+TOO_LONG_NAME = ".".join(["a" * 63] * 3 + ["b" * 62])
+
+
+@pytest.mark.parametrize("command", ["verify", "connect-sim"])
+def test_a_name_longer_than_dns_allows_exits_two_and_writes_no_store(world, capsys, command):
+    extra = ["--profiles", world["profiles"], "--server", "strong"] if command != "verify" else []
+    code = main([
+        command, "--zone", world["zone"], "--anchors", world["anchors"], *extra,
+        "--domain", TOO_LONG_NAME, "--now", "01-07-2018", "--store", world["store"],
+    ])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"dstc {command}: query name is longer than 253 characters\n"
+    assert not os.path.exists(world["store"])
+
+
 EXPIRED_POLICY = PolicyRecord(
     valid_from=date(2017, 1, 1), valid_to=date(2017, 6, 1), report="admin@old.test"
 )
@@ -347,13 +388,15 @@ EXPIRED_POLICY = PolicyRecord(
 
 @pytest.mark.parametrize("command", ["verify", "connect-sim"])
 @pytest.mark.parametrize("domain", ["tls12.test", "old.test"])
-def test_saving_the_store_drops_its_expired_lines(world, capsys, command, domain):
+def test_saving_the_store_keeps_its_expired_lines(world, capsys, command, domain):
     live = PolicyStore()
     live.update("tls12.test", POLICY, date(2018, 7, 1))
     live_line = live.to_text()
+    expired_policy = f"POLICY old.test {serialize_policy(EXPIRED_POLICY)}\n"
+    expired_tombstone = "TOMBSTONE gone.test 01-01-2017 01-06-2017\n"
+    # The older form's stored-at date is dropped on the way back.
     expired_lines = (
-        f"POLICY old.test 01-01-2017 {serialize_policy(EXPIRED_POLICY)}\n"
-        "TOMBSTONE gone.test 01-01-2017 01-06-2017\n"
+        f"POLICY old.test 01-01-2017 {serialize_policy(EXPIRED_POLICY)}\n" + expired_tombstone
     )
     extra = ["--profiles", world["profiles"], "--server", "strong"] if command != "verify" else []
     argv = [
@@ -361,13 +404,16 @@ def test_saving_the_store_drops_its_expired_lines(world, capsys, command, domain
         "--domain", domain, "--now", "01-07-2018", "--store", world["store"],
     ]
     outputs = []
-    for text in (expired_lines + live_line, live_line):
+    for text, saved in (
+        (expired_lines + live_line, expired_policy + live_line + expired_tombstone),
+        (live_line, live_line),
+    ):
         with open(world["store"], "w", encoding="utf-8") as fh:
             fh.write(text)
         code = main(argv)
         outputs.append((code, capsys.readouterr().out))
         with open(world["store"], encoding="utf-8") as fh:
-            assert fh.read() == live_line
+            assert fh.read() == saved
     assert outputs[0] == outputs[1]
 
 
@@ -732,6 +778,7 @@ STRICT_LINES = (
 )
 CACHED_LINE = f"POLICY tls12.test {serialize_policy(POLICY)}\n"
 LIVE_TOMBSTONE = "TOMBSTONE rev.test 01-06-2018 01-06-2019\n"
+EXPIRED_TOMBSTONE = "TOMBSTONE gone.test 01-01-2017 01-06-2017\n"
 
 
 def _store_text(world):
@@ -741,14 +788,14 @@ def _store_text(world):
 
 def test_verify_store_golden(world, capsys):
     with open(world["store"], "w", encoding="utf-8") as fh:
-        fh.write("TOMBSTONE gone.test 01-01-2017 01-06-2017\n" + LIVE_TOMBSTONE)
+        fh.write(EXPIRED_TOMBSTONE + LIVE_TOMBSTONE)
     argv = ["verify", "--zone", world["zone"], "--anchors", world["anchors"],
             "--domain", "TLS12.test", "--store", world["store"]]
     assert main([*argv, "--now", "01-07-2018"]) == 0
     assert capsys.readouterr().out == (
         "decision: mode=Strict reason=OK report=admin@tls12.test\n" + STRICT_LINES
     )
-    assert _store_text(world) == CACHED_LINE + LIVE_TOMBSTONE
+    assert _store_text(world) == CACHED_LINE + EXPIRED_TOMBSTONE + LIVE_TOMBSTONE
 
     zone = ZoneStore.load(world["zone"])
     zone.attacker_drop_rrset("tls12.test")
@@ -760,7 +807,7 @@ def test_verify_store_golden(world, capsys):
         + "report: attack indicators for TLS12.test should be reported to "
         "admin@tls12.test\n"
     )
-    assert _store_text(world) == CACHED_LINE + LIVE_TOMBSTONE
+    assert _store_text(world) == CACHED_LINE + EXPIRED_TOMBSTONE + LIVE_TOMBSTONE
 
 
 def test_connect_sim_store_golden(world, capsys):

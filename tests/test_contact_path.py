@@ -29,8 +29,11 @@ CONTACT_FUNCTIONS = [
     policy.parse_policy.__wrapped__,
     policy.parse_policy_date.__wrapped__,
     policy.policy_status,
+    store.PolicyStore._slot,
     store.PolicyStore.update,
     store.PolicyStore.observe_absence,
+    store.PolicyStore.lookup,
+    store.PolicyStore.get_exact,
     enforcement.check_answer,
     enforcement.decide,
     enforcement._decision,

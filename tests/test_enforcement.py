@@ -3,7 +3,7 @@ from dataclasses import replace
 from datetime import date, timedelta
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from dstc import enforcement
 from dstc.dnssec import (
@@ -683,7 +683,8 @@ CACHE_STATES = {
     "older-entry": (OLDER,),
     "newer-entry": (NEWER,),
     "tombstone": (OLDER, NEWER_REVOCATION),  # the domain revoked after ANSWER
-    # An expired entry counts as never seen, whatever its dates.
+    # An expired entry governs nothing, whatever its dates, and stays until
+    # a stored record overwrites it.
     "expired-newer-entry": (EXPIRED_NEWER,),
     "expired-older-entry": (EXPIRED_OLDER,),
 }
@@ -712,11 +713,11 @@ ANSWER_TABLE = [
     ("expired-newer-entry", False, Mode.STRICT, Reason.OK, ANSWER.report,
      StoreAction.STORED_NEW, ((ANSWER,), ())),
     ("expired-newer-entry", True, Mode.DEFAULT, Reason.REVOKED, ANSWER.report,
-     StoreAction.UNCHANGED, ((), ())),
+     StoreAction.UNCHANGED, ((EXPIRED_NEWER,), ())),
     ("expired-older-entry", False, Mode.STRICT, Reason.OK, ANSWER.report,
      StoreAction.STORED_NEW, ((ANSWER,), ())),
     ("expired-older-entry", True, Mode.DEFAULT, Reason.REVOKED, ANSWER.report,
-     StoreAction.UNCHANGED, ((), ())),
+     StoreAction.UNCHANGED, ((EXPIRED_OLDER,), ())),
 ]
 
 
@@ -753,7 +754,7 @@ def test_decide_answer_table(zone_keys, now, monkeypatch, cache, revoke, mode, r
     assert apply(decision, DEFAULT_CLIENT).fallback_enabled is (mode is Mode.DEFAULT)
 
 
-# -- an expired cache slot is no cache slot ----------------------------------
+# -- an expired cache slot governs nothing ------------------------------------
 
 NOW = date(2018, 7, 1)
 
@@ -794,7 +795,114 @@ def test_expired_slot_decides_like_an_empty_cache(zone_keys, cache_file, answer)
     decision, store = run_decide(zone, anchors, store=PolicyStore.from_text(cache_file))
     expected, fresh = run_decide(zone, anchors, store=PolicyStore())
     assert decision == expected
-    assert store.to_text() == fresh.to_text()
+    # A stored answer overwrites the expired slot; else the slot stays.
+    assert store.to_text() == (fresh.to_text() or PolicyStore.from_text(cache_file).to_text())
+
+
+# -- a clock set forward and back: no read or file round trip decides ---------
+
+P_POLICY = PolicyRecord(date(2018, 5, 1), date(2019, 5, 1), "a@p.test")
+
+
+def test_a_clock_set_forward_and_back_keeps_the_drop_alarm(zone_keys, tmp_path):
+    """A contact at 2031 and a save leave p.test's expired entry in the
+    file, so a dropped record is a drop alarm again once the clock is back."""
+    zone, anchors = build_world(zone_keys, records=[P_POLICY], domain="p.test")
+    decision, store = run_decide(zone, anchors, "p.test")
+    assert decision == PolicyDecision(Mode.STRICT, Reason.OK, "a@p.test")
+    zone.attacker_drop_rrset("p.test")
+    decision, store = run_decide(zone, anchors, "p.test", store, date(2031, 1, 1))
+    assert decision == PolicyDecision(Mode.DEFAULT, Reason.NO_RECORD, None)
+    store.save(tmp_path / "cache.txt")
+    decision, _ = run_decide(zone, anchors, "p.test", PolicyStore.load(tmp_path / "cache.txt"))
+    assert decision == PolicyDecision(Mode.STRICT, Reason.DROP_ALARM, "a@p.test")
+
+
+CLOCK_SIG_WINDOW = (date(2018, 5, 1), date(2020, 1, 1))
+CLOCK_RECORDS = {
+    ("p.test", "opted-in"): replace(P_POLICY, include_sub_domain=True),
+    ("p.test", "newer"): PolicyRecord(date(2018, 9, 1), date(2019, 9, 1), "b@p.test"),
+    ("p.test", "revocation"): PolicyRecord(date(2018, 11, 1), date(2019, 11, 1), "r@p.test",
+                                           revoke=True),
+    ("c.p.test", "own"): PolicyRecord(date(2018, 6, 1), date(2019, 3, 1), "c@c.p.test"),
+    ("c.p.test", "revocation"): PolicyRecord(date(2018, 10, 1), date(2019, 10, 1),
+                                             "r@c.p.test", revoke=True),
+}
+CLOCK_ANSWERS = [*CLOCK_RECORDS, ("p.test", "dropped"), ("c.p.test", "dropped")]
+# Every validity boundary and the day past it, 2031, and back to 2018.
+CLOCK_DATES = sorted(
+    {day + timedelta(days=past)
+     for start, end in [*((r.valid_from, r.valid_to) for r in CLOCK_RECORDS.values()),
+                        CLOCK_SIG_WINDOW]
+     for day in (start, end) for past in (0, 1)}
+    | {date(2031, 1, 1), date(2018, 7, 1)}
+)
+
+
+@pytest.fixture(scope="module")
+def clock_world(zone_keys):
+    """Each answer of CLOCK_ANSWERS, signed once, and p.test's anchor."""
+    answers = {}
+    for name, label in CLOCK_ANSWERS:
+        zone = ZoneStore()
+        record = CLOCK_RECORDS.get((name, label))
+        if record is not None:
+            zone.publish(sign_rrset(zone_keys, name, [serialize_policy(record)],
+                                    *CLOCK_SIG_WINDOW))
+        answers[name, label] = resolve(zone, name)
+    _, anchors = build_world(zone_keys, values=[], domain="p.test")
+    return answers, anchors
+
+
+@settings(deadline=None)
+@given(contacts=st.lists(st.tuples(st.sampled_from(CLOCK_ANSWERS), st.booleans(),
+                                   st.sampled_from(CLOCK_DATES)), max_size=12))
+def test_file_round_trips_and_reads_at_any_date_change_no_decision(clock_world, contacts):
+    answers, anchors = clock_world
+    kept, reloaded = PolicyStore(), PolicyStore()
+    for (name, label), shout, now in contacts:
+        query = name.upper() + "." if shout else name
+        decision = decide(answers[name, label], anchors, kept, query, now)
+        assert decide(answers[name, label], anchors, reloaded, query, now) == decision
+        reloaded = PolicyStore.from_text(reloaded.to_text())
+        text = kept.to_text()
+        assert reloaded.to_text() == text
+        for day in CLOCK_DATES:
+            for queried in ("p.test", "c.p.test", "www.c.p.test"):
+                kept.lookup(queried, day)
+                kept.get_exact(queried, day)
+                kept.observe_absence(queried, day)
+        assert kept.to_text() == text
+
+
+# -- a query name is at most 253 characters ----------------------------------
+
+LONGEST_NAME = ".".join(["a" * 63] * 3 + ["b" * 61])
+TOO_LONG_NAMES = {
+    "254": ".".join(["a" * 63] * 3 + ["b" * 62]),
+    "32kB": "a." * 16000 + "test",
+}
+
+
+@pytest.mark.parametrize("query", [LONGEST_NAME, LONGEST_NAME.upper() + ". "],
+                         ids=["normal", "long-until-normalised"])
+def test_a_253_character_name_decides_as_before(zone_keys, query):
+    assert len(LONGEST_NAME) == 253
+    zone, anchors = build_world(zone_keys, domain=LONGEST_NAME)
+    decision, store = run_decide(zone, anchors, query)
+    assert decision == PolicyDecision(Mode.STRICT, Reason.OK, POLICY.report)
+    assert [e.domain for e in store.entries()] == [LONGEST_NAME]
+
+
+@pytest.mark.parametrize("query", TOO_LONG_NAMES.values(), ids=TOO_LONG_NAMES.keys())
+def test_a_name_longer_than_dns_allows_is_refused(zone_keys, now, query):
+    zone, anchors = build_world(zone_keys, domain=query)
+    store = PolicyStore()
+    store.update(query.split(".", 1)[1], replace(POLICY, include_sub_domain=True), now)
+    text = store.to_text()
+    with pytest.raises(ValueError, match="^query name is longer than 253 characters$"):
+        run_decide(zone, anchors, query, store)
+    assert store.to_text() == text
 
 
 # -- check_answer: the answer checks alone, and decide on an empty cache ------

@@ -155,33 +155,39 @@ def test_absence_with_no_entry_is_unchanged(now):
     assert store.observe_absence("tls12.test", now) is StoreAction.UNCHANGED
 
 
-def test_absence_after_expiry_evicts(now):
+def test_absence_after_expiry_is_unchanged_and_keeps_the_slot(now):
     store = PolicyStore()
     store.update("tls12.test", record(), now)
     after = VALID_TO + timedelta(days=1)
     assert store.observe_absence("tls12.test", after) is StoreAction.UNCHANGED
-    assert not store.entries()
-    # next contact is a first connection again
+    assert store.entries() == (StoredPolicy("tls12.test", record()),)
+    # a clock set back sees the entry again
+    assert store.observe_absence("tls12.test", now) is StoreAction.DROP_ALARM
+    # next contact is a first connection again, and its record overwrites the slot
     fresh = record(date(2019, 6, 1), valid_to=date(2020, 6, 1))
     assert store.update("tls12.test", fresh, after) is StoreAction.STORED_NEW
+    assert store.entries() == (StoredPolicy("tls12.test", fresh),)
 
 
 EXPIRED = record(date(2018, 3, 1), valid_to=date(2018, 6, 1))
 
 
 @pytest.mark.parametrize("incoming, action, kept", [
-    (record(date(2018, 1, 1)), StoreAction.STORED_NEW, "entry"),
-    (record(date(2018, 6, 1)), StoreAction.STORED_NEW, "entry"),
-    (record(date(2018, 6, 1), revoke=True), StoreAction.UNCHANGED, "nothing"),
+    (record(date(2018, 1, 1)), StoreAction.STORED_NEW, "incoming"),
+    (record(date(2018, 6, 1)), StoreAction.STORED_NEW, "incoming"),
+    (record(date(2018, 6, 1), revoke=True), StoreAction.UNCHANGED, "expired"),
 ], ids=["older-policy", "newer-policy", "newer-revocation"])
 def test_update_over_an_expired_entry_acts_as_on_an_empty_cache(now, incoming, action, kept):
+    """The action is the empty cache's. A stored record overwrites the
+    expired slot; a revocation of nothing leaves it in place."""
     expired, empty = PolicyStore(), PolicyStore()
     expired.update("tls12.test", EXPIRED, date(2018, 3, 1))
     assert expired.update("tls12.test", incoming, now) is action
     assert empty.update("tls12.test", incoming, now) is action
-    assert expired.to_text() == empty.to_text()
-    assert bool(expired.entries()) is (kept == "entry")
+    held = incoming if kept == "incoming" else EXPIRED
+    assert expired.entries() == (StoredPolicy("tls12.test", held),)
     assert not expired.tombstones()
+    assert expired.get_exact("tls12.test", now) == empty.get_exact("tls12.test", now)
 
 
 @pytest.mark.parametrize("read", [
@@ -189,14 +195,17 @@ def test_update_over_an_expired_entry_acts_as_on_an_empty_cache(now, incoming, a
     lambda store, now: store.lookup("tls12.test", now),
     lambda store, now: store.lookup("www.tls12.test", now),
 ], ids=["get_exact", "lookup", "lookup-ancestor"])
-def test_reads_evict_an_expired_entry(now, read):
+def test_reads_skip_an_expired_entry_and_leave_it_in_place(now, read):
     store = PolicyStore()
     store.update("tls12.test", replace(EXPIRED, include_sub_domain=True), date(2018, 3, 1))
+    text = store.to_text()
     assert read(store, now) is None
-    assert not store.entries()
+    assert store.to_text() == text
+    # a clock set back to the entry's window sees it again
+    assert read(store, date(2018, 3, 1)).record == replace(EXPIRED, include_sub_domain=True)
 
 
-def test_drop_expired_sheds_expired_slots_and_keeps_every_decision(now):
+def test_expired_slots_stay_in_the_file_and_keep_every_decision(now):
     store = PolicyStore()
     store.update("old.test", replace(EXPIRED, include_sub_domain=True), date(2018, 3, 1))
     store.update("gone.test", record(date(2018, 3, 1), valid_to=date(2018, 6, 1)),
@@ -206,10 +215,10 @@ def test_drop_expired_sheds_expired_slots_and_keeps_every_decision(now):
     store.update("tls12.test", record(), now)
     live = PolicyStore()
     live.update("tls12.test", record(), now)
-    assert store.tombstones()
 
-    store.drop_expired(now)
-    assert store.to_text() == live.to_text()
+    store = PolicyStore.from_text(store.to_text())
+    assert [e.domain for e in store.entries()] == ["old.test", "tls12.test"]
+    assert [t.domain for t in store.tombstones()] == ["gone.test"]
     for domain in ("old.test", "www.old.test", "gone.test", "tls12.test"):
         assert store.lookup(domain, now) == live.lookup(domain, now)
         assert store.observe_absence(domain, now) is live.observe_absence(domain, now)
@@ -420,7 +429,7 @@ def test_lookup_walk_matches_the_split_join_walk(name, held, elsewhere):
             _hold(store, other, "sub")
     walked, joined = stores
     assert walked.lookup(name, NOW) == _split_join_lookup(joined, name, NOW)
-    # Both walks drop the same expired slots on the way.
+    # Neither walk writes, expired slots included.
     assert walked._slots == joined._slots
 
 
