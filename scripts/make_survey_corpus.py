@@ -10,6 +10,10 @@ Usage: python3 scripts/make_survey_corpus.py [output-path]
 
 import sys
 import time
+from pathlib import Path
+
+# The checkout's own sources come first, so no install or PYTHONPATH is needed.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dstc.survey import generate_corpus, render_corpus, render_report_text, survey
 

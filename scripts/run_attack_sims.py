@@ -9,6 +9,10 @@ Usage: python3 scripts/run_attack_sims.py
 
 import sys
 import time
+from pathlib import Path
+
+# The checkout's own sources come first, so no install or PYTHONPATH is needed.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from dstc.scenarios import BUILTIN_SUITES, run_builtin_suite
 

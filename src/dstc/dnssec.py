@@ -61,19 +61,19 @@ class ZoneFileError(ValueError):
     """A zone or trust-anchor file could not be parsed."""
 
 
+# The dot and every character ``str.strip()`` takes for whitespace; no
+# character above U+3000 is whitespace.
+_TRAILING = "." + "".join([c for c in map(chr, range(0x3001)) if c.isspace()])
+
+
 def normalize_domain(name: str) -> str:
     """The name without leading whitespace and without trailing whitespace
-    and dots, stripped together until neither is left, in lower case, so a
-    normal name normalises to itself. A name that is already normal comes
-    back as the very object passed in (for a plain ``str``), so the zone, the
-    signed sets, the cache and the anchor walk keep one string per name, and
-    its hash is computed once."""
-    name = name.strip()
-    bare = name.rstrip(".")
-    # Loops only when dots were stripped: "a.test. ." leaves "a.test. ".
-    while bare != name:
-        name = bare.rstrip()
-        bare = name.rstrip(".")
+    and dots, in lower case, so a normal name normalises to itself. Two
+    strips and a lower-casing, so the cost is linear in the name. A name
+    that is already normal comes back as the very object passed in (for a
+    plain ``str``), so the zone, the signed sets, the cache and the anchor
+    walk keep one string per name, and its hash is computed once."""
+    name = name.lstrip().rstrip(_TRAILING)
     lower = name.lower()
     # == rather than str.islower(), which is slower and false for a name
     # without a cased letter.
@@ -100,6 +100,10 @@ def canonical_form(
         f"{normalize_domain(owner_name)}|TXT|{format_policy_date(inception)}"
         f"|{format_policy_date(expiration)}|"
     ).encode("ascii")
+    if len(values) == 1:
+        # Every well-formed DSTC answer: nothing to sort or join.
+        raw = values[0].encode("utf-8")
+        return head + len(raw).to_bytes(4, "big") + raw
     raws = sorted([v.encode("utf-8") for v in values])
     return head + b"".join([len(raw).to_bytes(4, "big") + raw for raw in raws])
 
@@ -307,7 +311,8 @@ class ZoneStore(TextFile):
 
     One slot per name, holding the name's answer: no slot is NXDOMAIN, the
     shared NoRecord answer is NODATA, and an Answered one carries the name's
-    TXT record set. Every write passes through ``_set``, which fills the slot.
+    TXT record set. Every write passes through ``_set``, which fills the slot,
+    and every read of one name through ``_answer``.
 
     Single-threaded: callers use a store from one thread at a time, and the
     store takes no lock.
@@ -318,10 +323,23 @@ class ZoneStore(TextFile):
     def __init__(self):
         self._names: dict[str, DnsResponse] = {}
 
+    def _answer(self, name: str) -> DnsResponse | None:
+        """The slot of the name's normal form. Every key is a normal name, a
+        fixed point of ``normalize_domain``, so the name is read as given
+        first; only a miss normalises it and, if that changed it, reads
+        again."""
+        names = self._names
+        answer = names.get(name)
+        if answer is None:
+            normal = normalize_domain(name)
+            if normal is not name:
+                answer = names.get(normal)
+        return answer
+
     # -- owner-side operations
 
     def register_name(self, name: str) -> None:
-        if normalize_domain(name) not in self._names:
+        if self._answer(name) is None:
             self._set(name, None)
 
     def publish(self, rrset: SignedRRset) -> None:
@@ -336,7 +354,7 @@ class ZoneStore(TextFile):
         self._names[name] = _NODATA if rrset is None else DnsResponse(_ANSWERED, rrset)
 
     def rrset_for(self, name: str) -> SignedRRset | None:
-        answer = self._names.get(normalize_domain(name))
+        answer = self._answer(name)
         return None if answer is None else answer.rrset
 
     def _rewrite(self, name: str, edit, create: bool = False) -> None:
@@ -379,7 +397,7 @@ class ZoneStore(TextFile):
 
     def attacker_drop_rrset(self, name: str) -> None:
         """Suppress the TXT set; the name itself stays resolvable."""
-        if normalize_domain(name) in self._names:
+        if self._answer(name) is not None:
             self._set(name, None)
 
     def attacker_replace_rrset(self, name: str, rrset: SignedRRset) -> None:
@@ -466,7 +484,8 @@ def resolve(zone: ZoneStore, name: str) -> DnsResponse:
     known name without TXT data. A name without a slot gets the shared
     NoSuchDomain answer; no answer is built.
     """
-    return zone._names.get(normalize_domain(name), _NXDOMAIN)
+    answer = zone._answer(name)
+    return _NXDOMAIN if answer is None else answer
 
 
 @dataclass(frozen=True)

@@ -101,6 +101,19 @@ class PolicyStore(TextFile):
         slot = self._slots.get(domain)
         return None if slot is None or now > slot.valid_to else slot
 
+    def _exact(self, domain: str, now: date) -> StoredPolicy | Tombstone | None:
+        """``_slot`` of the domain's normal form. Every key is a normal name,
+        a fixed point of ``normalize_domain``, so the domain is read as given
+        first; only a miss normalises it and, if that changed it, reads
+        again."""
+        slots = self._slots
+        slot = slots.get(domain)
+        if slot is None:
+            normal = normalize_domain(domain)
+            if normal is not domain:
+                slot = slots.get(normal)
+        return None if slot is None or now > slot.valid_to else slot
+
     # -- core update rules
 
     def update(self, domain: str, record: PolicyRecord, now: date) -> StoreAction:
@@ -112,14 +125,15 @@ class PolicyStore(TextFile):
         tombstone. A revocation of nothing is a no-op; poison records are
         never stored.
         """
-        domain = normalize_domain(domain)
-        slot = self._slot(domain, now)
+        slot = self._exact(domain, now)
         held = isinstance(slot, StoredPolicy)
         # A parse memo hit is the very record the slot holds; == builds two tuples.
         if held and (slot.record is record or slot.record == record):
             return _UNCHANGED
         if slot is not None and record.valid_from <= slot.valid_from:
             return _REJECTED_STALE
+        # Writes go under the normal form, a plain str even for a subclass.
+        domain = normalize_domain(domain)
         if record.revoke:
             if slot is not None:
                 self._slots[domain] = Tombstone(domain, record.valid_from, record.valid_to)
@@ -131,7 +145,7 @@ class PolicyStore(TextFile):
         """React to a query that produced no usable policy record: a live
         cached entry means someone is suppressing the record, so raise the
         alarm and keep enforcing from the cache."""
-        if isinstance(self._slot(normalize_domain(domain), now), StoredPolicy):
+        if isinstance(self._exact(domain, now), StoredPolicy):
             return _DROP_ALARM
         return _UNCHANGED
 
@@ -153,7 +167,7 @@ class PolicyStore(TextFile):
             own = False
 
     def get_exact(self, domain: str, now: date) -> StoredPolicy | None:
-        slot = self._slot(normalize_domain(domain), now)
+        slot = self._exact(domain, now)
         return slot if isinstance(slot, StoredPolicy) else None
 
     def entries(self) -> tuple[StoredPolicy, ...]:

@@ -20,6 +20,7 @@ from test_handshake import DEFAULT_CFG, PROFILE_CATALOGUE, STRATEGY_CATALOGUE, S
 
 CONTACT_FUNCTIONS = [
     dnssec.resolve,
+    dnssec.ZoneStore._answer,
     dnssec.DnsResponse.__post_init__,
     dnssec.verify_rrset,
     # A first sight of a record set builds its signing input.
@@ -30,6 +31,7 @@ CONTACT_FUNCTIONS = [
     policy.parse_policy_date.__wrapped__,
     policy.policy_status,
     store.PolicyStore._slot,
+    store.PolicyStore._exact,
     store.PolicyStore.update,
     store.PolicyStore.observe_absence,
     store.PolicyStore.lookup,

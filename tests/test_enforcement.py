@@ -3,7 +3,7 @@ from dataclasses import replace
 from datetime import date, timedelta
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dstc import enforcement
 from dstc.dnssec import (
@@ -12,6 +12,7 @@ from dstc.dnssec import (
     TrustAnchor,
     TrustAnchorSet,
     ZoneStore,
+    normalize_domain,
     resolve,
     sign_rrset,
 )
@@ -903,6 +904,125 @@ def test_a_name_longer_than_dns_allows_is_refused(zone_keys, now, query):
     with pytest.raises(ValueError, match="^query name is longer than 253 characters$"):
         run_decide(zone, anchors, query, store)
     assert store.to_text() == text
+
+
+# -- any spelling of a name costs a bounded number of dict probes -------------
+
+class _CountingDict(dict):
+    """A dict that counts the reads and writes made through its methods."""
+
+    probes = 0
+
+    def get(self, key, default=None):
+        self.probes += 1
+        return super().get(key, default)
+
+    def __contains__(self, key):
+        self.probes += 1
+        return super().__contains__(key)
+
+    def __getitem__(self, key):
+        self.probes += 1
+        return super().__getitem__(key)
+
+    def __setitem__(self, key, value):
+        self.probes += 1
+        super().__setitem__(key, value)
+
+    # A scan reads every entry.
+    def __iter__(self):
+        self.probes += len(self)
+        return super().__iter__()
+
+    def items(self):
+        self.probes += len(self)
+        return super().items()
+
+
+class _Name(str):
+    """A str subclass, as a caller may pass one."""
+
+
+OPTED_IN = replace(POLICY, include_sub_domain=True)
+# Each name's zone answer (a record, or None for NODATA) and cached record.
+PROBE_NAMES = {
+    "cached.test": (POLICY, POLICY),
+    "fresh.test": (POLICY, None),
+    "parent.test": (OPTED_IN, OPTED_IN),
+    "www.parent.test": (None, None),
+    "dropped.test": (None, POLICY),
+    "forged.test": ("forged", POLICY),
+    "ghost.test": ("absent", None),
+}
+PROBE_DATES = (date(2018, 7, 1), date(2019, 5, 2))
+
+
+@pytest.fixture(scope="module")
+def probe_world(zone_keys):
+    zone = ZoneStore()
+    for name, (answer, _) in PROBE_NAMES.items():
+        if answer is None:
+            zone.register_name(name)
+        elif answer != "absent":
+            record = POLICY if answer == "forged" else answer
+            zone.publish(sign_rrset(zone_keys, name, [serialize_policy(record)], *SIG_WINDOW))
+    zone.attacker_tamper_signature("forged.test")
+    anchors = TrustAnchorSet()
+    anchors.add(TrustAnchor("test", zone_keys.key_id, zone_keys.public_der()))
+    return zone, anchors
+
+
+@st.composite
+def spelled_names(draw):
+    """A query name of at most 253 characters, spelled in mixed case with
+    leading whitespace and trailing dots, spaces and U+3000: a name of
+    PROBE_NAMES, a name below parent.test, or labels under no name at all."""
+    labels = st.lists(st.text(alphabet="ab-9", min_size=1, max_size=3), min_size=1,
+                      max_size=60).map(".".join)
+    normal = draw(st.one_of(
+        st.sampled_from(sorted(PROBE_NAMES)),
+        labels.map(lambda head: head + ".parent.test"),
+        labels,
+    ))
+    upper = draw(st.integers(0, (1 << len(normal)) - 1))
+    name = (draw(st.sampled_from(["", " ", "\t", "\u3000"]))
+            + "".join(c.upper() if upper >> i & 1 else c for i, c in enumerate(normal))
+            + draw(st.text(alphabet=". \t\u3000", max_size=6)))
+    assume(len(name) <= 253)
+    return draw(st.sampled_from([str, _Name]))(name), normal
+
+
+@settings(max_examples=300, deadline=None)
+@given(spelled=spelled_names(), now=st.sampled_from(PROBE_DATES))
+def test_any_spelling_decides_in_a_bounded_number_of_probes(probe_world, spelled, now):
+    name, normal = spelled
+    assert normalize_domain(name) == normal
+    zone, anchors = probe_world
+    store = PolicyStore()
+    for cached, (_, record) in PROBE_NAMES.items():
+        if record is not None:
+            store.update(cached, record, PROBE_DATES[0])
+    zone._names, names = _CountingDict(zone._names), zone._names
+    anchors._anchors, kept = _CountingDict(anchors._anchors), anchors._anchors
+    store._slots = _CountingDict(store._slots)
+    try:
+        decide(resolve(zone, name), anchors, store, name, now)
+        # The exact reads take at most two probes each, and each suffix walk
+        # one per label.
+        labels = normal.count(".") + 1
+        assert zone._names.probes <= 2
+        assert anchors._anchors.probes <= labels
+        assert store._slots.probes <= labels + 3
+
+        assert resolve(zone, name) is resolve(zone, normal)
+        assert zone.rrset_for(name) is zone.rrset_for(normal)
+        assert store.get_exact(name, now) is store.get_exact(normal, now)
+        assert store.observe_absence(name, now) is store.observe_absence(normal, now)
+    finally:
+        zone._names, anchors._anchors = names, kept
+    for key, slot in store._slots.items():
+        assert type(key) is str and normalize_domain(key) is key
+        assert type(slot.domain) is str and slot.domain == key
 
 
 # -- check_answer: the answer checks alone, and decide on an empty cache ------
