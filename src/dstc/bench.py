@@ -12,7 +12,9 @@ Likewise, after the first iteration each policy parse in the QueryVerify,
 Enforce and "All 3" rows is a parse-memo hit (see ``policy.parse_policy``),
 each ``resolve`` in the QueryVerify and "All 3" rows returns the answer the
 name's slot holds (see ``dnssec.resolve``), and each decision in the Enforce and "All 3"
-rows is an intern hit (see ``enforcement.decide``).
+rows is an intern hit (see ``enforcement.decide``). The set-up looks the
+domain's anchor up once, so every anchor lookup of the QueryVerify, Enforce
+and "All 3" rows is a covering-table hit (see ``dnssec.TrustAnchorSet``).
 """
 
 from __future__ import annotations

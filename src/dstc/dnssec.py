@@ -5,10 +5,12 @@ covers a canonical byte form of (owner name, type, inception, expiration,
 sorted values), so names compare case-insensitively and value order never
 matters. Chain-of-trust walking is replaced by a trust-anchor set mapping a
 zone apex to the public key a client accepts for that apex and everything
-below it. A verify skips the RSA check for a set that already passed it, and
-refuses without RSA a set whose content passed under the same anchor with
-another signature: PKCS#1 v1.5 signing is deterministic, so one signature
-verifies per key and content. The anchor holds that memo (``verify_rrset``).
+below it. The set keeps the anchor each query name found, so a name asked
+again costs one dict probe; adding an anchor empties that table. A verify
+skips the RSA check for a set that already passed it, and refuses without
+RSA a set whose content passed under the same anchor with another
+signature: PKCS#1 v1.5 signing is deterministic, so one signature verifies
+per key and content. The anchor holds that memo (``verify_rrset``).
 
 The zone store keeps one slot per name, holding the name's answer. A name
 without a slot does not exist (NXDOMAIN), a NoRecord slot is a name without
@@ -511,30 +513,57 @@ class TrustAnchor:
         return self._key
 
 
+# A TrustAnchorSet's covering-anchor table is emptied when it holds this many
+# names, and keeps none longer than DNS allows.
+_COVERING_BOUND = 1 << 14
+_COVERING_NAME_MAX = 253
+_UNKNOWN = object()
+
+
 class TrustAnchorSet(TextFile):
-    """Out-of-band authenticated zone keys, keyed by zone apex."""
+    """Out-of-band authenticated zone keys, keyed by zone apex.
+
+    The set also keeps, for each query name as given (a plain ``str`` of at
+    most 253 characters), the anchor ``lookup`` found for it, ``None``
+    included, so a name met before costs one dict probe. ``add`` is the
+    only writer of the anchors and empties that table, so a kept answer is
+    always what the walk gives for the anchors held now."""
 
     FILE_ERROR = ZoneFileError
 
     def __init__(self):
         self._anchors: dict[str, TrustAnchor] = {}
+        self._covering: dict[str, TrustAnchor | None] = {}
 
     def add(self, anchor: TrustAnchor) -> None:
         self._anchors[normalize_domain(anchor.apex)] = anchor
+        self._covering.clear()
 
     def lookup(self, domain: str) -> TrustAnchor | None:
         """Longest-suffix anchor covering the domain, on label boundaries:
-        the name, then what follows each of its dots in turn."""
+        the name, then what follows each of its dots in turn. A name kept
+        in the covering table is answered from it."""
+        covering = self._covering
+        anchor = covering.get(domain, _UNKNOWN)
+        if anchor is not _UNKNOWN:
+            return anchor
         name = normalize_domain(domain)
         anchors = self._anchors
         while True:
             anchor = anchors.get(name)
             if anchor is not None:
-                return anchor
+                break
             dot = name.find(".")
             if dot < 0:
-                return None
+                break
             name = name[dot + 1:]
+        # A longer spelling or a str subclass is never kept: a key would pin
+        # it whole, and a subclass may compare unlike a str.
+        if type(domain) is str and len(domain) <= _COVERING_NAME_MAX:
+            if len(covering) >= _COVERING_BOUND:
+                covering.clear()
+            covering[domain] = anchor
+        return anchor
 
     def to_text(self) -> str:
         lines = []

@@ -125,15 +125,25 @@ class PolicyStore(TextFile):
         tombstone. A revocation of nothing is a no-op; poison records are
         never stored.
         """
-        slot = self._exact(domain, now)
+        # ``_exact``'s read, keeping the normal form for the write: a plain
+        # str even for a subclass. A slot's domain is its key.
+        slots = self._slots
+        slot = slots.get(domain)
+        if slot is not None:
+            domain = slot.domain
+        else:
+            normal = normalize_domain(domain)
+            if normal is not domain:
+                slot = slots.get(normal)
+            domain = normal
+        if slot is not None and now > slot.valid_to:
+            slot = None
         held = isinstance(slot, StoredPolicy)
         # A parse memo hit is the very record the slot holds; == builds two tuples.
         if held and (slot.record is record or slot.record == record):
             return _UNCHANGED
         if slot is not None and record.valid_from <= slot.valid_from:
             return _REJECTED_STALE
-        # Writes go under the normal form, a plain str even for a subclass.
-        domain = normalize_domain(domain)
         if record.revoke:
             if slot is not None:
                 self._slots[domain] = Tombstone(domain, record.valid_from, record.valid_to)

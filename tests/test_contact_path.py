@@ -22,6 +22,7 @@ CONTACT_FUNCTIONS = [
     dnssec.resolve,
     dnssec.ZoneStore._answer,
     dnssec.DnsResponse.__post_init__,
+    dnssec.TrustAnchorSet.lookup,
     dnssec.verify_rrset,
     # A first sight of a record set builds its signing input.
     dnssec.canonical_form,

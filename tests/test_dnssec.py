@@ -602,7 +602,65 @@ def test_anchor_walk_matches_the_split_join_walk(zone_keys, name, others, data):
     anchors = TrustAnchorSet()
     for apex in [normalised[cut:] for cut in cuts] + others:
         anchors.add(TrustAnchor(apex, "zsk-1", zone_keys.public_der()))
-    assert anchors.lookup(name) is _split_join_lookup(anchors, name)
+    expected = _split_join_lookup(anchors, name)
+    # A miss walks and keeps the answer, a second call reads it back, and
+    # another spelling of the name is its own key with the same answer.
+    respelled = " " + name.upper() + ". "
+    for query in (name, name, respelled, respelled):
+        assert anchors.lookup(query) is expected
+
+
+def test_an_added_deeper_apex_answers_a_name_kept_before(zone_keys, other_keys):
+    anchors = TrustAnchorSet()
+    outer = TrustAnchor("example.com", "zsk-1", zone_keys.public_der())
+    anchors.add(outer)
+    assert anchors.lookup("www.sub.example.com") is outer
+    assert anchors._covering == {"www.sub.example.com": outer}
+    deeper = TrustAnchor("sub.example.com", "zsk-2", other_keys.public_der())
+    anchors.add(deeper)
+    assert anchors._covering == {}
+    assert anchors.lookup("www.sub.example.com") is deeper
+    assert anchors.lookup("www.example.com") is outer
+
+
+def test_an_uncovered_name_stays_uncovered_until_an_add_covers_it(zone_keys):
+    anchors = TrustAnchorSet()
+    anchors.add(TrustAnchor("example.com", "zsk-1", zone_keys.public_der()))
+    for _ in range(2):
+        assert anchors.lookup("www.other.org") is None
+    assert anchors._covering == {"www.other.org": None}
+    other = TrustAnchor("other.org", "zsk-1", zone_keys.public_der())
+    anchors.add(other)
+    assert anchors.lookup("www.other.org") is other
+
+
+def test_the_covering_table_is_emptied_when_full(zone_keys):
+    anchors = TrustAnchorSet()
+    anchors.add(TrustAnchor("in.test", "zsk-1", zone_keys.public_der()))
+    bound = dnssec._COVERING_BOUND
+    assert bound == 1 << 14
+    for i in range(2 * bound + 1):
+        name = f"n{i}.in.test" if i % 2 else f"n{i}.out.test"
+        assert anchors.lookup(name) is _split_join_lookup(anchors, name)
+        assert len(anchors._covering) <= bound
+    # The last name went into a table emptied just before.
+    assert list(anchors._covering) == [name]
+
+
+def test_a_long_spelling_or_a_str_subclass_is_answered_but_never_kept(zone_keys):
+    anchors = TrustAnchorSet()
+    anchor = TrustAnchor("in.test", "zsk-1", zone_keys.public_der())
+    anchors.add(anchor)
+    long_spelling = "www.in.test" + " " * (1 << 20)
+    assert len(long_spelling) > 253 and normalize_domain(long_spelling) == "www.in.test"
+    just_kept = "www.in.test" + "." * (253 - len("www.in.test"))
+    assert len(just_kept) == 253
+    for query in (long_spelling, _Name("www.in.test"), _Name("x.out.test")):
+        for _ in range(2):
+            assert anchors.lookup(query) is _split_join_lookup(anchors, query)
+        assert anchors._covering == {}
+    assert anchors.lookup(just_kept) is anchor
+    assert list(anchors._covering) == [just_kept]
 
 
 def test_an_anchor_off_a_label_boundary_covers_nothing(zone_keys):
@@ -1134,12 +1192,16 @@ def test_replacing_an_apex_anchor_drops_the_old_key_table(zone_keys, rrset, now,
     old = anchors.lookup("tls12.test")
     assert verify_rrset(old, replace(rrset), now) is VerifyStatus.VALID
     assert len(old._passed) == 1
+    # The covering table keeps the old anchor until the add empties it.
+    assert anchors._covering == {"tls12.test": old}
     gone = weakref.ref(old)
     del old
-    anchors.add(_anchor_of(zone_keys))
+    added = _anchor_of(zone_keys)
+    anchors.add(added)
     gc.collect()
     assert gone() is None
     new = anchors.lookup("tls12.test")
+    assert new is added and anchors._covering == {"tls12.test": added}
     assert new._passed == {}
     assert verify_rrset(new, replace(rrset), now) is VerifyStatus.VALID
     assert new.public_key().calls == 1 and len(new._passed) == 1

@@ -1004,22 +1004,33 @@ def test_any_spelling_decides_in_a_bounded_number_of_probes(probe_world, spelled
             store.update(cached, record, PROBE_DATES[0])
     zone._names, names = _CountingDict(zone._names), zone._names
     anchors._anchors, kept = _CountingDict(anchors._anchors), anchors._anchors
+    anchors._covering, covering = _CountingDict(anchors._covering), anchors._covering
     store._slots = _CountingDict(store._slots)
     try:
         decide(resolve(zone, name), anchors, store, name, now)
         # The exact reads take at most two probes each, and each suffix walk
-        # one per label.
+        # one per label. The covering table is read once, and written once
+        # on a miss.
         labels = normal.count(".") + 1
         assert zone._names.probes <= 2
+        assert anchors._covering.probes <= 2
         assert anchors._anchors.probes <= labels
         assert store._slots.probes <= labels + 3
+
+        # The table answers a second decide of a kept spelling.
+        anchors._covering.probes = anchors._anchors.probes = 0
+        decide(resolve(zone, name), anchors, store, name, now)
+        assert anchors._covering.probes <= 2
+        if type(name) is str:
+            assert anchors._covering.probes <= 1
+            assert anchors._anchors.probes == 0
 
         assert resolve(zone, name) is resolve(zone, normal)
         assert zone.rrset_for(name) is zone.rrset_for(normal)
         assert store.get_exact(name, now) is store.get_exact(normal, now)
         assert store.observe_absence(name, now) is store.observe_absence(normal, now)
     finally:
-        zone._names, anchors._anchors = names, kept
+        zone._names, anchors._anchors, anchors._covering = names, kept, covering
     for key, slot in store._slots.items():
         assert type(key) is str and normalize_domain(key) is key
         assert type(slot.domain) is str and slot.domain == key

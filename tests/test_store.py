@@ -205,6 +205,45 @@ def test_reads_skip_an_expired_entry_and_leave_it_in_place(now, read):
     assert read(store, date(2018, 3, 1)).record == replace(EXPIRED, include_sub_domain=True)
 
 
+class _Name(str):
+    """A str subclass, as a caller may pass one."""
+
+
+@pytest.mark.parametrize("spelled", ["tls12.test", "TLS12.Test.", _Name("tls12.test")],
+                         ids=["normal", "mixed-case-trailing-dot", "str-subclass"])
+def test_an_update_normalises_a_name_at_most_once(now, monkeypatch, spelled):
+    calls = []
+
+    def counting(name):
+        calls.append(name)
+        return normalize_domain(name)
+
+    monkeypatch.setattr("dstc.store.normalize_domain", counting)
+    store = PolicyStore()
+    steps = [
+        (record(date(2018, 5, 1)), StoreAction.STORED_NEW),
+        (record(date(2018, 5, 1)), StoreAction.UNCHANGED),
+        (record(date(2018, 4, 1)), StoreAction.REJECTED_STALE),
+        (record(date(2018, 6, 1)), StoreAction.REPLACED),
+        (record(date(2018, 6, 2), revoke=True), StoreAction.REVOKED_DELETED),
+        (record(date(2018, 6, 3)), StoreAction.STORED_NEW),
+    ]
+    for incoming, action in steps:
+        calls.clear()
+        assert store.update(spelled, incoming, now) is action
+        assert len(calls) <= 1
+    # Over an expired slot too.
+    expired = PolicyStore()
+    expired.update(spelled, EXPIRED, date(2018, 3, 1))
+    calls.clear()
+    assert expired.update(spelled, record(), now) is StoreAction.STORED_NEW
+    assert len(calls) <= 1
+    for held in (store, expired):
+        ((key, slot),) = held._slots.items()
+        assert type(key) is str and key == "tls12.test"
+        assert type(slot.domain) is str and slot.domain == key
+
+
 def test_expired_slots_stay_in_the_file_and_keep_every_decision(now):
     store = PolicyStore()
     store.update("old.test", replace(EXPIRED, include_sub_domain=True), date(2018, 3, 1))
